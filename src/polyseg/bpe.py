@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .errors import ConfigError, DataError, FormatError, ParseError
+from . import modelfile
+from .errors import ConfigError, DataError, FormatError
 
 DEFAULT_MARKER = "</w>"
 
@@ -161,24 +162,11 @@ def save_model(model: BpeModel, path) -> None:
 
 
 def load_model(path) -> BpeModel:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ParseError("%s: empty model file" % (path,))
-    head = lines[0].split(" ")
-    if len(head) != 4 or head[0] != "bpe" or head[1] != "v1":
-        raise ParseError("%s: bad bpe header: %r" % (path, lines[0]))
-    target = int(head[2])
-    marker = head[3]
-    merges = []
-    vocab = set()
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError("%s: line %d: expected two TAB fields" % (path, i))
-        merges.append((parts[0], parts[1]))
+    (target, marker), rows = modelfile.read(path, "bpe", (int, str), {"merges": (str, str)})
+    merges = [(a, b) for a, b in rows["merges"]]
     # The file format stores merges only; vocab is rebuilt from them.
     # Alphabet symbols that never merged are not recoverable from the file.
+    vocab = set()
     for a, b in merges:
         vocab.update((a, b, a + b))
     return BpeModel(merges=merges, vocab=vocab, boundary_marker=marker, target_vocab_size=target)

@@ -12,7 +12,7 @@ import argparse
 import sys
 from collections import Counter
 
-from . import analysis, bpe, corpus, crf, metrics, morf
+from . import analysis, bpe, corpus, crf, metrics, modelfile, morf
 from .errors import (
     ConfigError,
     FormatError,
@@ -48,28 +48,17 @@ def desegment_line(line: str, style: str, marker: str, lineno: int = 1) -> str:
     current = ""
     col = 1
     for piece in line.split(" "):
-        if style == EOW:
-            idx = piece.find(marker)
-            if idx >= 0 and idx != len(piece) - len(marker):
-                raise FormatError(
-                    "line %d, column %d: marker inside piece %r" % (lineno, col, piece)
-                )
-            if piece.endswith(marker):
-                words.append(current + piece[: -len(marker)])
-                current = ""
-            else:
-                current += piece
-        else:
-            idx = piece.find(marker)
-            if idx >= 0 and idx != len(piece) - len(marker):
-                raise FormatError(
-                    "line %d, column %d: marker inside piece %r" % (lineno, col, piece)
-                )
-            if piece.endswith(marker):
-                current += piece[: -len(marker)]
-            else:
-                words.append(current + piece)
-                current = ""
+        idx = piece.find(marker)
+        if idx >= 0 and idx != len(piece) - len(marker):
+            raise FormatError(
+                "line %d, column %d: marker inside piece %r" % (lineno, col, piece)
+            )
+        marked = piece.endswith(marker)
+        current += piece[: -len(marker)] if marked else piece
+        # a marked piece ends its word under EOW and continues it under CONT
+        if marked == (style == EOW):
+            words.append(current)
+            current = ""
         col += len(piece) + 1
     if current:
         raise FormatError(
@@ -185,7 +174,6 @@ def _cmd_train(args) -> int:
             l2=args.l2,
             max_iters=args.max_iters,
             tol=args.tol,
-            seed=args.seed,
         )
         crf.save_model(model, args.model)
         print("trained crf: %d features -> %s" % (len(model.feat_index), args.model))
@@ -194,37 +182,30 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _model_family(path) -> str:
-    head = _read_text(path)
-    if not head:
-        raise ParseError("%s: empty model file" % (path,))
-    return head[0].split(" ", 1)[0]
+def _segmenter(path):
+    """``(segment_word, style, marker)`` for the model file at ``path``.
+
+    ``segment_word`` maps a word to its pieces; it looks the family's
+    decoder up on its module at call time, so a wrapper installed there
+    sees every call.
+    """
+    family = modelfile.family(path)
+    if family == "bpe":
+        model = bpe.load_model(path)
+        return (lambda word: bpe.encode(model, word)), EOW, model.boundary_marker
+    if family == "morf":
+        model = morf.load_model(path)
+        return (lambda word: morf.viterbi_segment(model, word)), CONT, DEFAULT_MARKERS[CONT]
+    if family == "crf":
+        model = crf.load_model(path)
+        return (lambda word: list(crf.decode(model, word).morphs)), CONT, DEFAULT_MARKERS[CONT]
+    raise ParseError("%s:1: unknown model family %r" % (path, family))
 
 
 def _cmd_segment(args) -> int:
-    family = _model_family(args.model)
-    lines = _read_text(args.input)
-    out = []
-    if family == "bpe":
-        model = bpe.load_model(args.model)
-        style, marker = EOW, model.boundary_marker
-        for line in lines:
-            pieces = [bpe.encode(model, tok) for tok in line.split()]
-            out.append(render_segmented(pieces, style, marker))
-    elif family == "morf":
-        model = morf.load_model(args.model)
-        style, marker = CONT, DEFAULT_MARKERS[CONT]
-        for line in lines:
-            pieces = [morf.viterbi_segment(model, tok) for tok in line.split()]
-            out.append(render_segmented(pieces, style, marker))
-    elif family == "crf":
-        model = crf.load_model(args.model)
-        style, marker = CONT, DEFAULT_MARKERS[CONT]
-        for line in lines:
-            pieces = [list(crf.decode(model, tok).morphs) for tok in line.split()]
-            out.append(render_segmented(pieces, style, marker))
-    else:
-        raise ParseError("%s: unknown model family %r" % (args.model, family))
+    segment_word, style, marker = _segmenter(args.model)
+    out = [render_segmented([segment_word(tok) for tok in line.split()], style, marker)
+           for line in _read_text(args.input)]
     text = "\n".join(out) + "\n" if out else ""
     if args.output:
         _write_text(args.output, text)
@@ -236,17 +217,13 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_desegment(args) -> int:
-    style = args.style
-    marker = args.marker
     if args.model:
-        family = _model_family(args.model)
-        style = EOW if family == "bpe" else CONT
-        if family == "bpe":
-            marker = bpe.load_model(args.model).boundary_marker
-    if style is None:
+        _, style, marker = _segmenter(args.model)
+    elif args.style:
+        style = args.style
+        marker = DEFAULT_MARKERS[style] if args.marker is None else args.marker
+    else:
         raise ConfigError("desegment needs --style or --model")
-    if marker is None:
-        marker = DEFAULT_MARKERS[style]
     lines = _read_text(args.input)
     out = [desegment_line(line, style, marker, lineno=i) for i, line in enumerate(lines, 1)]
     text = "\n".join(out) + "\n" if out else ""

@@ -9,12 +9,14 @@ offset and content.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
+from . import modelfile
 from .corpus import SURFACE, SegmentationDataset, SegmentedWord
 from .errors import DataError, UnsupportedModeError
 
@@ -258,13 +260,11 @@ def train_crf(
     l2: float = 0.01,
     max_iters: int = 200,
     tol: float = 1e-5,
-    seed: int = 1917,
 ) -> CrfModel:
     """Fit the CRF by quasi-Newton ascent on the regularized likelihood.
 
     Only surface-mode data is supported: canonical analyses do not define a
-    character labeling.  ``seed`` is reserved for randomized initialization
-    schemes; the default zero initialization is already deterministic.
+    character labeling.
     """
     if dataset.mode != SURFACE:
         raise UnsupportedModeError(
@@ -346,15 +346,6 @@ def decode(model: CrfModel, word: str) -> SegmentedWord:
     return SegmentedWord(word, labels_to_morphs(word, labels), mode=SURFACE)
 
 
-def viterbi_score(model: CrfModel, word: str, labels) -> float:
-    """Score of one labeling; the brute-force oracle's counterpart."""
-    scores, _ = _emission_scores(model, word)
-    lab_idx = [_L[l] for l in labels]
-    total = scores[np.arange(len(word)), lab_idx].sum()
-    total += sum(model.trans[a, b] for a, b in zip(lab_idx, lab_idx[1:]))
-    return float(total)
-
-
 # -- model files -------------------------------------------------------------
 
 
@@ -372,38 +363,30 @@ def save_model(model: CrfModel, path) -> None:
             f.write("%s\t%s\t%s\n" % (a, b, repr(float(model.trans[_L[a], _L[b]]))))
 
 
-def load_model(path) -> CrfModel:
-    from .errors import ParseError
+def _feature_key(text: str) -> tuple[int, str]:
+    offset, content = text.split(":", 1)
+    return int(offset), content
 
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("crf v1 "):
-        raise ParseError("%s: bad crf header" % (path,))
-    head = lines[0].split(" ")
-    delta = int(head[2])
-    l2 = float(head[3])
-    rows = []
-    trans_rows = []
-    section = "features"
-    for i, line in enumerate(lines[1:], start=2):
-        if line == "transitions:":
-            section = "transitions"
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError("%s: line %d: expected 3 fields" % (path, i))
-        if section == "features":
-            off_s, content = parts[0].split(":", 1)
-            rows.append(((int(off_s), content), parts[1], float(parts[2])))
-        else:
-            trans_rows.append((parts[0], parts[1], float(parts[2])))
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite weight")
+    return value
+
+
+def load_model(path) -> CrfModel:
+    label = _L.__getitem__
+    (delta, l2), rows = modelfile.read(
+        path, "crf", (int, float),
+        {"features": (_feature_key, label, _finite), "transitions": (label, label, _finite)},
+    )
     feat_index: dict[tuple[int, str], int] = {}
-    for feat, _, _ in rows:
-        if feat not in feat_index:
-            feat_index[feat] = len(feat_index)
+    for feat, _, _ in rows["features"]:
+        feat_index.setdefault(feat, len(feat_index))
     model = CrfModel.zeros(delta, l2, feat_index)
-    for feat, lab, w in rows:
-        model.weights[feat_index[feat], _L[lab]] = w
-    for a, b, w in trans_rows:
-        model.trans[_L[a], _L[b]] = w
+    for feat, lab, w in rows["features"]:
+        model.weights[feat_index[feat], lab] = w
+    for a, b, w in rows["transitions"]:
+        model.trans[a, b] = w
     return model

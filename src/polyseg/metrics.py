@@ -225,19 +225,7 @@ def bleu_score_from_stats(stats: np.ndarray) -> np.ndarray:
 
 def bleu(hyps: list[str], refs: list[str]) -> ScoreReport:
     """Corpus BLEU (0-100) with per-sentence scores from the same formula."""
-    if len(hyps) != len(refs):
-        raise AlignmentError(
-            "hypothesis/reference length mismatch: %d vs %d" % (len(hyps), len(refs))
-        )
-    stats = np.array([bleu_sentence_stats(h, r) for h, r in zip(hyps, refs)])
-    corpus = float(bleu_score_from_stats(stats.sum(axis=0))[0])
-    per_sentence = tuple(float(x) for x in bleu_score_from_stats(stats))
-    return ScoreReport(
-        metric="bleu",
-        score=corpus,
-        sentence_scores=per_sentence,
-        signature=BLEU_SIGNATURE,
-    )
+    return metric_report("bleu", hyps, refs)
 
 
 # -- chrF ----------------------------------------------------------------------
@@ -285,19 +273,7 @@ def chrf_score_from_stats(stats: np.ndarray) -> np.ndarray:
 
 
 def chrf(hyps: list[str], refs: list[str]) -> ScoreReport:
-    if len(hyps) != len(refs):
-        raise AlignmentError(
-            "hypothesis/reference length mismatch: %d vs %d" % (len(hyps), len(refs))
-        )
-    stats = np.array([chrf_sentence_stats(h, r) for h, r in zip(hyps, refs)])
-    corpus = float(chrf_score_from_stats(stats.sum(axis=0))[0])
-    per_sentence = tuple(float(x) for x in chrf_score_from_stats(stats))
-    return ScoreReport(
-        metric="chrf",
-        score=corpus,
-        sentence_scores=per_sentence,
-        signature=CHRF_SIGNATURE,
-    )
+    return metric_report("chrf", hyps, refs)
 
 
 _METRICS = {
@@ -307,11 +283,22 @@ _METRICS = {
 
 
 def metric_report(metric: str, hyps: list[str], refs: list[str]) -> ScoreReport:
-    if metric == "bleu":
-        return bleu(hyps, refs)
-    if metric == "chrf":
-        return chrf(hyps, refs)
-    raise ConfigError("unknown MT metric %r" % (metric,))
+    """Corpus score of ``metric`` with per-sentence scores from the same
+    formula; the corpus score sums the sentences' sufficient statistics."""
+    if metric not in _METRICS:
+        raise ConfigError("unknown MT metric %r" % (metric,))
+    if len(hyps) != len(refs):
+        raise AlignmentError(
+            "hypothesis/reference length mismatch: %d vs %d" % (len(hyps), len(refs))
+        )
+    sentence_stats, score_fn, signature = _METRICS[metric]
+    stats = np.array([sentence_stats(h, r) for h, r in zip(hyps, refs)])
+    return ScoreReport(
+        metric=metric,
+        score=float(score_fn(stats.sum(axis=0))[0]),
+        sentence_scores=tuple(float(x) for x in score_fn(stats)),
+        signature=signature,
+    )
 
 
 # -- paired approximate randomization ------------------------------------------

@@ -27,7 +27,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DataError, NumericError, ParseError
+from . import modelfile
+from .errors import ConfigError, DataError, NumericError
 
 BASELINE = "baseline"
 LMVR = "lmvr"
@@ -796,45 +797,25 @@ def save_model(model: MorfModel, path) -> None:
 
 
 def load_model(path) -> MorfModel:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("morf v1 "):
-        raise ParseError("%s: bad morf header" % (path,))
-    head = lines[0].split(" ")
-    variant = head[2]
-    alpha = float(head[3])
-    cap = int(head[4]) if len(head) > 4 else None
-    lexicon = Counter()
-    start: dict[str, float] = {}
-    trans: dict[str, dict[str, float]] = {}
-    emit: dict[str, dict[str, float]] = {}
-    section = "lexicon"
-    for i, line in enumerate(lines[1:], start=2):
-        if line == "transitions:":
-            section = "transitions"
-            continue
-        if line == "emissions:":
-            section = "emissions"
-            continue
-        parts = line.split("\t")
-        if section == "lexicon":
-            if len(parts) != 2:
-                raise ParseError("%s: line %d: expected morph<TAB>count" % (path, i))
-            lexicon[parts[0]] = int(parts[1])
-        elif section == "transitions":
-            if len(parts) != 3:
-                raise ParseError("%s: line %d: expected 3 fields" % (path, i))
-            src, dst, logp = parts[0], parts[1], float(parts[2])
+    (variant, alpha, cap), rows = modelfile.read(
+        path, "morf", (str, float, int),
+        {"lexicon": (str, int), "transitions": (str, str, float),
+         "emissions": (str, str, float)},
+        optional=1,
+    )
+    lexicon = Counter(dict(rows["lexicon"]))
+    categories = None
+    if variant == FLATCAT:
+        start: dict[str, float] = {}
+        trans: dict[str, dict[str, float]] = {}
+        emit: dict[str, dict[str, float]] = {}
+        for src, dst, logp in rows["transitions"]:
             if src == "<s>":
                 start[dst] = logp
             else:
                 trans.setdefault(src, {})[dst] = logp
-        else:
-            if len(parts) != 3:
-                raise ParseError("%s: line %d: expected 3 fields" % (path, i))
-            emit.setdefault(parts[0], {})[parts[1]] = float(parts[2])
-    categories = None
-    if variant == FLATCAT:
+        for cat, morph, logp in rows["emissions"]:
+            emit.setdefault(cat, {})[morph] = logp
         categories = CategoryModel(start=start, trans=trans, emit=emit)
     alphabet = frozenset(ch for m in lexicon for ch in m)
     return MorfModel(

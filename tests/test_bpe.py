@@ -135,3 +135,6 @@ class TestModelFile:
         assert loaded.boundary_marker == model.boundary_marker
         for w in ("aaab", "aab", "abab", "bbbb"):
             assert encode(loaded, w) == encode(model, w)
+        again = tmp_path / "again.bpe"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()

@@ -192,3 +192,6 @@ class TestModelFile:
         loaded = load_model(path)
         for word in ("kawi", "takawi", "zzz"):
             assert decode(loaded, word).morphs == decode(model, word).morphs
+        again = tmp_path / "again.crf"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()

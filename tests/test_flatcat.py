@@ -155,3 +155,6 @@ class TestModelFile:
             assert viterbi_segment_with_categories(loaded, word) == (
                 viterbi_segment_with_categories(model, word)
             )
+        again = tmp_path / "again.fc"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()

@@ -172,10 +172,17 @@ class TestModelFile:
         assert loaded.alphabet == model.alphabet
         for w in ("taka", "mitasu", "zz"):
             assert viterbi_segment(loaded, w) == viterbi_segment(model, w)
+        again = tmp_path / "again.morf"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_lmvr_header_carries_cap(self, tmp_path):
         model = train_lmvr(FOUR_WORDS, max_lexicon_size=9, seed=2)
         path = tmp_path / "m.lmvr"
         save_model(model, path)
         assert path.read_text(encoding="utf-8").splitlines()[0] == "morf v1 lmvr 1.0 9"
-        assert load_model(path).max_lexicon_size == 9
+        loaded = load_model(path)
+        assert loaded.max_lexicon_size == 9
+        again = tmp_path / "again.lmvr"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
