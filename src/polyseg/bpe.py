@@ -1,4 +1,5 @@
-"""Byte-pair-encoding subword model: frequency-based merge learning and replay.
+"""Byte-pair-encoding subword model: frequency-based merge learning and
+rank-ordered merge application.
 
 Words are initialized as character symbols with an end-of-word marker
 appended to the final character symbol, so every encoded word carries its
@@ -7,8 +8,11 @@ boundary and decoding is the exact inverse of encoding.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import modelfile
 from .errors import ConfigError, DataError, FormatError
@@ -33,6 +37,16 @@ class BpeModel:
 
     def is_unknown(self, piece: str) -> bool:
         return piece not in self.vocab
+
+    @cached_property
+    def pair_ranks(self) -> dict[tuple[str, str], list[int]]:
+        """Each merge pair mapped to the ascending ranks (indexes into
+        ``merges``) it appears at; built on first use, so ``merges`` must
+        not change after the first :func:`encode`."""
+        ranks: dict[tuple[str, str], list[int]] = {}
+        for rank, pair in enumerate(self.merges):
+            ranks.setdefault(pair, []).append(rank)
+        return ranks
 
 
 def _word_symbols(word: str, marker: str) -> tuple[str, ...]:
@@ -95,14 +109,21 @@ def train_bpe(
             pair_counts[(a, b)] += freq
             pair_where[(a, b)].add(idx)
 
+    # a lazy max-heap of (-count, pair): the smallest entry is the most
+    # frequent pair, ties going to the lexicographically first; an entry
+    # whose count no longer matches pair_counts is stale and skipped
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
-    while len(vocab) < target_vocab_size and pair_counts:
-        best_count = max(pair_counts.values())
-        if best_count < 2:
+    while len(vocab) < target_vocab_size and heap:
+        neg_count, best = heapq.heappop(heap)
+        if pair_counts.get(best) != -neg_count:
+            continue
+        if -neg_count < 2:
             break
-        best = min(p for p, c in pair_counts.items() if c == best_count)
         merges.append(best)
         vocab.add(best[0] + best[1])
+        changed = Counter()  # net count change; most pairs of a word keep theirs
         for idx in sorted(pair_where[best]):
             syms, freq = words[idx]
             for a, b in zip(syms, syms[1:]):
@@ -110,11 +131,16 @@ def train_bpe(
                 if pair_counts[(a, b)] <= 0:
                     del pair_counts[(a, b)]
                 pair_where[(a, b)].discard(idx)
+                changed[(a, b)] -= freq
             merged = list(_merge_word(tuple(syms), best))
             words[idx][0] = merged
             for a, b in zip(merged, merged[1:]):
                 pair_counts[(a, b)] += freq
                 pair_where[(a, b)].add(idx)
+                changed[(a, b)] += freq
+        for pair, change in changed.items():
+            if change and pair in pair_counts:
+                heapq.heappush(heap, (-pair_counts[pair], pair))
 
     return BpeModel(
         merges=merges,
@@ -125,7 +151,14 @@ def train_bpe(
 
 
 def encode(model: BpeModel, word: str) -> list[str]:
-    """Segment ``word`` into pieces by replaying the learned merges.
+    """Segment ``word`` into pieces, applying the learned merges in rank
+    order with the result of replaying the whole merge list.
+
+    Only merges whose pair is adjacent in the word change it, so each step
+    jumps to the lowest rank at or after the last one applied among the
+    word's current pairs.  Ranks already passed stay passed: a pair can
+    reappear after its rank when a later merge rebuilds one of its symbols
+    from a different split, and replay would not merge it then.
 
     Characters never seen in training pass through as single-character
     pieces; callers can detect them with ``model.is_unknown``.
@@ -133,10 +166,21 @@ def encode(model: BpeModel, word: str) -> list[str]:
     if not word:
         raise DataError("cannot encode an empty word")
     syms = _word_symbols(word, model.boundary_marker)
-    for pair in model.merges:
-        if len(syms) == 1:
+    pair_ranks = model.pair_ranks
+    first = 0  # the lowest rank replay could still apply
+    while len(syms) > 1:
+        rank = None
+        for pair in zip(syms, syms[1:]):
+            ranks = pair_ranks.get(pair)
+            if ranks is None or ranks[-1] < first:
+                continue
+            r = ranks[bisect_left(ranks, first)]
+            if rank is None or r < rank:
+                rank = r
+        if rank is None:
             break
-        syms = _merge_word(syms, pair)
+        syms = _merge_word(syms, model.merges[rank])
+        first = rank + 1
     return list(syms)
 
 

@@ -204,7 +204,16 @@ def _segmenter(path):
 
 def _cmd_segment(args) -> int:
     segment_word, style, marker = _segmenter(args.model)
-    out = [render_segmented([segment_word(tok) for tok in line.split()], style, marker)
+    # every family's decoder is a pure function of (model, word), so each
+    # distinct word is decoded once; text repeats words, Zipf-like
+    pieces: dict[str, list[str]] = {}
+
+    def segment_cached(tok):
+        if tok not in pieces:
+            pieces[tok] = segment_word(tok)
+        return pieces[tok]
+
+    out = [render_segmented([segment_cached(tok) for tok in line.split()], style, marker)
            for line in _read_text(args.input)]
     text = "\n".join(out) + "\n" if out else ""
     if args.output:

@@ -95,14 +95,15 @@ def extract_features(word: str, i: int, delta: int = 3) -> list[tuple[int, str]]
     length 2..delta lying fully inside both the window and the word."""
     if not 0 <= i < len(word):
         raise DataError("position %d outside word of length %d" % (i, len(word)))
+    n = len(word)
     feats = []
     for o in range(-delta, delta + 1):
         p = i + o
-        feats.append((o, word[p] if 0 <= p < len(word) else PAD))
-    for length in range(2, delta + 1):
-        for a in range(i - delta, i + delta - length + 2):
-            if a < 0 or a + length > len(word):
-                continue
+        feats.append((o, word[p] if 0 <= p < n else PAD))
+    # lengths and start positions clamped to substrings inside both the
+    # window [i - delta, i + delta] and the word
+    for length in range(2, min(delta, n) + 1):
+        for a in range(max(0, i - delta), min(i + delta + 1, n) - length + 1):
             feats.append((a - i, word[a : a + length]))
     return feats
 
@@ -375,10 +376,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _delta(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("window radius below 1")
+    return value
+
+
 def load_model(path) -> CrfModel:
     label = _L.__getitem__
     (delta, l2), rows = modelfile.read(
-        path, "crf", (int, float),
+        path, "crf", (_delta, float),
         {"features": (_feature_key, label, _finite), "transitions": (label, label, _finite)},
     )
     feat_index: dict[tuple[int, str], int] = {}

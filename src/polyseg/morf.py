@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import modelfile
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ParseError
 
 BASELINE = "baseline"
 LMVR = "lmvr"
@@ -816,6 +816,12 @@ def load_model(path) -> MorfModel:
                 trans.setdefault(src, {})[dst] = logp
         for cat, morph, logp in rows["emissions"]:
             emit.setdefault(cat, {})[morph] = logp
+        # a file cut short loses its tables from the end; the header line
+        # is what promised them
+        if not start:
+            raise ParseError("%s:1: flatcat model has no <s> start row" % (path,))
+        if not emit:
+            raise ParseError("%s:1: flatcat model has no emission rows" % (path,))
         categories = CategoryModel(start=start, trans=trans, emit=emit)
     alphabet = frozenset(ch for m in lexicon for ch in m)
     return MorfModel(

@@ -13,7 +13,15 @@ from collections import Counter
 import numpy as np
 
 from polyseg.bpe import DEFAULT_MARKER
-from polyseg.crf import ALLOWED_NEXT, FINAL_LABELS, LABELS, START_LABELS, CrfModel, extract_features
+from polyseg.crf import (
+    ALLOWED_NEXT,
+    FINAL_LABELS,
+    LABELS,
+    PAD,
+    START_LABELS,
+    CrfModel,
+    extract_features,
+)
 
 _L = {lab: i for i, lab in enumerate(LABELS)}
 
@@ -49,6 +57,25 @@ def bpe_oracle_merges(word_counts, target_vocab_size, marker=DEFAULT_MARKER):
                     syms[i : i + 2] = [syms[i] + syms[i + 1]]
                 i += 1
     return merges
+
+
+def bpe_oracle_encode(merges, word, marker=DEFAULT_MARKER):
+    """Encode by replaying every merge in order over the word's symbols,
+    each one left to right and non-overlapping."""
+    syms = list(word)
+    syms[-1] += marker
+    for a, b in merges:
+        out = []
+        i = 0
+        while i < len(syms):
+            if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b:
+                out.append(a + b)
+                i += 2
+            else:
+                out.append(syms[i])
+                i += 1
+        syms = out
+    return syms
 
 
 def random_bpe_corpus(rng, max_types=20):
@@ -108,6 +135,20 @@ def morf_best_cost(model, word):
 
 
 # -- crf -------------------------------------------------------------------------
+
+
+def crf_oracle_features(word, i, delta):
+    """Window features by walking the whole window: every offset, then for
+    each length every start position, keeping those inside the word."""
+    feats = []
+    for o in range(-delta, delta + 1):
+        p = i + o
+        feats.append((o, word[p] if 0 <= p < len(word) else PAD))
+    for length in range(2, delta + 1):
+        for a in range(i - delta, i + delta - length + 2):
+            if 0 <= a and a + length <= len(word):
+                feats.append((a - i, word[a : a + length]))
+    return feats
 
 
 def valid_bmes_sequences(n):

@@ -6,8 +6,11 @@ test noticing; these tests read bench/ and change nothing there."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import polyseg
 import polyseg.cli  # noqa: F401 - the traced run wraps cli functions too
+from polyseg.corpus import SURFACE, SegmentationDataset, SegmentedWord
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -27,3 +30,29 @@ def test_every_wrapped_function_exists():
 def test_setup_probe_loaders_exist():
     for module in ("bpe", "morf", "crf"):
         assert callable(getattr(getattr(polyseg, module), "load_model", None)), module
+
+
+GOLD = SegmentationDataset((SegmentedWord("kawi", ("ka", "wi")),
+                            SegmentedWord("suta", ("su", "ta"))), mode=SURFACE)
+TRAIN = {
+    "bpe": lambda: polyseg.bpe.train_bpe({"kawi": 3, "suta": 2}, 12),
+    "morf": lambda: polyseg.morf.train_baseline({"kawi": 3, "suta": 2}, seed=1),
+    "crf": lambda: polyseg.crf.train_crf(GOLD, delta=1, max_iters=5),
+}
+
+
+@pytest.mark.parametrize("module,attr", [
+    ("bpe", "encode"), ("morf", "viterbi_segment"), ("crf", "decode"),
+])
+def test_segment_word_looks_decoder_up_at_call_time(tmp_path, monkeypatch, module, attr):
+    # the traced run installs its spans on these module attributes after
+    # the model is loaded; a segmenter holding the function would bypass them
+    mod = getattr(polyseg, module)
+    path = tmp_path / module
+    mod.save_model(TRAIN[module](), path)
+    segment_word, _, _ = polyseg.cli._segmenter(path)
+    calls = []
+    real = getattr(mod, attr)
+    monkeypatch.setattr(mod, attr, lambda model, word: calls.append(word) or real(model, word))
+    segment_word("kawi")
+    assert calls == ["kawi"]

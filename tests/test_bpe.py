@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from polyseg.bpe import (
     DEFAULT_MARKER,
+    BpeModel,
     decode,
     encode,
     load_model,
@@ -13,7 +15,7 @@ from polyseg.bpe import (
     train_bpe,
 )
 from polyseg.errors import ConfigError, DataError, FormatError
-from oracles import bpe_oracle_merges, random_bpe_corpus
+from oracles import bpe_oracle_encode, bpe_oracle_merges, random_bpe_corpus
 
 
 class TestTraining:
@@ -55,6 +57,17 @@ class TestTraining:
             model = train_bpe(wc, target)
             expected = bpe_oracle_merges(wc, target)
             assert model.merges == expected
+
+    def test_count_ties_match_oracle(self):
+        # every word once, every first pair and every final pair in exactly
+        # three words: rounds are decided by the (left, right) tie-break
+        words = ["".join(p) for p in itertools.permutations("abcde", 3)]
+        wc = {w: 1 for w in words}
+        model = train_bpe(wc, 60)
+        assert len(model.merges) > 10
+        assert model.merges == bpe_oracle_merges(wc, 60)
+        wc = {"ab": 2, "ba": 2, "cd": 2, "dc": 2, "abcd": 1, "dcba": 1}
+        assert train_bpe(wc, 30).merges == bpe_oracle_merges(wc, 30)
 
     def test_merge_monotonicity(self):
         wc = {"abab": 4, "abc": 3, "bc": 5}
@@ -121,6 +134,60 @@ class TestEncodeDecode:
             return
         model = train_bpe({"taka": 3, "tasu": 2}, 20)
         assert decode(encode(model, word)) == word
+
+
+WORD = st.text(alphabet="abcdefxy", min_size=1, max_size=12)
+
+
+class TestEncodeMatchesReplay:
+    """The rank-indexed encoder against the merge-list replay."""
+
+    @given(seed=st.integers(0, 2**32 - 1), words=st.lists(WORD, min_size=1, max_size=10),
+           extra=st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_trained_models(self, seed, words, extra):
+        wc = random_bpe_corpus(random.Random(seed))
+        model = train_bpe(wc, len({c for w in wc for c in w}) * 2 + extra)
+        # "x" and "y" never occur in training corpora
+        for word in list(wc) + words:
+            assert encode(model, word) == bpe_oracle_encode(model.merges, word)
+
+    @pytest.mark.parametrize("merges,word,pieces", [
+        # after rank 1 makes "bc", pair ("a","bc") is back but its first
+        # rank 0 has passed; rank 2 takes "bc" first, so rank 3 finds none
+        pytest.param([("a", "bc"), ("b", "c"), ("bc", "d</w>"), ("a", "bc")],
+                     "abcd", ["a", "bcd</w>"], id="pair-at-two-ranks-later-wins"),
+        # here the earlier of the pair's two ranks applies
+        pytest.param([("b", "c"), ("a", "bc"), ("bc", "d</w>"), ("a", "bc")],
+                     "abcd", ["abc", "d</w>"], id="pair-at-two-ranks-earlier-wins"),
+        # "abc" is rebuilt as ("ab","c") at rank 4, after the rank 3 of
+        # ("abc","d</w>") has passed, so that pair must not fire
+        pytest.param([("a", "b"), ("b", "c"), ("a", "bc"), ("abc", "d</w>"), ("ab", "c")],
+                     "abcd", ["abc", "d</w>"], id="rebuilt-by-other-split"),
+        # ("a","bc") at rank 0 is adjacent only after rank 1 makes "bc"
+        pytest.param([("a", "bc"), ("b", "c"), ("a", "b"), ("ab", "c"), ("abc", "d</w>")],
+                     "abcd", ["a", "bc", "d</w>"], id="passed-rank-reappears"),
+        pytest.param([("a", "a")], "aaaaaaa", ["aa", "aa", "aa", "a</w>"],
+                     id="odd-run-of-one-symbol"),
+        pytest.param([("a", "a"), ("a", "a</w>"), ("aa", "aa")],
+                     "aaaaa", ["aaaa", "a</w>"], id="run-then-merged-pieces"),
+        pytest.param([("a", "a"), ("aa", "a"), ("a", "a")],
+                     "aaaa", ["aaa", "a</w>"], id="run-with-repeated-pair"),
+    ])
+    def test_hostile_merge_lists(self, merges, word, pieces):
+        assert bpe_oracle_encode(merges, word) == pieces
+        assert encode(BpeModel(merges, vocab=set()), word) == pieces
+
+    # short symbols over "ab", with and without the marker, so random
+    # merge lists repeat pairs and rebuild symbols by different splits
+    SYMBOL = st.sampled_from(["a", "b", "aa", "ab", "ba", "bb", "a</w>", "b</w>",
+                              "ab</w>", "aa</w>", "ba</w>", "bb</w>", "aab</w>"])
+
+    @given(merges=st.lists(st.tuples(SYMBOL, SYMBOL), max_size=20),
+           word=st.text(alphabet="ab", min_size=1, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_merge_lists(self, merges, word):
+        assert encode(BpeModel(merges, vocab=set()), word) == bpe_oracle_encode(merges, word)
 
 
 class TestModelFile:

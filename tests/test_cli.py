@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyseg import bpe, cli, crf, morf
 from polyseg.cli import desegment_line, main, render_segmented
 from polyseg.errors import FormatError
 
@@ -61,6 +64,40 @@ class TestSegmentRoundTrip:
             assert run("train", "--method", "morfessor", "--input", corpus_file,
                        "--model", m, "--seed", "7") == 0
         assert open(m1, "rb").read() == open(m2, "rb").read()
+
+
+class TestSegmentCache:
+    @pytest.mark.parametrize("method,decoder", [
+        ("bpe", (bpe, "encode")),
+        ("morfessor", (morf, "viterbi_segment")),
+        ("crf", (crf, "decode")),
+    ])
+    def test_each_distinct_word_decoded_once(self, trained_models, monkeypatch, tmp_path,
+                                             method, decoder):
+        d, _ = trained_models
+        model = str(d / method)
+        text = _write(tmp_path / "text.txt", "kawi suta kawi\nkawi\n\nwisu suta kawi tawi\n")
+        segment_word, style, marker = cli._segmenter(model)
+        expected = "".join(
+            render_segmented([segment_word(tok) for tok in line.split()], style, marker) + "\n"
+            for line in open(text, encoding="utf-8").read().splitlines())
+
+        module, attr = decoder
+        calls = []
+        real_segmenter = cli._segmenter
+
+        def counting_segmenter(path):
+            found = real_segmenter(path)
+            real = getattr(module, attr)
+            monkeypatch.setattr(module, attr,
+                                lambda model, word: calls.append(word) or real(model, word))
+            return found
+
+        monkeypatch.setattr(cli, "_segmenter", counting_segmenter)
+        out = tmp_path / "out.txt"
+        assert run("segment", "--model", model, "--input", text, "--output", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == expected
+        assert sorted(calls) == ["kawi", "suta", "tawi", "wisu"]
 
 
 class TestDesegmentHelpers:
@@ -228,6 +265,13 @@ class TestMalformedModelFiles:
         pytest.param("bpe v1 30 \nk\ta\n", 1, id="empty-header-field"),
         pytest.param("", 1, id="empty-file"),
         pytest.param("lzw v1 30\n", 1, id="unknown-family"),
+        pytest.param("crf v1 0 0.01\n0:k\tB\t0.5\ntransitions:\n", 1, id="crf-delta-zero"),
+        pytest.param("morf v1 flatcat 1.0\nka\t3\nwi\t2\n", 1,
+                     id="flatcat-cut-before-transitions"),
+        pytest.param("morf v1 flatcat 1.0\nka\t3\nwi\t2\ntransitions:\nSTM\tSUF\t-0.5\n",
+                     1, id="flatcat-cut-before-start-rows"),
+        pytest.param("morf v1 flatcat 1.0\nka\t3\nwi\t2\ntransitions:\n<s>\tSTM\t0.0\n"
+                     "STM\tSTM\t0.0\n", 1, id="flatcat-cut-before-emissions"),
     ])
     def test_segment_exits_3_naming_file_and_line(self, tmp_path, corpus_file, capsys,
                                                   text, line):
@@ -236,6 +280,21 @@ class TestMalformedModelFiles:
         err = capsys.readouterr().err
         assert "%s:%d:" % (model, line) in err
         assert "Traceback" not in err
+
+
+class TestCrfWindow:
+    def test_wide_window_segments_quickly(self, tmp_path):
+        # the window is clamped to the word: the cost no longer grows with
+        # delta squared per character
+        model = _write(tmp_path / "wide.crf",
+                       "crf v1 20000 0.01\n0:k\tB\t0.5\n-20000:\u27e8pad\u27e9\tS\t0.1\n"
+                       "transitions:\n")
+        text = _write(tmp_path / "kawi.txt", "kawi\n")
+        out = tmp_path / "out.txt"
+        start = time.perf_counter()
+        assert run("segment", "--model", model, "--input", text, "--output", str(out)) == 0
+        assert time.perf_counter() - start < 1.0
+        assert out.read_text(encoding="utf-8").replace("@@ ", "") == "kawi\n"
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,12 @@ from polyseg.crf import (
     train_crf,
 )
 from polyseg.errors import DataError, UnsupportedModeError
-from oracles import crf_sequence_score, random_crf_model, valid_bmes_sequences
+from oracles import (
+    crf_oracle_features,
+    crf_sequence_score,
+    random_crf_model,
+    valid_bmes_sequences,
+)
 
 
 def dataset(*words_with_morphs):
@@ -55,6 +60,14 @@ class TestFeatures:
             i = rng.randint(delta, len(w) - 1 - delta)
             shifted = extract_features("x" + w, i + 1, delta)
             assert extract_features(w, i, delta) == shifted
+
+    @pytest.mark.parametrize("delta", range(1, 9))
+    def test_matches_full_window_walk(self, delta):
+        rng = random.Random(delta)
+        for n in range(1, 12):
+            w = "".join(rng.choice("abc") for _ in range(n))
+            for i in range(n):
+                assert extract_features(w, i, delta) == crf_oracle_features(w, i, delta)
 
 
 class TestBmes:
