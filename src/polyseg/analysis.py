@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, DataError
 from .morf import MorfModel, viterbi_segment
 
 
@@ -54,6 +54,8 @@ def richness_table(
     records = []
     for idx, (sent, score) in enumerate(zip(sentences, scores)):
         tokens = sent.tokens if hasattr(sent, "tokens") else sent
+        if not tokens:
+            raise DataError("line %d: sentence has no tokens" % (idx + 1,))
         morphs = sum(len(viterbi_segment(probe_model, tok)) for tok in tokens)
         records.append(RichnessRecord(idx, morphs / len(tokens), float(score)))
     return sorted(records, key=lambda r: (r.morphs_per_token, r.index))

@@ -68,28 +68,23 @@ def desegment_line(line: str, style: str, marker: str, lineno: int = 1) -> str:
     return " ".join(words)
 
 
-def _read_text(path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read().splitlines()
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
-
-
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        _write_text(args.out, text)
+def _emit(path, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _sep(args) -> str:
-    return "," if getattr(args, "format", "tsv") == "csv" else "\t"
+    return "," if args.format == "csv" else "\t"
+
+
+def _table(args, header, row) -> str:
+    """A report of one header line and one row in the ``--format`` layout."""
+    sep = _sep(args)
+    return sep.join(header) + "\n" + sep.join(row) + "\n"
 
 
 # -- subcommand implementations -----------------------------------------------
@@ -101,7 +96,7 @@ def _cmd_stats(args) -> int:
     if args.train_source and args.train_target:
         ref = corpus.load_parallel(args.train_source, args.train_target)
     stats = corpus.corpus_stats(pc, reference_train=ref)
-    _emit(args, corpus.stats_table(stats, sep=_sep(args)))
+    _emit(args.out, corpus.stats_table(stats, sep=_sep(args)))
     print("stats: S=%d N=%s V=%s" % (stats.s, list(stats.n), list(stats.v)))
     return 0
 
@@ -110,7 +105,7 @@ def _cmd_seg_stats(args) -> int:
     data = corpus.load_segmentation(args.data, mode=args.mode)
     ref = corpus.load_segmentation(args.train, mode=args.mode) if args.train else None
     stats = corpus.seg_stats(data, reference_train=ref)
-    _emit(args, corpus.seg_stats_table(stats, sep=_sep(args)))
+    _emit(args.out, corpus.seg_stats_table(stats, sep=_sep(args)))
     print(
         "seg-stats: words=%d morphs=%d morphs/word=%.2f"
         % (stats.words, stats.morphs, stats.morphs_per_word)
@@ -120,7 +115,7 @@ def _cmd_seg_stats(args) -> int:
 
 def _word_counts(path) -> Counter:
     counts = Counter()
-    for line in _read_text(path):
+    for line in corpus.read_lines(path):
         counts.update(line.split())
     if not counts:
         raise ParseError("%s: no tokens found" % (path,))
@@ -133,39 +128,6 @@ def _cmd_train(args) -> int:
         bpe.save_model(model, args.model)
         print("trained bpe: vocab size %d, %d merges -> %s"
               % (len(model.vocab), len(model.merges), args.model))
-    elif args.method == "morfessor":
-        model = morf.train_baseline(
-            _word_counts(args.input),
-            alpha=args.alpha,
-            seed=args.seed,
-            epsilon=args.epsilon,
-            init=args.init,
-            restarts=args.restarts,
-        )
-        morf.save_model(model, args.model)
-        print("trained morfessor: %d morphs -> %s" % (len(model.lexicon), args.model))
-    elif args.method == "lmvr":
-        model = morf.train_lmvr(
-            _word_counts(args.input),
-            alpha=args.alpha,
-            max_lexicon_size=args.cap,
-            seed=args.seed,
-            epsilon=args.epsilon,
-            init=args.init,
-            restarts=args.restarts,
-        )
-        morf.save_model(model, args.model)
-        print("trained lmvr: %d morphs (cap %s) -> %s"
-              % (len(model.lexicon), args.cap, args.model))
-    elif args.method == "flatcat":
-        counts = _word_counts(args.input)
-        base = morf.train_baseline(
-            counts, alpha=args.alpha, seed=args.seed, epsilon=args.epsilon,
-            init=args.init, restarts=args.restarts,
-        )
-        model = morf.train_flatcat(counts, base, seed=args.seed)
-        morf.save_model(model, args.model)
-        print("trained flatcat: %d morphs -> %s" % (len(model.lexicon), args.model))
     elif args.method == "crf":
         data = corpus.load_segmentation(args.input, mode=args.mode)
         model = crf.train_crf(
@@ -177,8 +139,21 @@ def _cmd_train(args) -> int:
         )
         crf.save_model(model, args.model)
         print("trained crf: %d features -> %s" % (len(model.feat_index), args.model))
-    else:
-        raise ConfigError("unknown method %r" % (args.method,))
+    else:  # the morf family: morfessor, lmvr, flatcat
+        counts = _word_counts(args.input)
+        opts = dict(alpha=args.alpha, seed=args.seed, epsilon=args.epsilon,
+                    init=args.init, restarts=args.restarts)
+        cap = ""
+        if args.method == "lmvr":
+            model = morf.train_lmvr(counts, max_lexicon_size=args.cap, **opts)
+            cap = " (cap %s)" % (args.cap,)
+        else:
+            model = morf.train_baseline(counts, **opts)
+            if args.method == "flatcat":
+                model = morf.train_flatcat(counts, model, seed=args.seed)
+        morf.save_model(model, args.model)
+        print("trained %s: %d morphs%s -> %s"
+              % (args.method, len(model.lexicon), cap, args.model))
     return 0
 
 
@@ -214,12 +189,8 @@ def _cmd_segment(args) -> int:
         return pieces[tok]
 
     out = [render_segmented([segment_cached(tok) for tok in line.split()], style, marker)
-           for line in _read_text(args.input)]
-    text = "\n".join(out) + "\n" if out else ""
-    if args.output:
-        _write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+           for line in corpus.read_lines(args.input)]
+    _emit(args.output, "".join(line + "\n" for line in out))
     print("segmented %d lines (%s style, marker %r)" % (len(out), style, marker),
           file=sys.stderr)
     return 0
@@ -233,13 +204,9 @@ def _cmd_desegment(args) -> int:
         marker = DEFAULT_MARKERS[style] if args.marker is None else args.marker
     else:
         raise ConfigError("desegment needs --style or --model")
-    lines = _read_text(args.input)
-    out = [desegment_line(line, style, marker, lineno=i) for i, line in enumerate(lines, 1)]
-    text = "\n".join(out) + "\n" if out else ""
-    if args.output:
-        _write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    out = [desegment_line(line, style, marker, lineno=i)
+           for i, line in enumerate(corpus.read_lines(args.input), 1)]
+    _emit(args.output, "".join(line + "\n" for line in out))
     print("desegmented %d lines" % (len(out),), file=sys.stderr)
     return 0
 
@@ -247,85 +214,71 @@ def _cmd_desegment(args) -> int:
 def _cmd_eval_seg(args) -> int:
     pred = corpus.load_segmentation(args.pred, mode=args.pred_mode)
     gold = corpus.load_segmentation(args.gold, mode=args.gold_mode)
-    if args.metric == "boundary":
-        score = metrics.boundary_f1(pred, gold)
-        name = "boundary-f1"
-    elif args.metric == "emma":
-        score = metrics.emma_f1(pred, gold)
-        name = "emma-f1"
-    else:
-        raise ConfigError("unknown segmentation metric %r" % (args.metric,))
-    sep = _sep(args)
-    table = sep.join(("metric", "precision", "recall", "f1", "accuracy")) + "\n"
-    table += sep.join(
+    scorer = {"boundary": metrics.boundary_f1, "emma": metrics.emma_f1}[args.metric]
+    score = scorer(pred, gold)
+    name = args.metric + "-f1"
+    _emit(args.out, _table(
+        args, ("metric", "precision", "recall", "f1", "accuracy"),
         (name, "%.4f" % score.precision, "%.4f" % score.recall,
-         "%.4f" % score.f1, "%.4f" % score.accuracy)
-    ) + "\n"
-    _emit(args, table)
+         "%.4f" % score.f1, "%.4f" % score.accuracy)))
     print("%s: f1=%.4f accuracy=%.4f" % (name, score.f1, score.accuracy))
     return 0
 
 
 def _cmd_eval_mt(args) -> int:
-    hyps = _read_text(args.hyp)
-    refs = _read_text(args.ref)
-    report = metrics.metric_report(args.metric, hyps, refs)
-    sep = _sep(args)
-    table = sep.join(("metric", "score", "signature")) + "\n"
-    table += sep.join((report.metric, "%.4f" % report.score, report.signature)) + "\n"
-    _emit(args, table)
+    report = metrics.metric_report(
+        args.metric, corpus.read_lines(args.hyp), corpus.read_lines(args.ref))
+    _emit(args.out, _table(args, ("metric", "score", "signature"),
+                           (report.metric, "%.4f" % report.score, report.signature)))
     print("%s = %.4f (%s)" % (report.metric, report.score, report.signature))
     return 0
 
 
 def _cmd_signif(args) -> int:
-    sys_a = _read_text(args.sys_a)
-    sys_b = _read_text(args.sys_b)
-    refs = _read_text(args.ref)
+    sys_a = corpus.read_lines(args.sys_a)
+    sys_b = corpus.read_lines(args.sys_b)
+    refs = corpus.read_lines(args.ref)
     report_a = metrics.metric_report(args.metric, sys_a, refs)
     report_b = metrics.metric_report(args.metric, sys_b, refs)
     p = metrics.paired_randomization_test(
         sys_a, sys_b, refs, metric=args.metric, trials=args.trials, seed=args.seed
     )
-    sep = _sep(args)
-    table = sep.join(
-        ("metric", "score_a", "score_b", "delta", "p_value", "trials",
-         "seed", "classification", "signature")
-    ) + "\n"
-    table += sep.join(
+    _emit(args.out, _table(
+        args, ("metric", "score_a", "score_b", "delta", "p_value", "trials",
+               "seed", "classification", "signature"),
         (args.metric, "%.4f" % report_a.score, "%.4f" % report_b.score,
          "%.4f" % (report_a.score - report_b.score), repr(p), str(args.trials),
-         str(args.seed), metrics.significance_mark(p), report_a.signature)
-    ) + "\n"
-    _emit(args, table)
+         str(args.seed), metrics.significance_mark(p), report_a.signature)))
     print("p=%s (%s)" % (repr(p), metrics.significance_mark(p)))
     return 0
 
 
 def _cmd_analyze(args) -> int:
     if args.what == "richness":
+        if args.probe_model is None or args.scores is None:
+            raise ConfigError("analyze richness needs --probe-model and --scores")
         model = morf.load_model(args.probe_model)
-        sentences = [line.split() for line in _read_text(args.input)]
-        scores = [float(x) for x in _read_text(args.scores)]
+        sentences = [line.split() for line in corpus.read_lines(args.input)]
+        scores = [modelfile.field(args.scores, i, float, text)
+                  for i, text in enumerate(corpus.read_lines(args.scores), 1)]
         records = analysis.richness_table(model, sentences, scores)
-        _emit(args, analysis.richness_csv(records))
+        _emit(args.out, analysis.richness_csv(records))
         if args.bins_out:
             bins = analysis.bin_richness(records, bins=args.bins)
-            _write_text(args.bins_out, analysis.richness_bins_csv(bins))
+            _emit(args.bins_out, analysis.richness_bins_csv(bins))
         print("richness: %d records" % (len(records),))
-    elif args.what == "unk":
-        vocab = set(_read_text(args.vocab))
-        segmented = []
-        for line in _read_text(args.input):
-            segmented.append([[piece] for piece in line.split()])
+    else:
+        if args.vocab is None:
+            raise ConfigError("analyze unk needs --vocab")
+        vocab = set(corpus.read_lines(args.vocab))
+        segmented = [[[piece] for piece in line.split()]
+                     for line in corpus.read_lines(args.input)]
         report = analysis.unk_report(segmented, vocab, system=args.system)
-        _emit(args, analysis.unk_csv([report]))
+        _emit(args.out, analysis.unk_csv([report]))
         print(
             "unk: %d/%d pieces out of vocabulary (rate %.4f)"
             % (report.unk_tokens, report.total_tokens, report.unk_rate)
         )
-    else:
-        raise ConfigError("unknown analysis %r" % (args.what,))
     return 0
 
 
@@ -338,22 +291,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="subword/morphological segmentation and MT evaluation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every report goes to --out or stdout; tables come as tsv or csv
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    table = argparse.ArgumentParser(add_help=False, parents=[out])
+    table.add_argument("--format", choices=("tsv", "csv"), default="tsv")
 
-    p = sub.add_parser("stats", help="parallel-corpus statistics")
+    p = sub.add_parser("stats", parents=[table], help="parallel-corpus statistics")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--train-source")
     p.add_argument("--train-target")
-    p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("seg-stats", help="segmentation-dataset statistics")
+    p = sub.add_parser("seg-stats", parents=[table], help="segmentation-dataset statistics")
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=corpus.MODES, default=corpus.SURFACE)
     p.add_argument("--train")
-    p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_seg_stats)
 
     p = sub.add_parser("train", help="train a segmentation model")
@@ -389,36 +343,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marker")
     p.set_defaults(func=_cmd_desegment)
 
-    p = sub.add_parser("eval-seg", help="segmentation quality against gold")
+    p = sub.add_parser("eval-seg", parents=[table], help="segmentation quality against gold")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--metric", choices=("boundary", "emma"), default="emma")
     p.add_argument("--pred-mode", choices=corpus.MODES, default=corpus.SURFACE)
     p.add_argument("--gold-mode", choices=corpus.MODES, default=corpus.SURFACE)
-    p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_seg)
 
-    p = sub.add_parser("eval-mt", help="translation quality against references")
+    p = sub.add_parser("eval-mt", parents=[table], help="translation quality against references")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--metric", choices=("bleu", "chrf"), required=True)
-    p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_mt)
 
-    p = sub.add_parser("signif", help="paired randomization significance test")
+    p = sub.add_parser("signif", parents=[table], help="paired randomization significance test")
     p.add_argument("--sys-a", required=True)
     p.add_argument("--sys-b", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--metric", choices=("bleu", "chrf"), required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_signif)
 
-    p = sub.add_parser("analyze", help="richness and UNK diagnostics")
+    p = sub.add_parser("analyze", parents=[out], help="richness and UNK diagnostics")
     p.add_argument("what", choices=("richness", "unk"))
     p.add_argument("--probe-model")
     p.add_argument("--input", required=True)
@@ -427,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default="system")
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--bins-out")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze)
 
     return parser

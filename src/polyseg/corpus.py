@@ -132,15 +132,20 @@ class SegDatasetStats:
     oov_morphs: int | None = None
 
 
-def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return f.read().splitlines()
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``, without line ends; a
+    file that cannot be read or decoded raises ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def load_parallel(source_path, target_path, split: str = "train") -> ParallelCorpus:
     """Load a line-aligned parallel corpus from two plain-text files."""
-    src_lines = _read_lines(source_path)
-    tgt_lines = _read_lines(target_path)
+    src_lines = read_lines(source_path)
+    tgt_lines = read_lines(target_path)
     if len(src_lines) != len(tgt_lines):
         raise AlignmentError(
             "line count mismatch: %s has %d lines, %s has %d"
@@ -161,7 +166,7 @@ def load_segmentation(path, mode: str = SURFACE, split: str = "train") -> Segmen
     if mode not in MODES:
         raise DataError("unknown segmentation mode: %r" % (mode,))
     entries = []
-    for i, line in enumerate(_read_lines(path), start=1):
+    for i, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             raise ParseError("%s: line %d is empty" % (path, i))
         if "\t" not in line:

@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 
 from . import modelfile
 from .corpus import SURFACE, SegmentationDataset, SegmentedWord
-from .errors import DataError, UnsupportedModeError
+from .errors import ConfigError, DataError, ParseError, UnsupportedModeError
 
 LABELS = ("B", "E", "M", "S")  # index order doubles as the tie-break order
 _L = {lab: i for i, lab in enumerate(LABELS)}
@@ -145,9 +145,6 @@ class CrfModel:
         for k, (a, b) in enumerate(ALLOWED_PAIRS):
             self.trans[_L[a], _L[b]] = vec[nfeat * 4 + k]
 
-    def n_params(self) -> int:
-        return len(self.feat_index) * 4 + len(ALLOWED_PAIRS)
-
 
 def _emission_scores(model: CrfModel, word: str) -> tuple[np.ndarray, list[list[int]]]:
     n = len(word)
@@ -271,6 +268,8 @@ def train_crf(
         raise UnsupportedModeError(
             "CRF training requires surface-mode data, got %r" % (dataset.mode,)
         )
+    if delta < 1:
+        raise ConfigError("window radius delta must be at least 1, got %d" % (delta,))
     feat_index: dict[tuple[int, str], int] = {}
     for entry in dataset.entries:
         for i in range(len(entry.surface)):
@@ -280,22 +279,14 @@ def train_crf(
     model = CrfModel.zeros(delta, l2, feat_index)
 
     history: list[float] = []
-    cache: dict[str, object] = {"vec": None, "ll": None}
 
     def objective(vec):
         model.set_packed(vec)
         ll, grad = log_likelihood_and_gradient(model, dataset)
-        cache["vec"] = vec.copy()
-        cache["ll"] = ll
         return -ll, -grad
 
-    def record(vec):
-        if cache["vec"] is not None and np.array_equal(cache["vec"], vec):
-            history.append(cache["ll"])
-            return
-        model.set_packed(vec)
-        ll, _ = log_likelihood_and_gradient(model, dataset)
-        history.append(ll)
+    def record(intermediate_result):
+        history.append(-intermediate_result.fun)
 
     result = minimize(
         objective,
@@ -324,26 +315,15 @@ def decode(model: CrfModel, word: str) -> SegmentedWord:
     for i in range(n - 2, -1, -1):
         suffix[i] = scores[i] + np.max(model.trans + suffix[i + 1][None, :], axis=1)
 
-    labels = []
-    prev = None
-    for i in range(n):
-        best_lab = None
-        best_val = -np.inf
-        for lab in LABELS:
-            j = _L[lab]
-            if i == 0:
-                if lab not in START_LABELS:
-                    continue
-                val = suffix[0][j]
-            else:
-                if lab not in ALLOWED_NEXT[prev]:
-                    continue
-                val = model.trans[_L[prev], j] + suffix[i][j]
-            if val > best_val:
-                best_val = val
-                best_lab = lab
-        labels.append(best_lab)
-        prev = best_lab
+    # the best label at each position after each previous label; forbidden
+    # starts and transitions are -inf in the mask and in model.trans, and
+    # argmax takes the first of equal maxima
+    best_next = np.argmax(model.trans[:, None, :] + suffix[None, 1:], axis=2).tolist()
+    j = int(np.argmax(_START_MASK + suffix[0]))
+    labels = [LABELS[j]]
+    for i in range(n - 1):
+        j = best_next[j][i]
+        labels.append(LABELS[j])
     return SegmentedWord(word, labels_to_morphs(word, labels), mode=SURFACE)
 
 
@@ -396,5 +376,9 @@ def load_model(path) -> CrfModel:
     for feat, lab, w in rows["features"]:
         model.weights[feat_index[feat], lab] = w
     for a, b, w in rows["transitions"]:
+        # decode and the likelihood read -inf in trans as a forbidden pair
+        if model.trans[a, b] == -np.inf:
+            raise ParseError("%s: transition %s->%s is not allowed"
+                             % (path, LABELS[a], LABELS[b]))
         model.trans[a, b] = w
     return model

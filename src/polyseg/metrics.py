@@ -44,7 +44,6 @@ class ScoreReport:
     score: float
     sentence_scores: tuple[float, ...]
     signature: str
-    p_value: float | None = None
 
 
 # -- segmentation metrics ------------------------------------------------------
@@ -282,17 +281,25 @@ _METRICS = {
 }
 
 
-def metric_report(metric: str, hyps: list[str], refs: list[str]) -> ScoreReport:
-    """Corpus score of ``metric`` with per-sentence scores from the same
-    formula; the corpus score sums the sentences' sufficient statistics."""
+def _sentence_stats(metric: str, hyps: list[str], refs: list[str]) -> np.ndarray:
+    """``metric``'s sufficient statistics of each sentence pair, as a
+    (sentences, width) array; no sentences give zero rows of that width."""
     if metric not in _METRICS:
         raise ConfigError("unknown MT metric %r" % (metric,))
     if len(hyps) != len(refs):
         raise AlignmentError(
             "hypothesis/reference length mismatch: %d vs %d" % (len(hyps), len(refs))
         )
-    sentence_stats, score_fn, signature = _METRICS[metric]
-    stats = np.array([sentence_stats(h, r) for h, r in zip(hyps, refs)])
+    sentence_stats = _METRICS[metric][0]
+    width = len(sentence_stats("", ""))
+    return np.array([sentence_stats(h, r) for h, r in zip(hyps, refs)]).reshape(-1, width)
+
+
+def metric_report(metric: str, hyps: list[str], refs: list[str]) -> ScoreReport:
+    """Corpus score of ``metric`` with per-sentence scores from the same
+    formula; the corpus score sums the sentences' sufficient statistics."""
+    stats = _sentence_stats(metric, hyps, refs)
+    _, score_fn, signature = _METRICS[metric]
     return ScoreReport(
         metric=metric,
         score=float(score_fn(stats.sum(axis=0))[0]),
@@ -324,17 +331,11 @@ def paired_randomization_test(
     enumerated exactly instead of sampled; the observed arrangement then
     plays the role of the +1 term.
     """
-    if metric not in _METRICS:
-        raise ConfigError("unknown MT metric %r" % (metric,))
-    if not (len(sys_a) == len(sys_b) == len(refs)):
-        raise AlignmentError(
-            "inputs not aligned: %d / %d / %d lines" % (len(sys_a), len(sys_b), len(refs))
-        )
     if trials < 1:
         raise ConfigError("trials must be positive")
-    sentence_stats, score_fn, _ = _METRICS[metric]
-    stats_a = np.array([sentence_stats(h, r) for h, r in zip(sys_a, refs)])
-    stats_b = np.array([sentence_stats(h, r) for h, r in zip(sys_b, refs)])
+    stats_a = _sentence_stats(metric, sys_a, refs)
+    stats_b = _sentence_stats(metric, sys_b, refs)
+    score_fn = _METRICS[metric][1]
 
     sum_a = stats_a.sum(axis=0)
     sum_b = stats_b.sum(axis=0)

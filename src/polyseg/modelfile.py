@@ -9,6 +9,7 @@ first section.  Every error names the file and line as ``path:line``.
 
 from __future__ import annotations
 
+from .corpus import read_lines
 from .errors import ParseError
 
 VERSION = "v1"
@@ -25,12 +26,13 @@ def field(path, lineno: int, conv, text: str):
 
 def family(path) -> str:
     """The family name that opens the header of the model file at ``path``;
-    only the header line is read."""
-    with open(path, encoding="utf-8") as f:
+    only the header line is read, as bytes, so an undecodable file reaches
+    its loader, which names it."""
+    with open(path, "rb") as f:
         head = f.readline()
     if not head:
         raise ParseError("%s:1: empty model file" % (path,))
-    return head.rstrip("\r\n").split(" ", 1)[0]
+    return head.rstrip(b"\r\n").split(b" ", 1)[0].decode("utf-8", "replace")
 
 
 def read(path, family: str, header, sections: dict, optional: int = 0):
@@ -42,8 +44,7 @@ def read(path, family: str, header, sections: dict, optional: int = 0):
     the first section being the one rows start in.  Returns the converted
     header fields and ``{section: [converted row, ...]}``.
     """
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError("%s:1: empty model file" % (path,))
     head = lines[0].split(" ")

@@ -695,7 +695,6 @@ def train_flatcat(
             raise DataError("word %r missing from the baseline analyses" % (w,))
     analyses = {w: baseline_model.analyses[w] for w in sorted(word_counts)}
     cm = _initial_category_model(analyses, diversity_threshold)
-    items = [(morphs, 1) for _, morphs in sorted(analyses.items())]
 
     ll_history = []
     for _ in range(max_iters):
@@ -703,18 +702,18 @@ def train_flatcat(
         trans_counts: dict[str, Counter] = {c: Counter() for c in CATEGORIES}
         emit_counts: dict[str, Counter] = {c: Counter() for c in CATEGORIES}
         total_ll = 0.0
-        for morphs, weight in items:
+        for morphs in analyses.values():
             ll, alphas, betas = _forward_backward(cm, morphs)
             if ll == _NEG_INF:
                 raise NumericError("zero-probability segmentation in EM")
-            total_ll += weight * ll
+            total_ll += ll
             n = len(morphs)
             for i in range(n):
                 for cat in CATEGORIES:
                     g = alphas[i][cat] + betas[i][cat] - ll
                     if g == _NEG_INF or g != g:
                         continue
-                    p = weight * math.exp(g)
+                    p = math.exp(g)
                     emit_counts[cat][morphs[i]] += p
                     if i == 0:
                         start_counts[cat] += p
@@ -728,7 +727,7 @@ def train_flatcat(
                         if e == _NEG_INF or b == _NEG_INF:
                             continue
                         g = alphas[i][pc] + cm.trans_logp(pc, nc) + e + b - ll
-                        trans_counts[pc][nc] += weight * math.exp(g)
+                        trans_counts[pc][nc] += math.exp(g)
         ll_history.append(total_ll)
 
         new_start = _normalize(start_counts, cm.start)
@@ -738,16 +737,14 @@ def train_flatcat(
         if len(ll_history) >= 2 and ll_history[-1] - ll_history[-2] < epsilon:
             break
 
+    # the baseline lexicon scales the unseen-morph cost while re-segmenting
     refined = MorfModel(
-        lexicon=Counter(),
+        lexicon=Counter(baseline_model.lexicon),
         alphabet=baseline_model.alphabet,
         alpha=baseline_model.alpha,
         variant=FLATCAT,
         categories=cm,
     )
-    # carry the baseline lexicon for unseen-cost scaling during the first
-    # re-segmentation pass
-    refined.lexicon = Counter(baseline_model.lexicon)
     new_analyses = {}
     new_lexicon = Counter()
     for w in sorted(word_counts):

@@ -243,13 +243,70 @@ class TestExitCodes:
         bad = _write(tmp_path / "bad.txt", "ka</w>wi\n")
         assert run("desegment", "--style", "eow", "--input", bad) == 3
 
-    def test_corrupt_score_file_is_3(self, tmp_path, corpus_file):
+    def test_corrupt_score_file_is_3(self, tmp_path, corpus_file, capsys):
         model = str(tmp_path / "m.morf")
         assert run("train", "--method", "morfessor", "--input", corpus_file,
                    "--model", model) == 0
         scores = _write(tmp_path / "scores.txt", "10.0\nnot-a-number\n1.0\n")
         assert run("analyze", "richness", "--probe-model", model,
                    "--input", corpus_file, "--scores", scores) == 3
+        assert "%s:2: bad field 'not-a-number'" % (scores,) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,option", [
+        (("richness", "--scores", "{d}/corpus.txt"), "--probe-model"),
+        (("richness", "--probe-model", "{d}/morfessor"), "--scores"),
+        (("unk",), "--vocab"),
+    ])
+    def test_analyze_without_its_input_is_2(self, trained_models, capsys, argv, option):
+        d, _ = trained_models
+        assert run("analyze", *(a.format(d=d) for a in argv),
+                   "--input", str(d / "corpus.txt")) == 2
+        assert option in capsys.readouterr().err
+
+    def test_empty_richness_line_is_3(self, trained_models, tmp_path, capsys):
+        d, _ = trained_models
+        text = _write(tmp_path / "text.txt", "kawi suta\n\nwisu\n")
+        scores = _write(tmp_path / "scores.txt", "1.0\n2.0\n3.0\n")
+        assert run("analyze", "richness", "--probe-model", str(d / "morfessor"),
+                   "--input", text, "--scores", scores) == 3
+        assert "line 2" in capsys.readouterr().err
+
+    def test_crf_delta_zero_is_2(self, trained_models, tmp_path):
+        d, _ = trained_models
+        assert run("train", "--method", "crf", "--input", str(d / "gold.tsv"),
+                   "--model", str(tmp_path / "m.crf"), "--delta", "0") == 2
+
+    @pytest.mark.parametrize("metric", ("bleu", "chrf"))
+    def test_empty_mt_inputs(self, tmp_path, capsys, metric):
+        empty = _write(tmp_path / "empty.txt", "")
+        assert run("eval-mt", "--hyp", empty, "--ref", empty, "--metric", metric,
+                   "--out", str(tmp_path / "r")) == 0
+        assert capsys.readouterr().out.startswith("%s = 0.0000 (" % (metric,))
+        assert run("signif", "--sys-a", empty, "--sys-b", empty, "--ref", empty,
+                   "--metric", metric, "--out", str(tmp_path / "r")) == 0
+        assert capsys.readouterr().out == "p=1.0 (not-significant)\n"
+
+    @pytest.mark.parametrize("command", [
+        ("stats", "--source", "{bad}", "--target", "{bad}"),
+        ("seg-stats", "--data", "{bad}"),
+        ("train", "--method", "bpe", "--input", "{bad}", "--model", "{t}/m"),
+        ("segment", "--model", "{bad}", "--input", "{d}/corpus.txt"),
+        ("segment", "--model", "{d}/bpe", "--input", "{bad}"),
+        ("eval-mt", "--hyp", "{bad}", "--ref", "{d}/corpus.txt", "--metric", "chrf"),
+    ])
+    @pytest.mark.parametrize("content", [b"ka\xffwi\n", b"bpe v1 \xff\n", None],
+                             ids=["undecodable", "undecodable-header", "directory"])
+    def test_unreadable_file_is_3_naming_it(self, trained_models, tmp_path, capsys,
+                                            command, content):
+        d, _ = trained_models
+        bad = tmp_path / "bad"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
+        assert run(*(a.format(bad=bad, d=d, t=tmp_path) for a in command)) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
 
 
 class TestMalformedModelFiles:
@@ -346,3 +403,93 @@ class TestDamagedModelFiles:
         # legal category path fails in decoding, as a trained one would
         flatcat = text.startswith("morf v1 flatcat ")
         assert rc in (0, 3) or (rc == 4 and flatcat)
+
+
+class TestSummaryLines:
+    """The one-line summary every subcommand prints, pinned byte for byte."""
+
+    @pytest.mark.parametrize("method,data,extra,line", [
+        ("bpe", "corpus.txt", ("--vocab-size", "30"),
+         "trained bpe: vocab size 19, 9 merges -> {model}"),
+        ("morfessor", "corpus.txt", (), "trained morfessor: 4 morphs -> {model}"),
+        ("lmvr", "corpus.txt", ("--cap", "12"), "trained lmvr: 4 morphs (cap 12) -> {model}"),
+        ("lmvr", "corpus.txt", (), "trained lmvr: 4 morphs (cap None) -> {model}"),
+        ("flatcat", "corpus.txt", (), "trained flatcat: 4 morphs -> {model}"),
+        ("crf", "gold.tsv", ("--delta", "2", "--max-iters", "30"),
+         "trained crf: 62 features -> {model}"),
+    ])
+    def test_train(self, trained_models, tmp_path, capsys, method, data, extra, line):
+        d, _ = trained_models
+        model = str(tmp_path / "m")
+        assert run("train", "--method", method, "--input", str(d / data),
+                   "--model", model, *extra) == 0
+        assert capsys.readouterr() == (line.format(model=model) + "\n", "")
+
+    @pytest.mark.parametrize("argv,out,err", [
+        (("segment", "--model", "{d}/bpe", "--input", "{d}/corpus.txt",
+          "--output", "{t}/seg.txt"), "", "segmented 3 lines (eow style, marker '</w>')\n"),
+        (("segment", "--model", "{d}/crf", "--input", "{d}/corpus.txt",
+          "--output", "{t}/seg.txt"), "", "segmented 3 lines (cont style, marker '@@')\n"),
+        (("desegment", "--style", "cont", "--input", "{d}/corpus.txt",
+          "--output", "{t}/de.txt"), "", "desegmented 3 lines\n"),
+        (("stats", "--source", "{d}/corpus.txt", "--target", "{d}/corpus.txt",
+          "--out", "{t}/r"), "stats: S=3 N=[8, 8] V=[3, 3]\n", ""),
+        (("seg-stats", "--data", "{d}/gold.tsv", "--out", "{t}/r"),
+         "seg-stats: words=3 morphs=6 morphs/word=2.00\n", ""),
+        (("eval-seg", "--pred", "{d}/gold.tsv", "--gold", "{d}/gold.tsv",
+          "--metric", "boundary", "--out", "{t}/r"),
+         "boundary-f1: f1=1.0000 accuracy=1.0000\n", ""),
+        (("eval-seg", "--pred", "{d}/gold.tsv", "--gold", "{d}/gold.tsv", "--out", "{t}/r"),
+         "emma-f1: f1=1.0000 accuracy=1.0000\n", ""),
+        (("eval-mt", "--hyp", "{d}/corpus.txt", "--ref", "{d}/corpus.txt",
+          "--metric", "chrf", "--out", "{t}/r"),
+         "chrf = 100.0000 (chrF2+numchars.6+space.false)\n", ""),
+        (("signif", "--sys-a", "{d}/corpus.txt", "--sys-b", "{d}/corpus.txt",
+          "--ref", "{d}/corpus.txt", "--metric", "bleu", "--out", "{t}/r"),
+         "p=1.0 (not-significant)\n", ""),
+        (("analyze", "richness", "--probe-model", "{d}/morfessor", "--input",
+          "{d}/corpus.txt", "--scores", "{d}/scores.txt", "--out", "{t}/r"),
+         "richness: 3 records\n", ""),
+        (("analyze", "unk", "--vocab", "{d}/gold.tsv", "--input", "{d}/corpus.txt",
+          "--out", "{t}/r"),
+         "unk: 8/8 pieces out of vocabulary (rate 1.0000)\n", ""),
+    ])
+    def test_command(self, trained_models, tmp_path, capsys, argv, out, err):
+        d, _ = trained_models
+        _write(d / "scores.txt", "1.0\n2.0\n3.0\n")
+        assert run(*(a.format(d=d, t=tmp_path) for a in argv)) == 0
+        assert capsys.readouterr() == (out, err)
+
+    def test_reports_on_stdout(self, trained_models, capsys):
+        d, _ = trained_models
+        assert run("eval-mt", "--hyp", str(d / "corpus.txt"), "--ref", str(d / "corpus.txt"),
+                   "--metric", "bleu", "--format", "csv") == 0
+        assert capsys.readouterr().out == (
+            "metric,score,signature\n"
+            "bleu,0.0000,BLEU+case.mixed+numrefs.1+smooth.exp+tok.13a\n"
+            "bleu = 0.0000 (BLEU+case.mixed+numrefs.1+smooth.exp+tok.13a)\n")
+        assert run("segment", "--model", str(d / "crf"), "--input", str(d / "corpus.txt")) == 0
+        assert capsys.readouterr() == (
+            "ka@@ wi su@@ ta ka@@ wi\nwi@@ su ka@@ wi\nsu@@ ta wi@@ su ka@@ wi\n",
+            "segmented 3 lines (cont style, marker '@@')\n")
+
+    @pytest.mark.parametrize("argv,table", [
+        (("eval-seg", "--pred", "{d}/gold.tsv", "--gold", "{d}/gold.tsv",
+          "--metric", "boundary"),
+         "metric\tprecision\trecall\tf1\taccuracy\n"
+         "boundary-f1\t1.0000\t1.0000\t1.0000\t1.0000\n"),
+        (("eval-mt", "--hyp", "{d}/corpus.txt", "--ref", "{d}/corpus.txt",
+          "--metric", "chrf"),
+         "metric\tscore\tsignature\nchrf\t100.0000\tchrF2+numchars.6+space.false\n"),
+        (("signif", "--sys-a", "{d}/corpus.txt", "--sys-b", "{d}/corpus.txt",
+          "--ref", "{d}/corpus.txt", "--metric", "chrf", "--trials", "50", "--seed", "3",
+          "--format", "csv"),
+         "metric,score_a,score_b,delta,p_value,trials,seed,classification,signature\n"
+         "chrf,100.0000,100.0000,0.0000,1.0,50,3,not-significant,"
+         "chrF2+numchars.6+space.false\n"),
+    ])
+    def test_report_table(self, trained_models, tmp_path, argv, table):
+        d, _ = trained_models
+        out = tmp_path / "report"
+        assert run(*(a.format(d=d) for a in argv), "--out", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == table

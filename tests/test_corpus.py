@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from polyseg import bpe, crf, morf
 from polyseg.corpus import (
     SURFACE,
     CANONICAL,
@@ -83,6 +84,24 @@ def _corpus(pairs, split="train"):
         ),
         split=split,
     )
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("load", [
+        lambda path: load_parallel(path, path),
+        load_segmentation,
+        bpe.load_model,
+        morf.load_model,
+        crf.load_model,
+    ], ids=["parallel", "segmentation", "bpe", "morf", "crf"])
+    def test_loaders_raise_parse_error_naming_the_path(self, tmp_path, load):
+        missing = tmp_path / "missing"
+        with pytest.raises(ParseError, match="missing"):
+            load(missing)
+        undecodable = tmp_path / "undecodable"
+        undecodable.write_bytes(b"\xff\n")
+        with pytest.raises(ParseError, match="undecodable"):
+            load(undecodable)
 
 
 class TestCorpusStats:

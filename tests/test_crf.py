@@ -20,7 +20,7 @@ from polyseg.crf import (
     save_model,
     train_crf,
 )
-from polyseg.errors import DataError, UnsupportedModeError
+from polyseg.errors import ConfigError, DataError, ParseError, UnsupportedModeError
 from oracles import (
     crf_oracle_features,
     crf_sequence_score,
@@ -158,6 +158,17 @@ class TestTraining:
         assert hist, "optimizer recorded no iterations"
         assert all(b >= a - 1e-9 for a, b in zip(hist, hist[1:]))
 
+    def test_history_ends_at_returned_weights(self):
+        # the optimizer stops on its iteration cap, so the last recorded
+        # objective is the one at the weights it returns
+        model = train_crf(TOY, delta=2, l2=0.01, max_iters=5)
+        assert len(model.objective_history) == 5
+        assert model.objective_history[-1] == log_likelihood_and_gradient(model, TOY)[0]
+
+    def test_window_radius_below_one_rejected(self):
+        with pytest.raises(ConfigError):
+            train_crf(TOY, delta=0)
+
     def test_canonical_mode_rejected(self):
         canonical = SegmentationDataset(
             (SegmentedWord("kawi", ("kaw", "i2"), mode=CANONICAL),), mode=CANONICAL
@@ -194,6 +205,22 @@ class TestDecode:
             assert got_score == pytest.approx(best, abs=1e-9)
 
 
+    def test_ties_go_to_the_lexicographically_first_best_sequence(self):
+        # weights and transitions on a coarse grid make equal scores common
+        rng = random.Random(9)
+        model = random_crf_model(TOY, delta=2, seed=8)
+        model.weights = np.array([[rng.choice((-1.0, 0.0, 1.0)) for _ in LABELS]
+                                  for _ in model.feat_index])
+        model.trans[np.isfinite(model.trans)] = [rng.choice((0.0, 0.5)) for _ in range(8)]
+        for _ in range(60):
+            word = "".join(rng.choice("kawisu") for _ in range(rng.randint(1, 7)))
+            scored = [(crf_sequence_score(model, word, seq), seq)
+                      for seq in valid_bmes_sequences(len(word))]
+            best = max(score for score, _ in scored)
+            expected = min(seq for score, seq in scored if score == best)
+            assert morphs_to_labels(decode(model, word).morphs) == expected
+
+
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         model = train_crf(TOY, delta=2, l2=0.01, max_iters=60)
@@ -208,3 +235,10 @@ class TestModelFile:
         again = tmp_path / "again.crf"
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_forbidden_transition_rejected(self, tmp_path):
+        path = tmp_path / "m.crf"
+        path.write_text("crf v1 2 0.01\n0:k\tB\t0.5\ntransitions:\nB\tS\t0.0\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="B->S"):
+            load_model(path)

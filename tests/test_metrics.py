@@ -144,6 +144,10 @@ class TestBleu:
         twice = bleu(lines * 2, lines * 2).score
         assert once == twice == 100.0
 
+    def test_empty_input_scores_zero(self):
+        report = bleu([], [])
+        assert report.score == 0.0 and report.sentence_scores == ()
+
     def test_brevity_penalty(self):
         # hyp 4 tokens vs ref 5: BP = exp(1 - 5/4)
         short = bleu(["a b c d"], ["a b c d e"])
@@ -174,6 +178,10 @@ class TestChrf:
     def test_signature(self):
         report = chrf(["a"], ["a"])
         assert report.signature == CHRF_SIGNATURE == "chrF2+numchars.6+space.false"
+
+    def test_empty_input_scores_zero(self):
+        report = chrf([], [])
+        assert report.score == 0.0 and report.sentence_scores == ()
 
     def test_scores_within_range_and_per_sentence(self):
         report = chrf(["abc", "xyz"], ["abd", "xyw"])

@@ -17,6 +17,10 @@ class TestPairedRandomization:
         refs = ["a b c d", "e f g h"]
         assert paired_randomization_test(refs, list(refs), refs, metric="chrf") == 1.0
 
+    @pytest.mark.parametrize("metric", ("bleu", "chrf"))
+    def test_empty_input_gives_p_one(self, metric):
+        assert paired_randomization_test([], [], [], metric=metric) == 1.0
+
     def test_identical_systems_sampled_path(self):
         rng = random.Random(2)
         vocab = ["ka", "wi", "su", "ta", "mi"]
