@@ -93,7 +93,10 @@ def _table(args, header, row) -> str:
 def _cmd_stats(args) -> int:
     pc = corpus.load_parallel(args.source, args.target)
     ref = None
-    if args.train_source and args.train_target:
+    if args.train_source or args.train_target:
+        if not (args.train_source and args.train_target):
+            missing = "--train-target" if args.train_source else "--train-source"
+            raise ConfigError("stats reference corpus needs %s too" % (missing,))
         ref = corpus.load_parallel(args.train_source, args.train_target)
     stats = corpus.corpus_stats(pc, reference_train=ref)
     _emit(args.out, corpus.stats_table(stats, sep=_sep(args)))

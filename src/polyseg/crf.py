@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
+from scipy.sparse import csr_matrix
 
 from . import modelfile
 from .corpus import SURFACE, SegmentationDataset, SegmentedWord
@@ -146,51 +146,56 @@ class CrfModel:
             self.trans[_L[a], _L[b]] = vec[nfeat * 4 + k]
 
 
-def _emission_scores(model: CrfModel, word: str) -> tuple[np.ndarray, list[list[int]]]:
-    n = len(word)
-    feats = []
-    scores = np.zeros((n, 4))
-    for i in range(n):
-        idxs = [
-            model.feat_index[f]
-            for f in extract_features(word, i, model.delta)
-            if f in model.feat_index
-        ]
-        feats.append(idxs)
+def _feature_ids(model: CrfModel, word: str) -> list[list[int]]:
+    """Per position of ``word``, the ids of its window features the model knows."""
+    index, delta = model.feat_index, model.delta
+    return [
+        [index[f] for f in extract_features(word, i, delta) if f in index]
+        for i in range(len(word))
+    ]
+
+
+def _emission_scores(model: CrfModel, word: str) -> np.ndarray:
+    scores = np.zeros((len(word), 4))
+    for i, idxs in enumerate(_feature_ids(model, word)):
         if idxs:
             scores[i] = model.weights[idxs].sum(axis=0)
-    return scores, feats
+    return scores
 
 
 _START_MASK = np.array([0.0 if l in START_LABELS else -np.inf for l in LABELS])
 _FINAL_MASK = np.array([0.0 if l in FINAL_LABELS else -np.inf for l in LABELS])
 
 
-def _forward(scores: np.ndarray, trans: np.ndarray):
-    n = scores.shape[0]
-    alpha = np.empty((n, 4))
-    alpha[0] = scores[0] + _START_MASK
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(x)))`` along ``axis``; a slice that is all -inf gives -inf."""
+    top = np.max(x, axis=axis, keepdims=True)
+    top[np.isneginf(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        total = np.log(np.sum(np.exp(x - top), axis=axis))
+    return total + np.squeeze(top, axis=axis)
+
+
+def _forward_backward(scores: np.ndarray, trans: np.ndarray):
+    """Log-space forward and backward values of a ``(words, length, 4)``
+    batch of same-length words, and each word's log partition value."""
+    n = scores.shape[1]
+    alpha = np.empty_like(scores)
+    beta = np.empty_like(scores)
+    alpha[:, 0] = scores[:, 0] + _START_MASK
     for i in range(1, n):
-        alpha[i] = scores[i] + logsumexp(alpha[i - 1][:, None] + trans, axis=0)
-    log_z = logsumexp(alpha[-1] + _FINAL_MASK)
-    return alpha, log_z
-
-
-def _backward(scores: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    n = scores.shape[0]
-    beta = np.empty((n, 4))
-    beta[-1] = _FINAL_MASK
+        alpha[:, i] = scores[:, i] + _logsumexp(alpha[:, i - 1, :, None] + trans, axis=1)
+    beta[:, -1] = _FINAL_MASK
     for i in range(n - 2, -1, -1):
-        beta[i] = logsumexp(trans + (scores[i + 1] + beta[i + 1])[None, :], axis=1)
-    return beta
+        beta[:, i] = _logsumexp(trans + (scores[:, i + 1] + beta[:, i + 1])[:, None, :], axis=2)
+    log_z = _logsumexp(alpha[:, -1] + _FINAL_MASK, axis=1)
+    return alpha, beta, log_z
 
 
 def marginals(model: CrfModel, word: str):
     """Per-position label marginals and the sequence partition value."""
-    scores, _ = _emission_scores(model, word)
-    alpha, log_z = _forward(scores, model.trans)
-    beta = _backward(scores, model.trans)
-    return np.exp(alpha + beta - log_z), log_z
+    alpha, beta, log_z = _forward_backward(_emission_scores(model, word)[None], model.trans)
+    return np.exp(alpha[0] + beta[0] - log_z[0]), log_z[0]
 
 
 def _sequences(dataset: SegmentationDataset):
@@ -205,43 +210,70 @@ def _sequences(dataset: SegmentationDataset):
     return seqs
 
 
+def _length_groups(model: CrfModel, dataset: SegmentationDataset):
+    """The dataset's words grouped by exact length, behind one feature table.
+
+    Returns ``(table, groups)``.  ``table`` is a sparse (positions x
+    features) count matrix over every character position, laid out group
+    by group, word by word.  Each group is ``(start, gold)``: its first row
+    in ``table`` and its ``(words, length)`` array of gold label ids.
+    """
+    by_length: dict[int, list] = {}
+    for word, labels in _sequences(dataset):
+        by_length.setdefault(len(word), []).append((word, labels))
+    indptr, indices, groups = [0], [], []
+    start = 0
+    for n in sorted(by_length):
+        group = by_length[n]
+        for word, _ in group:
+            for ids in _feature_ids(model, word):
+                indices.extend(ids)
+                indptr.append(len(indices))
+        gold = np.array([[_L[l] for l in labels] for _, labels in group], dtype=np.intp)
+        groups.append((start, gold))
+        start += gold.size
+    table = csr_matrix(
+        (np.ones(len(indices)), np.asarray(indices, dtype=np.intp), np.asarray(indptr)),
+        shape=(start, len(model.feat_index)),
+    )
+    return table, groups
+
+
 def log_likelihood_and_gradient(model: CrfModel, dataset: SegmentationDataset):
     """Regularized conditional log-likelihood and its gradient.
 
     Returns ``(ll, grad)`` with ``grad`` packed like ``model.packed()``:
-    empirical minus expected feature counts, minus the l2 term.
+    empirical minus expected feature counts, minus the l2 term.  Words of
+    one length run through the forward-backward together.
     """
-    nfeat = len(model.feat_index)
-    grad_w = np.zeros((nfeat, 4))
+    table, groups = _length_groups(model, dataset)
+    scores = table @ model.weights  # (positions, 4)
+    residual = np.empty_like(scores)  # gold one-hot minus label marginals
     grad_t = np.zeros((4, 4))
     ll = 0.0
-    for word, labels in _sequences(dataset):
-        scores, feats = _emission_scores(model, word)
-        n = len(word)
-        lab_idx = [_L[l] for l in labels]
+    for start, gold in groups:
+        words, n = gold.shape
+        stop = start + gold.size
+        group_scores = scores[start:stop].reshape(words, n, 4)
+        alpha, beta, log_z = _forward_backward(group_scores, model.trans)
+        prev, nxt = gold[:, :-1], gold[:, 1:]
+        ll += np.take_along_axis(group_scores, gold[..., None], axis=2).sum()
+        ll += model.trans[prev, nxt].sum() - log_z.sum()
 
-        gold = scores[np.arange(n), lab_idx].sum()
-        gold += sum(model.trans[a, b] for a, b in zip(lab_idx, lab_idx[1:]))
+        gamma = np.exp(alpha + beta - log_z[:, None, None])
+        residual[start:stop] = -gamma.reshape(-1, 4)
+        residual[np.arange(start, stop), gold.ravel()] += 1.0
 
-        alpha, log_z = _forward(scores, model.trans)
-        beta = _backward(scores, model.trans)
-        ll += gold - log_z
-
-        gamma = np.exp(alpha + beta - log_z)  # (n, 4) position marginals
-        for i in range(n):
-            for f in feats[i]:
-                grad_w[f, lab_idx[i]] += 1.0
-                grad_w[f] -= gamma[i]
-        for i in range(n - 1):
-            grad_t[lab_idx[i], lab_idx[i + 1]] += 1.0
-            xi = (
-                alpha[i][:, None]
-                + model.trans
-                + (scores[i + 1] + beta[i + 1])[None, :]
-                - log_z
-            )
-            with np.errstate(invalid="ignore"):
-                grad_t -= np.where(np.isneginf(xi), 0.0, np.exp(xi))
+        grad_t += np.bincount((prev * 4 + nxt).ravel(), minlength=16).reshape(4, 4)
+        # log marginals of each adjacent label pair, (words, n - 1, 4, 4)
+        xi = (
+            alpha[:, :-1, :, None]
+            + model.trans
+            + (group_scores[:, 1:] + beta[:, 1:])[:, :, None, :]
+            - log_z[:, None, None, None]
+        )
+        grad_t -= np.exp(xi).sum(axis=(0, 1))
+    grad_w = table.T @ residual
 
     packed = model.packed()
     ll -= 0.5 * model.l2 * float(packed @ packed)
@@ -306,7 +338,7 @@ def decode(model: CrfModel, word: str) -> SegmentedWord:
     first under B < E < M < S wins."""
     if not word:
         raise DataError("cannot decode an empty word")
-    scores, _ = _emission_scores(model, word)
+    scores = _emission_scores(model, word)
     n = len(word)
     # suffix-best values let reconstruction run front-to-back, which makes
     # the lexicographic tie-break exact

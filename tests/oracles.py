@@ -11,16 +11,19 @@ import random
 from collections import Counter
 
 import numpy as np
+from scipy.special import logsumexp
 
 from polyseg.bpe import DEFAULT_MARKER
 from polyseg.crf import (
     ALLOWED_NEXT,
+    ALLOWED_PAIRS,
     FINAL_LABELS,
     LABELS,
     PAD,
     START_LABELS,
     CrfModel,
     extract_features,
+    morphs_to_labels,
 )
 
 _L = {lab: i for i, lab in enumerate(LABELS)}
@@ -173,6 +176,99 @@ def crf_sequence_score(model, word, seq):
     for a, b in zip(seq, seq[1:]):
         total += model.trans[_L[a], _L[b]]
     return total
+
+
+_START_MASK = np.array([0.0 if l in START_LABELS else -np.inf for l in LABELS])
+_FINAL_MASK = np.array([0.0 if l in FINAL_LABELS else -np.inf for l in LABELS])
+
+
+def _crf_oracle_scores(model, word):
+    """Emission scores and, per position, the ids of the known features."""
+    feats = []
+    scores = np.zeros((len(word), 4))
+    for i in range(len(word)):
+        idxs = [
+            model.feat_index[f]
+            for f in extract_features(word, i, model.delta)
+            if f in model.feat_index
+        ]
+        feats.append(idxs)
+        if idxs:
+            scores[i] = model.weights[idxs].sum(axis=0)
+    return scores, feats
+
+
+def _crf_oracle_forward(scores, trans):
+    n = scores.shape[0]
+    alpha = np.empty((n, 4))
+    alpha[0] = scores[0] + _START_MASK
+    for i in range(1, n):
+        alpha[i] = scores[i] + logsumexp(alpha[i - 1][:, None] + trans, axis=0)
+    log_z = logsumexp(alpha[-1] + _FINAL_MASK)
+    return alpha, log_z
+
+
+def _crf_oracle_backward(scores, trans):
+    n = scores.shape[0]
+    beta = np.empty((n, 4))
+    beta[-1] = _FINAL_MASK
+    for i in range(n - 2, -1, -1):
+        beta[i] = logsumexp(trans + (scores[i + 1] + beta[i + 1])[None, :], axis=1)
+    return beta
+
+
+def crf_oracle_marginals(model, word):
+    """Label marginals and log partition value of one word, one position
+    at a time."""
+    scores, _ = _crf_oracle_scores(model, word)
+    alpha, log_z = _crf_oracle_forward(scores, model.trans)
+    beta = _crf_oracle_backward(scores, model.trans)
+    return np.exp(alpha + beta - log_z), log_z
+
+
+def crf_oracle_llgrad(model, dataset):
+    """Regularized log-likelihood and packed gradient, word by word, with
+    expected counts added feature by feature and pair by pair."""
+    nfeat = len(model.feat_index)
+    grad_w = np.zeros((nfeat, 4))
+    grad_t = np.zeros((4, 4))
+    ll = 0.0
+    for entry in dataset.entries:
+        word = entry.surface
+        scores, feats = _crf_oracle_scores(model, word)
+        n = len(word)
+        lab_idx = [_L[l] for l in morphs_to_labels(entry.morphs)]
+
+        gold = scores[np.arange(n), lab_idx].sum()
+        gold += sum(model.trans[a, b] for a, b in zip(lab_idx, lab_idx[1:]))
+
+        alpha, log_z = _crf_oracle_forward(scores, model.trans)
+        beta = _crf_oracle_backward(scores, model.trans)
+        ll += gold - log_z
+
+        gamma = np.exp(alpha + beta - log_z)
+        for i in range(n):
+            for f in feats[i]:
+                grad_w[f, lab_idx[i]] += 1.0
+                grad_w[f] -= gamma[i]
+        for i in range(n - 1):
+            grad_t[lab_idx[i], lab_idx[i + 1]] += 1.0
+            xi = (
+                alpha[i][:, None]
+                + model.trans
+                + (scores[i + 1] + beta[i + 1])[None, :]
+                - log_z
+            )
+            with np.errstate(invalid="ignore"):
+                grad_t -= np.where(np.isneginf(xi), 0.0, np.exp(xi))
+
+    packed = model.packed()
+    ll -= 0.5 * model.l2 * float(packed @ packed)
+    grad = np.concatenate(
+        [grad_w.ravel(), np.asarray([grad_t[_L[a], _L[b]] for a, b in ALLOWED_PAIRS])]
+    )
+    grad -= model.l2 * packed
+    return ll, grad
 
 
 def random_crf_model(data, delta=2, l2=0.0, seed=0):

@@ -56,3 +56,25 @@ def test_segment_word_looks_decoder_up_at_call_time(tmp_path, monkeypatch, modul
     monkeypatch.setattr(mod, attr, lambda model, word: calls.append(word) or real(model, word))
     segment_word("kawi")
     assert calls == ["kawi"]
+
+
+def test_train_crf_calls_the_likelihood_through_its_module_attribute(monkeypatch):
+    # the traced run's crf.llgrad span wraps this attribute; training that
+    # reached a private helper instead would leave the span empty
+    crf = polyseg.crf
+    calls, evaluations = [], []
+    real_llgrad, real_minimize = crf.log_likelihood_and_gradient, crf.minimize
+
+    def counting_llgrad(model, dataset):
+        calls.append(1)
+        return real_llgrad(model, dataset)
+
+    def minimize(*args, **kwargs):
+        result = real_minimize(*args, **kwargs)
+        evaluations.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(crf, "log_likelihood_and_gradient", counting_llgrad)
+    monkeypatch.setattr(crf, "minimize", minimize)
+    crf.train_crf(GOLD, delta=1, max_iters=5)
+    assert evaluations and len(calls) == evaluations[0] > 0

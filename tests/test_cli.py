@@ -263,6 +263,16 @@ class TestExitCodes:
                    "--input", str(d / "corpus.txt")) == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given,missing", [
+        ("--train-source", "--train-target"),
+        ("--train-target", "--train-source"),
+    ])
+    def test_stats_with_half_a_reference_corpus_is_2(self, corpus_file, capsys,
+                                                      given, missing):
+        assert run("stats", "--source", corpus_file, "--target", corpus_file,
+                   given, corpus_file) == 2
+        assert missing in capsys.readouterr().err
+
     def test_empty_richness_line_is_3(self, trained_models, tmp_path, capsys):
         d, _ = trained_models
         text = _write(tmp_path / "text.txt", "kawi suta\n\nwisu\n")

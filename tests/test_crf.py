@@ -3,6 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWord
 from polyseg.crf import (
@@ -10,6 +13,7 @@ from polyseg.crf import (
     PAD,
     BmesSequence,
     CrfModel,
+    _logsumexp,
     decode,
     extract_features,
     labels_to_morphs,
@@ -23,6 +27,8 @@ from polyseg.crf import (
 from polyseg.errors import ConfigError, DataError, ParseError, UnsupportedModeError
 from oracles import (
     crf_oracle_features,
+    crf_oracle_llgrad,
+    crf_oracle_marginals,
     crf_sequence_score,
     random_crf_model,
     valid_bmes_sequences,
@@ -144,6 +150,63 @@ class TestLikelihood:
         model = random_crf_model(TOY, delta=2, seed=4)
         gamma, _ = marginals(model, "takawi")
         assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
+
+
+MORPHS = st.lists(st.text(alphabet="abk", min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+def _long_word(rng):
+    """Morphs of one to four letters adding up to over 300 characters."""
+    morphs = []
+    while sum(map(len, morphs)) <= 300:
+        morphs.append("".join(rng.choice("abkw") for _ in range(rng.randint(1, 4))))
+    return tuple(morphs)
+
+
+class TestBatchedMatchesOracle:
+    """The batched likelihood, gradient and marginals against the
+    word-by-word forward-backward."""
+
+    @given(words=st.lists(MORPHS, max_size=8), long=st.booleans(),
+           delta=st.integers(1, 3), l2=st.sampled_from((0.0, 0.1)),
+           keep=st.sampled_from((1.0, 0.5)), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_likelihood_gradient_and_marginals(self, words, long, delta, l2, keep, seed):
+        rng = random.Random(seed)
+        # a length-1 word, and "aaaa" whose features recur at each position
+        words = words + [("a",), ("aa", "aa")] + ([_long_word(rng)] if long else [])
+        data = dataset(*words)
+        feats = {f for e in data.entries for i in range(len(e.surface))
+                 for f in extract_features(e.surface, i, delta)}
+        # with keep < 1 some positions have only unknown features
+        kept = [f for f in sorted(feats) if rng.random() < keep]
+        model = CrfModel.zeros(delta, l2, {f: k for k, f in enumerate(kept)})
+        weights = np.random.default_rng(seed).uniform(-20.0, 20.0, model.packed().size)
+        model.set_packed(weights)
+
+        ll, grad = log_likelihood_and_gradient(model, data)
+        want_ll, want_grad = crf_oracle_llgrad(model, data)
+        assert ll == pytest.approx(want_ll, rel=1e-9)
+        scale = max(1.0, np.abs(want_grad).max())
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-9 * scale)
+
+        # "xyz" never occurs in training, so position 4 of the probe has
+        # no known feature for any delta up to 3
+        probe = "xyz" * 3
+        assert not any(f in model.feat_index for f in extract_features(probe, 4, delta))
+        for word in [e.surface for e in data.entries[-3:]] + [probe]:
+            gamma, log_z = marginals(model, word)
+            want_gamma, want_log_z = crf_oracle_marginals(model, word)
+            assert log_z == pytest.approx(want_log_z, rel=1e-9)
+            np.testing.assert_allclose(gamma, want_gamma, rtol=1e-9, atol=1e-9)
+
+    def test_logsumexp_keeps_all_minus_inf_rows_at_minus_inf(self):
+        x = np.array([[-np.inf] * 4, [-np.inf, 0.0, -np.inf, 3.0], [700.0, 710.0, -5.0, 0.0]])
+        for axis in (0, 1):
+            with np.errstate(divide="ignore"):
+                want = logsumexp(x, axis=axis)
+            np.testing.assert_allclose(_logsumexp(x, axis=axis), want, rtol=1e-15)
+        assert _logsumexp(x, axis=1)[0] == -np.inf
 
 
 class TestTraining:
