@@ -207,7 +207,7 @@ def save_model(model: BpeModel, path) -> None:
 
 def load_model(path) -> BpeModel:
     (target, marker), rows = modelfile.read(path, "bpe", (int, str), {"merges": (str, str)})
-    merges = [(a, b) for a, b in rows["merges"]]
+    merges = [(a, b) for _, (a, b) in rows["merges"]]
     # The file format stores merges only; vocab is rebuilt from them.
     # Alphabet symbols that never merged are not recoverable from the file.
     vocab = set()

@@ -9,7 +9,6 @@ offset and content.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -381,13 +380,6 @@ def _feature_key(text: str) -> tuple[int, str]:
     return int(offset), content
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("not a finite weight")
-    return value
-
-
 def _delta(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -399,18 +391,19 @@ def load_model(path) -> CrfModel:
     label = _L.__getitem__
     (delta, l2), rows = modelfile.read(
         path, "crf", (_delta, float),
-        {"features": (_feature_key, label, _finite), "transitions": (label, label, _finite)},
+        {"features": (_feature_key, label, modelfile.finite),
+         "transitions": (label, label, modelfile.finite)},
     )
     feat_index: dict[tuple[int, str], int] = {}
-    for feat, _, _ in rows["features"]:
+    for _, (feat, _, _) in rows["features"]:
         feat_index.setdefault(feat, len(feat_index))
     model = CrfModel.zeros(delta, l2, feat_index)
-    for feat, lab, w in rows["features"]:
+    for _, (feat, lab, w) in rows["features"]:
         model.weights[feat_index[feat], lab] = w
-    for a, b, w in rows["transitions"]:
+    for lineno, (a, b, w) in rows["transitions"]:
         # decode and the likelihood read -inf in trans as a forbidden pair
         if model.trans[a, b] == -np.inf:
-            raise ParseError("%s: transition %s->%s is not allowed"
-                             % (path, LABELS[a], LABELS[b]))
+            raise ParseError("%s:%d: transition %s->%s is not allowed"
+                             % (path, lineno, LABELS[a], LABELS[b]))
         model.trans[a, b] = w
     return model

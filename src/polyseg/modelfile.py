@@ -9,6 +9,8 @@ first section.  Every error names the file and line as ``path:line``.
 
 from __future__ import annotations
 
+import math
+
 from .corpus import read_lines
 from .errors import ParseError
 
@@ -22,6 +24,14 @@ def field(path, lineno: int, conv, text: str):
         return conv(text)
     except (ValueError, KeyError):
         raise ParseError("%s:%d: bad field %r" % (path, lineno, text)) from None
+
+
+def finite(text: str) -> float:
+    """A field converter: the float ``text``, which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def family(path) -> str:
@@ -42,7 +52,8 @@ def read(path, family: str, header, sections: dict, optional: int = 0):
     last ``optional`` fields may be left out and read as None.
     ``sections`` maps each section name to one converter per row field,
     the first section being the one rows start in.  Returns the converted
-    header fields and ``{section: [converted row, ...]}``.
+    header fields and ``{section: [(line number, converted row), ...]}``,
+    so a loader's own checks can name ``path:line`` too.
     """
     lines = read_lines(path)
     if not lines:
@@ -66,6 +77,6 @@ def read(path, family: str, header, sections: dict, optional: int = 0):
         if len(parts) != len(convs):
             raise ParseError("%s:%d: expected %d TAB-separated fields in %s, got %d"
                              % (path, lineno, len(convs), section, len(parts)))
-        rows[section].append([field(path, lineno, conv, text)
-                              for conv, text in zip(convs, parts)])
+        rows[section].append((lineno, [field(path, lineno, conv, text)
+                                       for conv, text in zip(convs, parts)]))
     return values, rows

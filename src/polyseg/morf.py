@@ -26,8 +26,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from . import modelfile
+from .crf import _logsumexp
 from .errors import ConfigError, DataError, NumericError, ParseError
 
 BASELINE = "baseline"
@@ -46,6 +50,7 @@ ALLOWED_NEXT = {
 
 _EPS_AFFINITY = 1e-3
 _NEG_INF = float("-inf")
+_FINAL_MASK = np.array([0.0 if c in FINAL_CATS else _NEG_INF for c in CATEGORIES])
 
 
 @dataclass
@@ -56,7 +61,9 @@ class CategoryModel:
     ``trans[c]`` one over the allowed successors of ``c``; word-final
     legality (stem or suffix) is structural and carries no probability.
     All values are natural-log probabilities; forbidden transitions are
-    absent from the tables and read as -inf.
+    absent from the tables and read as -inf.  The tables are read-only once
+    a word has been decoded, because ``_lattice_tables`` is built from them
+    then.
     """
 
     start: dict[str, float]
@@ -71,6 +78,29 @@ class CategoryModel:
 
     def emit_logp(self, cat: str, morph: str) -> float:
         return self.emit.get(cat, {}).get(morph, _NEG_INF)
+
+    @cached_property
+    def _lattice_tables(self):
+        """``(emit_costs, first_steps, trans)`` for the category lattice,
+        categories as their CATEGORIES indices.
+
+        ``emit_costs`` maps every emitted morph to its four costs ``-logp``,
+        inf where a category gives it no mass.  ``first_steps[c]`` is
+        ``[(None, -logp)]`` for a category that may open a word and ``[]``
+        for one that may not; ``trans[p][c]`` is the log-probability of
+        ``c`` after ``p``, None where the step is forbidden.
+        """
+        emit_costs = {}
+        for c, cat in enumerate(CATEGORIES):
+            for morph, logp in self.emit.get(cat, {}).items():
+                emit_costs.setdefault(morph, [math.inf] * 4)[c] = -logp
+        starts = [self.start_logp(cat) for cat in CATEGORIES]
+        first_steps = [[] if s == _NEG_INF else [(None, -s)] for s in starts]
+        trans = [
+            [None if t == _NEG_INF else t for t in (self.trans_logp(a, b) for b in CATEGORIES)]
+            for a in CATEGORIES
+        ]
+        return {m: tuple(v) for m, v in emit_costs.items()}, first_steps, trans
 
 
 @dataclass
@@ -449,9 +479,9 @@ def train_lmvr(
 # -- inference ---------------------------------------------------------------
 
 
-def _unseen_cost(model: MorfModel, morph: str, total: int) -> float:
+def _unseen_cost(model: MorfModel, length: int, total: int) -> float:
     per_symbol = math.log(len(model.alphabet) + 1)
-    return model.alpha * (len(morph) + 1) * per_symbol + math.log(total + 1)
+    return model.alpha * (length + 1) * per_symbol + math.log(total + 1)
 
 
 def viterbi_segment(model: MorfModel, word: str) -> list[str]:
@@ -482,7 +512,7 @@ def viterbi_segment(model: MorfModel, word: str) -> list[str]:
             if count > 0:
                 cost = log_total - math.log(count)
             else:
-                cost = _unseen_cost(model, m, total)
+                cost = _unseen_cost(model, len(m), total)
             cand = best[start] + cost
             if cand < best[end]:
                 best[end] = cand
@@ -502,70 +532,78 @@ def viterbi_segment_with_categories(model: MorfModel, word: str) -> tuple[list[s
         raise ConfigError("model has no category parameters")
     if not word:
         raise DataError("cannot segment an empty word")
-    result = _viterbi_categories(model, word, strict=True)
+    total = model.total_tokens
+    unseen = [_unseen_cost(model, length, total) for length in range(len(word) + 1)]
+    result = _viterbi_categories(model.categories, word, unseen, strict=True)
     if result is None:
         # Every category-legal path died on zeroed emissions; let any
         # substring fall back to the add-to-lexicon cost instead.
-        result = _viterbi_categories(model, word, strict=False)
+        result = _viterbi_categories(model.categories, word, unseen, strict=False)
     if result is None:
         raise NumericError("no legal category path for %r" % (word,))
     return result
 
 
-def _viterbi_categories(model: MorfModel, word: str, strict: bool):
-    cm = model.categories
-    total = model.total_tokens
-    known = set()
-    for table in cm.emit.values():
-        known.update(table)
+def _viterbi_categories(cm: CategoryModel, word: str, unseen: list[float], strict: bool):
+    """The cheapest (morphs, categories) of ``word``, or None without a
+    legal path.  ``unseen[k]`` is the cost of an unseen morph of length k;
+    with ``strict`` a known morph cannot take a category that gives it no
+    mass.
+
+    Ties keep the first start, and among previous categories the one that
+    first reached that position; the final category is the cheapest, then
+    the first by name.
+    """
+    emit_costs, first_steps, trans = cm._lattice_tables
+    inf = math.inf
     n = len(word)
-    # state: (position, category of the morph ending there)
-    best: list[dict[str, float]] = [dict() for _ in range(n + 1)]
-    back: list[dict[str, tuple[int, str | None]]] = [dict() for _ in range(n + 1)]
+    # steps[pos][c]: (previous category, its cost - log p(c | previous)) for
+    # every category that reached pos and may precede c, in the order they
+    # reached it; a morph ending later only adds its emission cost
+    steps: list = [first_steps] + [None] * n
+    back: list = [None] * (n + 1)
+    best: dict = {}
     for end in range(1, n + 1):
+        best, ptr = {}, {}
         for start in range(end):
-            m = word[start:end]
-            for cat in CATEGORIES:
-                logp = cm.emit_logp(cat, m)
-                if logp == _NEG_INF:
-                    if strict and m in known:
-                        continue  # known morph, zero mass in this category
-                    emit_cost = _unseen_cost(model, m, total)
-                else:
-                    emit_cost = -logp
-                if start == 0:
-                    slog = cm.start_logp(cat)
-                    if slog == _NEG_INF:
-                        continue
-                    cand = -slog + emit_cost
-                    prev_cat = None
-                else:
-                    cand = math.inf
-                    prev_cat = None
-                    for pc, pcost in best[start].items():
-                        tlog = cm.trans_logp(pc, cat)
-                        if tlog == _NEG_INF:
-                            continue
-                        c = pcost - tlog + emit_cost
-                        if c < cand:
-                            cand = c
-                            prev_cat = pc
-                    if prev_cat is None:
-                        continue
-                if cand < best[end].get(cat, math.inf):
-                    best[end][cat] = cand
-                    back[end][cat] = (start, prev_cat)
-    finals = {c: v for c, v in best[n].items() if c in FINAL_CATS}
+            prev = steps[start]
+            if prev is None:
+                continue
+            costs = emit_costs.get(word[start:end])
+            if costs is None:
+                costs = (unseen[end - start],) * 4
+            elif not strict:
+                costs = [unseen[end - start] if e == inf else e for e in costs]
+            for c in range(4):
+                e = costs[c]
+                if e == inf:
+                    continue  # no mass, or an overflowing unseen cost
+                cand = inf
+                for p, x in prev[c]:
+                    y = x + e
+                    if y < cand:
+                        cand = y
+                        pc = p
+                if cand < best.get(c, inf):
+                    best[c] = cand
+                    ptr[c] = (start, pc)
+        back[end] = ptr
+        if best:
+            steps[end] = [
+                [(p, cost - trans[p][c]) for p, cost in best.items() if trans[p][c] is not None]
+                for c in range(4)
+            ]
+    finals = [c for c in best if CATEGORIES[c] in FINAL_CATS]
     if not finals:
         return None
-    cat = min(finals, key=lambda c: (finals[c], c))
+    cat = min(finals, key=lambda c: (best[c], CATEGORIES[c]))
     morphs: list[str] = []
     cats: list[str] = []
     pos = n
     while pos > 0:
         start, prev_cat = back[pos][cat]
         morphs.append(word[start:pos])
-        cats.append(cat)
+        cats.append(CATEGORIES[cat])
         pos, cat = start, prev_cat
     morphs.reverse()
     cats.reverse()
@@ -582,13 +620,6 @@ def segment_corpus(model: MorfModel, sentences) -> list[list[list[str]]]:
 
 
 # -- category-model training -------------------------------------------------
-
-
-def _logsumexp(values) -> float:
-    m = max(values, default=_NEG_INF)
-    if m == _NEG_INF:
-        return _NEG_INF
-    return m + math.log(sum(math.exp(v - m) for v in values))
 
 
 def _initial_category_model(analyses, diversity_threshold: int) -> CategoryModel:
@@ -628,49 +659,61 @@ def _initial_category_model(analyses, diversity_threshold: int) -> CategoryModel
     return CategoryModel(start=start, trans=trans, emit=emit)
 
 
-def _forward_backward(cm: CategoryModel, morphs: tuple[str, ...]):
-    """Log-space forward/backward over categories for one morph sequence.
+def _category_arrays(cm: CategoryModel, morphs: list[str]):
+    """``cm`` as log arrays ``(emit, start, trans)`` of shapes
+    ``(4, len(morphs))``, ``(4,)`` and ``(4, 4)`` in CATEGORIES order,
+    -inf where ``cm`` has no entry."""
+    emit = np.array([[cm.emit_logp(c, m) for m in morphs] for c in CATEGORIES])
+    start = np.array([cm.start_logp(c) for c in CATEGORIES])
+    trans = np.array([[cm.trans_logp(a, b) for b in CATEGORIES] for a in CATEGORIES])
+    return emit, start, trans
 
-    Returns (log-likelihood, alphas, betas); the word-final mask restricts
-    the last morph to stem or suffix.
+
+def _category_model(emit, start, trans, morphs: list[str]) -> CategoryModel:
+    """The inverse of ``_category_arrays``: -inf entries are left out and
+    every table is sorted by key."""
+
+    def table(values, keys):
+        return {k: v for k, v in sorted(zip(keys, values.tolist())) if v != _NEG_INF}
+
+    return CategoryModel(
+        start=table(start, CATEGORIES),
+        trans={c: table(trans[i], CATEGORIES) for i, c in enumerate(CATEGORIES)},
+        emit={c: table(emit[i], morphs) for i, c in enumerate(CATEGORIES)},
+    )
+
+
+def _forward_backward(ids, emit, start, trans):
+    """Log-space forward/backward over categories for a ``(words, n)``
+    batch of morph-id sequences of one length.
+
+    Returns ``(ll, alpha, beta, e)``: each word's log-likelihood, the
+    ``(words, n, 4)`` forward and backward values and the emission
+    log-probabilities of its morphs.  The first morph takes a category
+    ``start`` gives mass and the last a word-final one (stem or suffix).
     """
-    n = len(morphs)
-    first = {}
-    for cat in CATEGORIES:
-        if cat in START_CATS:
-            first[cat] = cm.start_logp(cat) + cm.emit_logp(cat, morphs[0])
-        else:
-            first[cat] = _NEG_INF
-    alphas = [first]
-    for i in range(1, n):
-        cur = {}
-        for cat in CATEGORIES:
-            e = cm.emit_logp(cat, morphs[i])
-            if e == _NEG_INF:
-                cur[cat] = _NEG_INF
-                continue
-            terms = [
-                alphas[-1][pc] + cm.trans_logp(pc, cat)
-                for pc in CATEGORIES
-                if alphas[-1][pc] != _NEG_INF
-            ]
-            cur[cat] = _logsumexp(terms) + e if terms else _NEG_INF
-        alphas.append(cur)
-    ll = _logsumexp([alphas[-1][c] for c in FINAL_CATS])
+    e = emit.T[ids]
+    alpha = np.empty_like(e)
+    beta = np.empty_like(e)
+    alpha[:, 0] = start + e[:, 0]
+    for i in range(1, ids.shape[1]):
+        alpha[:, i] = _logsumexp(alpha[:, i - 1, :, None] + trans, axis=1) + e[:, i]
+    ll = _logsumexp(alpha[:, -1] + _FINAL_MASK, axis=1)
+    beta[:, -1] = _FINAL_MASK
+    for i in range(ids.shape[1] - 2, -1, -1):
+        beta[:, i] = _logsumexp(trans + e[:, i + 1, None, :] + beta[:, i + 1, None, :], axis=2)
+    return ll, alpha, beta, e
 
-    betas = [dict() for _ in range(n)]
-    betas[-1] = {c: (0.0 if c in FINAL_CATS else _NEG_INF) for c in CATEGORIES}
-    for i in range(n - 2, -1, -1):
-        for cat in CATEGORIES:
-            terms = []
-            for nc in ALLOWED_NEXT.get(cat, ()):
-                e = cm.emit_logp(nc, morphs[i + 1])
-                b = betas[i + 1][nc]
-                if e == _NEG_INF or b == _NEG_INF:
-                    continue
-                terms.append(cm.trans_logp(cat, nc) + e + b)
-            betas[i][cat] = _logsumexp(terms) if terms else _NEG_INF
-    return ll, alphas, betas
+
+def _normalize(counts, previous):
+    """Each row of ``counts`` as log-probabilities over its total, -inf
+    where a count is zero; a row whose total is not positive keeps its
+    ``previous`` values."""
+    z = counts.sum(axis=-1, keepdims=True)
+    # log-space division: v/z can underflow to 0.0 for denormal-scale counts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.log(counts) - np.log(z)
+    return np.where(z > 0, logp, previous)
 
 
 def train_flatcat(
@@ -687,53 +730,49 @@ def train_flatcat(
     many distinct morphs look suffix-like, followed by many look
     prefix-like, long morphs look stem-like), EM then fits the constrained
     HMM to the baseline segmentation; the data log-likelihood is
-    non-decreasing per iteration.  The returned model re-segments words
-    through the joint split-and-category lattice.
+    non-decreasing per iteration.  Each EM iteration runs one
+    forward-backward per morph count over all analyses of that count.  The
+    returned model re-segments words through the joint split-and-category
+    lattice.
     """
     for w in word_counts:
         if w not in baseline_model.analyses:
             raise DataError("word %r missing from the baseline analyses" % (w,))
     analyses = {w: baseline_model.analyses[w] for w in sorted(word_counts)}
-    cm = _initial_category_model(analyses, diversity_threshold)
+    vocab = sorted({m for ms in analyses.values() for m in ms})
+    index = {m: i for i, m in enumerate(vocab)}
+    by_count: dict[int, list] = {}
+    for ms in analyses.values():
+        by_count.setdefault(len(ms), []).append([index[m] for m in ms])
+    groups = [np.array(rows, dtype=np.intp) for _, rows in sorted(by_count.items())]
+    # flat (category, morph) index of every emission in a group
+    slots = [ids[:, :, None] + np.arange(4) * len(vocab) for ids in groups]
+    emit, start, trans = _category_arrays(
+        _initial_category_model(analyses, diversity_threshold), vocab
+    )
 
     ll_history = []
     for _ in range(max_iters):
-        start_counts = Counter()
-        trans_counts: dict[str, Counter] = {c: Counter() for c in CATEGORIES}
-        emit_counts: dict[str, Counter] = {c: Counter() for c in CATEGORIES}
+        emit_counts = np.zeros(4 * len(vocab))
+        start_counts = np.zeros(4)
+        trans_counts = np.zeros((4, 4))
         total_ll = 0.0
-        for morphs in analyses.values():
-            ll, alphas, betas = _forward_backward(cm, morphs)
-            if ll == _NEG_INF:
+        for ids, slot in zip(groups, slots):
+            ll, alpha, beta, e = _forward_backward(ids, emit, start, trans)
+            if np.isneginf(ll).any():
                 raise NumericError("zero-probability segmentation in EM")
-            total_ll += ll
-            n = len(morphs)
-            for i in range(n):
-                for cat in CATEGORIES:
-                    g = alphas[i][cat] + betas[i][cat] - ll
-                    if g == _NEG_INF or g != g:
-                        continue
-                    p = math.exp(g)
-                    emit_counts[cat][morphs[i]] += p
-                    if i == 0:
-                        start_counts[cat] += p
-            for i in range(n - 1):
-                for pc in CATEGORIES:
-                    if alphas[i][pc] == _NEG_INF:
-                        continue
-                    for nc in ALLOWED_NEXT[pc]:
-                        e = cm.emit_logp(nc, morphs[i + 1])
-                        b = betas[i + 1][nc]
-                        if e == _NEG_INF or b == _NEG_INF:
-                            continue
-                        g = alphas[i][pc] + cm.trans_logp(pc, nc) + e + b - ll
-                        trans_counts[pc][nc] += math.exp(g)
+            total_ll += float(ll.sum())
+            gamma = np.exp(alpha + beta - ll[:, None, None])
+            emit_counts += np.bincount(slot.ravel(), gamma.ravel(), len(emit_counts))
+            start_counts += gamma[:, 0].sum(axis=0)
+            xi = (alpha[:, :-1, :, None] + trans + e[:, 1:, None, :]
+                  + beta[:, 1:, None, :] - ll[:, None, None, None])
+            trans_counts += np.exp(xi).sum(axis=(0, 1))
         ll_history.append(total_ll)
 
-        new_start = _normalize(start_counts, cm.start)
-        new_trans = {c: _normalize(trans_counts[c], cm.trans[c]) for c in CATEGORIES}
-        new_emit = {c: _normalize(emit_counts[c], cm.emit[c]) for c in CATEGORIES}
-        cm = CategoryModel(start=new_start, trans=new_trans, emit=new_emit)
+        start = _normalize(start_counts, start)
+        trans = _normalize(trans_counts, trans)
+        emit = _normalize(emit_counts.reshape(4, -1), emit)
         if len(ll_history) >= 2 and ll_history[-1] - ll_history[-2] < epsilon:
             break
 
@@ -743,7 +782,7 @@ def train_flatcat(
         alphabet=baseline_model.alphabet,
         alpha=baseline_model.alpha,
         variant=FLATCAT,
-        categories=cm,
+        categories=_category_model(emit, start, trans, vocab),
     )
     new_analyses = {}
     new_lexicon = Counter()
@@ -756,15 +795,6 @@ def train_flatcat(
     refined.analyses = new_analyses
     refined.ll_history = ll_history
     return refined
-
-
-def _normalize(counts: Counter, previous: dict[str, float]) -> dict[str, float]:
-    z = sum(counts.values())
-    if z <= 0:
-        return dict(previous)
-    # log-space division: v/z can underflow to 0.0 for denormal-scale counts
-    log_z = math.log(z)
-    return {k: math.log(v) - log_z for k, v in sorted(counts.items()) if v > 0}
 
 
 # -- model files -------------------------------------------------------------
@@ -793,30 +823,57 @@ def save_model(model: MorfModel, path) -> None:
                     f.write("%s\t%s\t%s\n" % (cat, morph, repr(cm.emit[cat][morph])))
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("negative count")
+    return value
+
+
+def _category(text: str) -> str:
+    if text not in CATEGORIES:
+        raise ValueError("unknown category")
+    return text
+
+
+def _source(text: str) -> str:
+    return text if text == "<s>" else _category(text)
+
+
 def load_model(path) -> MorfModel:
     (variant, alpha, cap), rows = modelfile.read(
-        path, "morf", (str, float, int),
-        {"lexicon": (str, int), "transitions": (str, str, float),
-         "emissions": (str, str, float)},
+        path, "morf", (str, modelfile.finite, int),
+        {"lexicon": (str, _count), "transitions": (_source, _category, modelfile.finite),
+         "emissions": (_category, str, modelfile.finite)},
         optional=1,
     )
-    lexicon = Counter(dict(rows["lexicon"]))
+    lexicon = Counter(dict(row for _, row in rows["lexicon"]))
     categories = None
     if variant == FLATCAT:
         start: dict[str, float] = {}
         trans: dict[str, dict[str, float]] = {}
         emit: dict[str, dict[str, float]] = {}
-        for src, dst, logp in rows["transitions"]:
+        for lineno, (src, dst, logp) in rows["transitions"]:
             if src == "<s>":
+                if dst not in START_CATS:
+                    raise ParseError("%s:%d: a word cannot start with %s" % (path, lineno, dst))
                 start[dst] = logp
-            else:
+            elif dst in ALLOWED_NEXT[src]:
                 trans.setdefault(src, {})[dst] = logp
-        for cat, morph, logp in rows["emissions"]:
+            else:
+                raise ParseError("%s:%d: transition %s->%s is not allowed"
+                                 % (path, lineno, src, dst))
+        for _, (cat, morph, logp) in rows["emissions"]:
             emit.setdefault(cat, {})[morph] = logp
         # a file cut short loses its tables from the end; the header line
         # is what promised them
         if not start:
             raise ParseError("%s:1: flatcat model has no <s> start row" % (path,))
+        if not any(cat in FINAL_CATS for cat in start):
+            # not even a one-morph word could be decoded
+            first = next(n for n, (src, _, _) in rows["transitions"] if src == "<s>")
+            raise ParseError("%s:%d: no <s> row opens a word-final category (%s)"
+                             % (path, first, " or ".join(FINAL_CATS)))
         if not emit:
             raise ParseError("%s:1: flatcat model has no emission rows" % (path,))
         categories = CategoryModel(start=start, trans=trans, emit=emit)

@@ -25,6 +25,16 @@ from polyseg.crf import (
     extract_features,
     morphs_to_labels,
 )
+from polyseg.errors import NumericError
+from polyseg.morf import ALLOWED_NEXT as CAT_NEXT
+from polyseg.morf import (
+    CATEGORIES,
+    FINAL_CATS,
+    START_CATS,
+    CategoryModel,
+    _initial_category_model,
+    _unseen_cost,
+)
 
 _L = {lab: i for i, lab in enumerate(LABELS)}
 
@@ -281,6 +291,187 @@ def random_crf_model(data, delta=2, l2=0.0, seed=0):
     rng = np.random.default_rng(seed)
     model.set_packed(rng.normal(scale=0.5, size=model.packed().shape))
     return model
+
+
+# -- flatcat ---------------------------------------------------------------------
+
+_NEG_INF = float("-inf")
+
+
+def _scalar_logsumexp(values):
+    m = max(values, default=_NEG_INF)
+    if m == _NEG_INF:
+        return _NEG_INF
+    return m + math.log(sum(math.exp(v - m) for v in values))
+
+
+def flatcat_oracle_forward_backward(cm, morphs):
+    """Log-space forward/backward over categories for one morph sequence,
+    one dict lookup per category pair; returns (log-likelihood, alphas,
+    betas) with ``alphas[i][cat]``."""
+    n = len(morphs)
+    first = {}
+    for cat in CATEGORIES:
+        if cat in START_CATS:
+            first[cat] = cm.start_logp(cat) + cm.emit_logp(cat, morphs[0])
+        else:
+            first[cat] = _NEG_INF
+    alphas = [first]
+    for i in range(1, n):
+        cur = {}
+        for cat in CATEGORIES:
+            e = cm.emit_logp(cat, morphs[i])
+            if e == _NEG_INF:
+                cur[cat] = _NEG_INF
+                continue
+            terms = [
+                alphas[-1][pc] + cm.trans_logp(pc, cat)
+                for pc in CATEGORIES
+                if alphas[-1][pc] != _NEG_INF
+            ]
+            cur[cat] = _scalar_logsumexp(terms) + e if terms else _NEG_INF
+        alphas.append(cur)
+    ll = _scalar_logsumexp([alphas[-1][c] for c in FINAL_CATS])
+
+    betas = [dict() for _ in range(n)]
+    betas[-1] = {c: (0.0 if c in FINAL_CATS else _NEG_INF) for c in CATEGORIES}
+    for i in range(n - 2, -1, -1):
+        for cat in CATEGORIES:
+            terms = []
+            for nc in CAT_NEXT.get(cat, ()):
+                e = cm.emit_logp(nc, morphs[i + 1])
+                b = betas[i + 1][nc]
+                if e == _NEG_INF or b == _NEG_INF:
+                    continue
+                terms.append(cm.trans_logp(cat, nc) + e + b)
+            betas[i][cat] = _scalar_logsumexp(terms) if terms else _NEG_INF
+    return ll, alphas, betas
+
+
+def _flatcat_oracle_normalize(counts, previous):
+    z = sum(counts.values())
+    if z <= 0:
+        return dict(previous)
+    log_z = math.log(z)
+    return {k: math.log(v) - log_z for k, v in sorted(counts.items()) if v > 0}
+
+
+def flatcat_oracle_em(analyses, epsilon=1e-4, max_iters=20, diversity_threshold=3):
+    """EM over the category HMM word by word, with expected counts added
+    position by position into dicts; returns (CategoryModel, ll_history)."""
+    analyses = dict(sorted(analyses.items()))
+    cm = _initial_category_model(analyses, diversity_threshold)
+    ll_history = []
+    for _ in range(max_iters):
+        start_counts = Counter()
+        trans_counts = {c: Counter() for c in CATEGORIES}
+        emit_counts = {c: Counter() for c in CATEGORIES}
+        total_ll = 0.0
+        for morphs in analyses.values():
+            ll, alphas, betas = flatcat_oracle_forward_backward(cm, morphs)
+            if ll == _NEG_INF:
+                raise NumericError("zero-probability segmentation in EM")
+            total_ll += ll
+            n = len(morphs)
+            for i in range(n):
+                for cat in CATEGORIES:
+                    g = alphas[i][cat] + betas[i][cat] - ll
+                    if g == _NEG_INF or g != g:
+                        continue
+                    p = math.exp(g)
+                    emit_counts[cat][morphs[i]] += p
+                    if i == 0:
+                        start_counts[cat] += p
+            for i in range(n - 1):
+                for pc in CATEGORIES:
+                    if alphas[i][pc] == _NEG_INF:
+                        continue
+                    for nc in CAT_NEXT[pc]:
+                        e = cm.emit_logp(nc, morphs[i + 1])
+                        b = betas[i + 1][nc]
+                        if e == _NEG_INF or b == _NEG_INF:
+                            continue
+                        g = alphas[i][pc] + cm.trans_logp(pc, nc) + e + b - ll
+                        trans_counts[pc][nc] += math.exp(g)
+        ll_history.append(total_ll)
+        cm = CategoryModel(
+            start=_flatcat_oracle_normalize(start_counts, cm.start),
+            trans={c: _flatcat_oracle_normalize(trans_counts[c], cm.trans[c])
+                   for c in CATEGORIES},
+            emit={c: _flatcat_oracle_normalize(emit_counts[c], cm.emit[c])
+                  for c in CATEGORIES},
+        )
+        if len(ll_history) >= 2 and ll_history[-1] - ll_history[-2] < epsilon:
+            break
+    return cm, ll_history
+
+
+def _flatcat_oracle_lattice(model, word, strict):
+    cm = model.categories
+    total = model.total_tokens
+    known = set()
+    for table in cm.emit.values():
+        known.update(table)
+    n = len(word)
+    # state: (position, category of the morph ending there)
+    best = [dict() for _ in range(n + 1)]
+    back = [dict() for _ in range(n + 1)]
+    for end in range(1, n + 1):
+        for start in range(end):
+            m = word[start:end]
+            for cat in CATEGORIES:
+                logp = cm.emit_logp(cat, m)
+                if logp == _NEG_INF:
+                    if strict and m in known:
+                        continue  # known morph, zero mass in this category
+                    emit_cost = _unseen_cost(model, len(m), total)
+                else:
+                    emit_cost = -logp
+                if start == 0:
+                    slog = cm.start_logp(cat)
+                    if slog == _NEG_INF:
+                        continue
+                    cand = -slog + emit_cost
+                    prev_cat = None
+                else:
+                    cand = math.inf
+                    prev_cat = None
+                    for pc, pcost in best[start].items():
+                        tlog = cm.trans_logp(pc, cat)
+                        if tlog == _NEG_INF:
+                            continue
+                        c = pcost - tlog + emit_cost
+                        if c < cand:
+                            cand = c
+                            prev_cat = pc
+                    if prev_cat is None:
+                        continue
+                if cand < best[end].get(cat, math.inf):
+                    best[end][cat] = cand
+                    back[end][cat] = (start, prev_cat)
+    finals = {c: v for c, v in best[n].items() if c in FINAL_CATS}
+    if not finals:
+        return None
+    cat = min(finals, key=lambda c: (finals[c], c))
+    morphs, cats = [], []
+    pos = n
+    while pos > 0:
+        start, prev_cat = back[pos][cat]
+        morphs.append(word[start:pos])
+        cats.append(cat)
+        pos, cat = start, prev_cat
+    return morphs[::-1], cats[::-1]
+
+
+def flatcat_oracle_segment(model, word):
+    """Joint split-and-category decoding with dict lookups per substring,
+    category and previous category; the relaxed lattice (unseen cost for
+    zero-mass known morphs) runs when the strict one finds no path.
+    Returns (morphs, categories) or None."""
+    result = _flatcat_oracle_lattice(model, word, strict=True)
+    if result is None:
+        result = _flatcat_oracle_lattice(model, word, strict=False)
+    return result
 
 
 # -- emma ------------------------------------------------------------------------

@@ -78,3 +78,21 @@ def test_train_crf_calls_the_likelihood_through_its_module_attribute(monkeypatch
     monkeypatch.setattr(crf, "minimize", minimize)
     crf.train_crf(GOLD, delta=1, max_iters=5)
     assert evaluations and len(calls) == evaluations[0] > 0
+
+
+def test_flatcat_decodes_through_the_category_lattice_attribute(monkeypatch):
+    # the traced run's morf.catlattice span wraps this attribute and counts
+    # its calls: training decodes each of its words once through it, and so
+    # does viterbi_segment on a flatcat model
+    morf = polyseg.morf
+    counts = {"kawi": 3, "suta": 2, "wisu": 1}
+    baseline = morf.train_baseline(counts, seed=1)
+    calls = []
+    real = morf.viterbi_segment_with_categories
+    monkeypatch.setattr(morf, "viterbi_segment_with_categories",
+                        lambda model, word: calls.append(word) or real(model, word))
+    model = morf.train_flatcat(counts, baseline)
+    assert calls == sorted(counts)
+    del calls[:]
+    assert morf.viterbi_segment(model, "kawisu") == real(model, "kawisu")[0]
+    assert calls == ["kawisu"]

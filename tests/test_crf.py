@@ -303,5 +303,5 @@ class TestModelFile:
         path = tmp_path / "m.crf"
         path.write_text("crf v1 2 0.01\n0:k\tB\t0.5\ntransitions:\nB\tS\t0.0\n",
                         encoding="utf-8")
-        with pytest.raises(ParseError, match="B->S"):
+        with pytest.raises(ParseError, match=r"m\.crf:4: transition B->S"):
             load_model(path)
