@@ -161,38 +161,39 @@ def _cmd_train(args) -> int:
 
 
 def _segmenter(path):
-    """``(segment_word, style, marker)`` for the model file at ``path``.
+    """``(segment_words, style, marker)`` for the model file at ``path``.
 
-    ``segment_word`` maps a word to its pieces; it looks the family's
-    decoder up on its module at call time, so a wrapper installed there
-    sees every call.
+    ``segment_words`` maps a list of words to the list of their pieces; it
+    looks the family's decoder up on its module at call time, so a wrapper
+    installed there sees every call.  bpe and morf decode word by word, crf
+    decodes the whole list in one call.
     """
     family = modelfile.family(path)
     if family == "bpe":
         model = bpe.load_model(path)
-        return (lambda word: bpe.encode(model, word)), EOW, model.boundary_marker
+        return ((lambda words: [bpe.encode(model, word) for word in words]),
+                EOW, model.boundary_marker)
     if family == "morf":
         model = morf.load_model(path)
-        return (lambda word: morf.viterbi_segment(model, word)), CONT, DEFAULT_MARKERS[CONT]
+        return ((lambda words: [morf.viterbi_segment(model, word) for word in words]),
+                CONT, DEFAULT_MARKERS[CONT])
     if family == "crf":
         model = crf.load_model(path)
-        return (lambda word: list(crf.decode(model, word).morphs)), CONT, DEFAULT_MARKERS[CONT]
+        return ((lambda words: [list(seg.morphs) for seg in crf.decode_words(model, words)]),
+                CONT, DEFAULT_MARKERS[CONT])
     raise ParseError("%s:1: unknown model family %r" % (path, family))
 
 
 def _cmd_segment(args) -> int:
-    segment_word, style, marker = _segmenter(args.model)
+    segment_words, style, marker = _segmenter(args.model)
+    lines = [line.split() for line in corpus.read_lines(args.input)]
     # every family's decoder is a pure function of (model, word), so each
-    # distinct word is decoded once; text repeats words, Zipf-like
-    pieces: dict[str, list[str]] = {}
-
-    def segment_cached(tok):
-        if tok not in pieces:
-            pieces[tok] = segment_word(tok)
-        return pieces[tok]
-
-    out = [render_segmented([segment_cached(tok) for tok in line.split()], style, marker)
-           for line in corpus.read_lines(args.input)]
+    # distinct word is segmented once, in first-seen order; text repeats
+    # words, Zipf-like
+    distinct = list(dict.fromkeys(tok for tokens in lines for tok in tokens))
+    pieces = dict(zip(distinct, segment_words(distinct)))
+    out = [render_segmented([pieces[tok] for tok in tokens], style, marker)
+           for tokens in lines]
     _emit(args.output, "".join(line + "\n" for line in out))
     print("segmented %d lines (%s style, marker %r)" % (len(out), style, marker),
           file=sys.stderr)

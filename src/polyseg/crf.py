@@ -145,21 +145,106 @@ class CrfModel:
             self.trans[_L[a], _L[b]] = vec[nfeat * 4 + k]
 
 
-def _feature_ids(model: CrfModel, word: str) -> list[list[int]]:
-    """Per position of ``word``, the ids of its window features the model knows."""
+# decoding and the training table take the words of one length in chunks
+# of at most this many character positions, so their arrays stay small
+# however many words share a length
+_CHUNK_POSITIONS = 1 << 14
+
+
+def _chunks(items: list, n: int):
+    """``items`` (words of length ``n``, or their indices) in chunks."""
+    size = max(1, _CHUNK_POSITIONS // n)
+    return (items[k : k + size] for k in range(0, len(items), size))
+
+
+def _pad_offsets(model: CrfModel) -> list[int]:
+    """The offsets ``o`` of the ``(o, PAD)`` features the model knows,
+    ascending; found among the model's features, so a huge window radius
+    costs nothing here."""
+    return sorted(o for o, content in model.feat_index if content == PAD)
+
+
+def _substrings(words: list[str], max_length: int):
+    """Integer codes of the substrings of ``words``, which all have one
+    length ``n``.  For each length ``1..max_length`` gives ``(codes,
+    distinct)``: ``codes[w, a]`` numbers the substring of that length
+    starting at ``a`` in ``words[w]``, and ``distinct[code]`` is its text."""
+    count, n = len(words), len(words[0])
+    chars = np.frombuffer(
+        "".join(words).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+    ).reshape(count, n)
+    out = {}
+    key = chars
+    for length in range(1, max_length + 1):
+        if length > 1:
+            # a substring is the one a character shorter plus its last character
+            key = out[length - 1][0][:, :-1] * len(out[1][1]) + out[1][0][:, length - 1 :]
+        span = n - length + 1
+        _, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
+        w, a = np.divmod(first, span)
+        out[length] = (inverse.reshape(count, span),
+                       [words[x][y : y + length] for x, y in zip(w.tolist(), a.tolist())])
+    return out
+
+
+def _feature_slots(model: CrfModel, words: list[str], pad_offsets: list[int]) -> np.ndarray:
+    """The window feature ids of every position of ``words``, which all
+    have one length ``n``, as a ``(words * n, slots)`` array.
+
+    Row ``w * n + i`` holds the ids of ``extract_features(words[w], i,
+    model.delta)`` in that order: slots run over the character offsets
+    ascending, then over the substring lengths ``2..delta``, each with its
+    start offsets ascending.  A feature the model does not know, or a
+    substring that does not fit in the word, reads ``len(model.feat_index)``.
+    Only offsets that a word of length ``n`` can reach get a slot, plus
+    the ``(offset, PAD)`` features in ``pad_offsets`` (see
+    :func:`_pad_offsets`) farther out, which every position has.
+    """
     index, delta = model.feat_index, model.delta
-    return [
-        [index[f] for f in extract_features(word, i, delta) if f in index]
-        for i in range(len(word))
-    ]
+    unknown = len(index)
+    count, n = len(words), len(words[0])
+    reach = min(delta, n - 1)
+    specs = (
+        [(1, o) for o in pad_offsets if o < -reach]
+        + [(1, o) for o in range(-reach, reach + 1)]
+        + [(1, o) for o in pad_offsets if o > reach]
+        + [(length, r)
+           for length in range(2, min(delta, n) + 1)
+           for r in range(max(-delta, 1 - n), min(delta - length + 1, n - length) + 1)]
+    )
+    substrings = _substrings(words, min(delta, n))
+    slots = np.full((count, n, len(specs)), unknown, dtype=np.intp)
+    for k, (length, r) in enumerate(specs):
+        # positions i whose substring starts inside the word: 0 <= i + r <= n - length
+        lo = min(n, max(0, -r))
+        hi = max(lo, min(n, n - length + 1 - r))
+        if length == 1:
+            slots[:, :lo, k] = slots[:, hi:, k] = index.get((r, PAD), unknown)
+        if lo < hi:
+            codes, distinct = substrings[length]
+            ids = np.array([index.get((r, s), unknown) for s in distinct], dtype=np.intp)
+            slots[:, lo:hi, k] = ids[codes[:, lo + r : hi + r]]
+    return slots.reshape(count * n, len(specs))
+
+
+def _extended(weights: np.ndarray) -> np.ndarray:
+    """``weights`` with a zero row appended: the row of an unknown feature."""
+    return np.vstack([weights, np.zeros((1, 4))])
+
+
+def _emission_sums(extended: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Each row's emission scores: its slots' weight rows added one after
+    another in slot order, as ``weights[ids].sum(axis=0)`` adds them;
+    adding the zero row of an unknown feature changes no bit."""
+    scores = extended[slots[:, 0]]
+    for k in range(1, slots.shape[1]):
+        scores += extended[slots[:, k]]
+    return scores
 
 
 def _emission_scores(model: CrfModel, word: str) -> np.ndarray:
-    scores = np.zeros((len(word), 4))
-    for i, idxs in enumerate(_feature_ids(model, word)):
-        if idxs:
-            scores[i] = model.weights[idxs].sum(axis=0)
-    return scores
+    slots = _feature_slots(model, [word], _pad_offsets(model))
+    return _emission_sums(_extended(model.weights), slots)
 
 
 _START_MASK = np.array([0.0 if l in START_LABELS else -np.inf for l in LABELS])
@@ -214,26 +299,34 @@ def _length_groups(model: CrfModel, dataset: SegmentationDataset):
 
     Returns ``(table, groups)``.  ``table`` is a sparse (positions x
     features) count matrix over every character position, laid out group
-    by group, word by word.  Each group is ``(start, gold)``: its first row
-    in ``table`` and its ``(words, length)`` array of gold label ids.
+    by group, word by word; a row holds the position's known feature ids
+    in ``extract_features`` order.  Each group is ``(start, gold)``: its
+    first row in ``table`` and its ``(words, length)`` array of gold label
+    ids.
     """
     by_length: dict[int, list] = {}
     for word, labels in _sequences(dataset):
         by_length.setdefault(len(word), []).append((word, labels))
-    indptr, indices, groups = [0], [], []
+    unknown = len(model.feat_index)
+    pads = _pad_offsets(model)
+    # per row, the number of known ids; the leading 0 makes the cumulative
+    # sum the table's indptr
+    indices, row_sizes, groups = [np.zeros(0, dtype=np.intp)], [np.zeros(1, dtype=np.intp)], []
     start = 0
     for n in sorted(by_length):
         group = by_length[n]
-        for word, _ in group:
-            for ids in _feature_ids(model, word):
-                indices.extend(ids)
-                indptr.append(len(indices))
+        for chunk in _chunks([word for word, _ in group], n):
+            slots = _feature_slots(model, chunk, pads)
+            known = slots != unknown
+            indices.append(slots[known])
+            row_sizes.append(known.sum(axis=1))
         gold = np.array([[_L[l] for l in labels] for _, labels in group], dtype=np.intp)
         groups.append((start, gold))
         start += gold.size
+    indices = np.concatenate(indices)
     table = csr_matrix(
-        (np.ones(len(indices)), np.asarray(indices, dtype=np.intp), np.asarray(indptr)),
-        shape=(start, len(model.feat_index)),
+        (np.ones(len(indices)), indices, np.cumsum(np.concatenate(row_sizes))),
+        shape=(start, unknown),
     )
     return table, groups
 
@@ -332,30 +425,58 @@ def train_crf(
     return model
 
 
-def decode(model: CrfModel, word: str) -> SegmentedWord:
-    """Viterbi decoding; among equal-scoring sequences the lexicographically
-    first under B < E < M < S wins."""
-    if not word:
-        raise DataError("cannot decode an empty word")
-    scores = _emission_scores(model, word)
-    n = len(word)
+def _viterbi(scores: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """The best label ids of a ``(words, length, 4)`` batch of same-length
+    words; among equal-scoring sequences the lexicographically first under
+    B < E < M < S wins."""
+    count, n, _ = scores.shape
     # suffix-best values let reconstruction run front-to-back, which makes
     # the lexicographic tie-break exact
-    suffix = np.empty((n, 4))
-    suffix[-1] = scores[-1] + _FINAL_MASK
+    suffix = np.empty_like(scores)
+    suffix[:, -1] = scores[:, -1] + _FINAL_MASK
     for i in range(n - 2, -1, -1):
-        suffix[i] = scores[i] + np.max(model.trans + suffix[i + 1][None, :], axis=1)
+        suffix[:, i] = scores[:, i] + np.max(trans + suffix[:, i + 1, None, :], axis=2)
 
-    # the best label at each position after each previous label; forbidden
-    # starts and transitions are -inf in the mask and in model.trans, and
-    # argmax takes the first of equal maxima
-    best_next = np.argmax(model.trans[:, None, :] + suffix[None, 1:], axis=2).tolist()
-    j = int(np.argmax(_START_MASK + suffix[0]))
-    labels = [LABELS[j]]
+    # the best label at each position after each previous label, (words,
+    # 4, n - 1); forbidden starts and transitions are -inf in the mask and
+    # in trans, and argmax takes the first of equal maxima
+    best_next = np.argmax(trans[None, :, None, :] + suffix[:, None, 1:], axis=3)
+    labels = np.empty((count, n), dtype=np.intp)
+    labels[:, 0] = np.argmax(_START_MASK + suffix[:, 0], axis=1)
+    rows = np.arange(count)
     for i in range(n - 1):
-        j = best_next[j][i]
-        labels.append(LABELS[j])
-    return SegmentedWord(word, labels_to_morphs(word, labels), mode=SURFACE)
+        labels[:, i + 1] = best_next[rows, labels[:, i], i]
+    return labels
+
+
+def decode_words(model: CrfModel, words) -> list[SegmentedWord]:
+    """Viterbi decoding of each of ``words``, in input order; among
+    equal-scoring sequences the lexicographically first under B < E < M < S
+    wins.  Words of one length are decoded together."""
+    words = list(words)
+    by_length: dict[int, list[int]] = {}
+    for k, word in enumerate(words):
+        if not word:
+            raise DataError("cannot decode an empty word")
+        by_length.setdefault(len(word), []).append(k)
+    extended = _extended(model.weights)
+    pads = _pad_offsets(model)
+    out: list = [None] * len(words)
+    for n, members in by_length.items():
+        for chunk in _chunks(members, n):
+            group = [words[k] for k in chunk]
+            scores = _emission_sums(extended, _feature_slots(model, group, pads))
+            labels = _viterbi(scores.reshape(len(group), n, 4), model.trans)
+            for k, word, row in zip(chunk, group, labels.tolist()):
+                out[k] = SegmentedWord(
+                    word, labels_to_morphs(word, [LABELS[j] for j in row]), mode=SURFACE
+                )
+    return out
+
+
+def decode(model: CrfModel, word: str) -> SegmentedWord:
+    """Viterbi decoding of one word (see :func:`decode_words`)."""
+    return decode_words(model, [word])[0]
 
 
 # -- model files -------------------------------------------------------------
@@ -394,6 +515,8 @@ def load_model(path) -> CrfModel:
         {"features": (_feature_key, label, modelfile.finite),
          "transitions": (label, label, modelfile.finite)},
     )
+    modelfile.unique(path, rows["features"], 2, "feature row")
+    modelfile.unique(path, rows["transitions"], 2, "transition")
     feat_index: dict[tuple[int, str], int] = {}
     for _, (feat, _, _) in rows["features"]:
         feat_index.setdefault(feat, len(feat_index))

@@ -34,6 +34,19 @@ def finite(text: str) -> float:
     return value
 
 
+def unique(path, rows, width: int, what: str) -> None:
+    """Raise a ParseError naming ``path:line`` of the first of ``rows``
+    (``(line number, row)`` pairs) whose first ``width`` fields repeat an
+    earlier row's."""
+    first: dict = {}
+    for lineno, row in rows:
+        key = tuple(row[:width])
+        if key in first:
+            raise ParseError("%s:%d: repeated %s (first at line %d)"
+                             % (path, lineno, what, first[key]))
+        first[key] = lineno
+
+
 def family(path) -> str:
     """The family name that opens the header of the model file at ``path``;
     only the header line is read, as bytes, so an undecodable file reaches

@@ -840,16 +840,29 @@ def _source(text: str) -> str:
     return text if text == "<s>" else _category(text)
 
 
+def _variant(text: str) -> str:
+    if text not in (BASELINE, LMVR, FLATCAT):
+        raise ValueError("unknown variant")
+    return text
+
+
 def load_model(path) -> MorfModel:
     (variant, alpha, cap), rows = modelfile.read(
-        path, "morf", (str, modelfile.finite, int),
+        path, "morf", (_variant, modelfile.finite, int),
         {"lexicon": (str, _count), "transitions": (_source, _category, modelfile.finite),
          "emissions": (_category, str, modelfile.finite)},
         optional=1,
     )
+    modelfile.unique(path, rows["lexicon"], 1, "lexicon morph")
     lexicon = Counter(dict(row for _, row in rows["lexicon"]))
+    stray = rows["transitions"] + rows["emissions"]
+    if variant != FLATCAT and stray:
+        raise ParseError("%s:%d: a %s model has no category tables"
+                         % (path, min(lineno for lineno, _ in stray), variant))
     categories = None
     if variant == FLATCAT:
+        modelfile.unique(path, rows["transitions"], 2, "transition")
+        modelfile.unique(path, rows["emissions"], 2, "emission")
         start: dict[str, float] = {}
         trans: dict[str, dict[str, float]] = {}
         emit: dict[str, dict[str, float]] = {}

@@ -11,9 +11,11 @@ import random
 from collections import Counter
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import logsumexp
 
 from polyseg.bpe import DEFAULT_MARKER
+from polyseg.corpus import SURFACE, SegmentedWord
 from polyseg.crf import (
     ALLOWED_NEXT,
     ALLOWED_PAIRS,
@@ -23,6 +25,7 @@ from polyseg.crf import (
     START_LABELS,
     CrfModel,
     extract_features,
+    labels_to_morphs,
     morphs_to_labels,
 )
 from polyseg.errors import NumericError
@@ -192,20 +195,48 @@ _START_MASK = np.array([0.0 if l in START_LABELS else -np.inf for l in LABELS])
 _FINAL_MASK = np.array([0.0 if l in FINAL_LABELS else -np.inf for l in LABELS])
 
 
+def crf_oracle_feature_ids(model, word):
+    """Per position of ``word``, the ids of its window features the model
+    knows, in ``extract_features`` order."""
+    index = model.feat_index
+    return [
+        [index[f] for f in extract_features(word, i, model.delta) if f in index]
+        for i in range(len(word))
+    ]
+
+
 def _crf_oracle_scores(model, word):
     """Emission scores and, per position, the ids of the known features."""
-    feats = []
+    feats = crf_oracle_feature_ids(model, word)
     scores = np.zeros((len(word), 4))
-    for i in range(len(word)):
-        idxs = [
-            model.feat_index[f]
-            for f in extract_features(word, i, model.delta)
-            if f in model.feat_index
-        ]
-        feats.append(idxs)
+    for i, idxs in enumerate(feats):
         if idxs:
             scores[i] = model.weights[idxs].sum(axis=0)
     return scores, feats
+
+
+def crf_oracle_scores(model, word):
+    """Emission scores of ``word``, one position at a time."""
+    return _crf_oracle_scores(model, word)[0]
+
+
+def crf_oracle_decode(model, word):
+    """Viterbi decoding of one word, its best next labels found with the
+    suffix-best values; ties go to the lexicographically first sequence
+    under B < E < M < S."""
+    scores = crf_oracle_scores(model, word)
+    n = len(word)
+    suffix = np.empty((n, 4))
+    suffix[-1] = scores[-1] + _FINAL_MASK
+    for i in range(n - 2, -1, -1):
+        suffix[i] = scores[i] + np.max(model.trans + suffix[i + 1][None, :], axis=1)
+    best_next = np.argmax(model.trans[:, None, :] + suffix[None, 1:], axis=2).tolist()
+    j = int(np.argmax(_START_MASK + suffix[0]))
+    labels = [LABELS[j]]
+    for i in range(n - 1):
+        j = best_next[j][i]
+        labels.append(LABELS[j])
+    return SegmentedWord(word, labels_to_morphs(word, labels), mode=SURFACE)
 
 
 def _crf_oracle_forward(scores, trans):
@@ -279,6 +310,31 @@ def crf_oracle_llgrad(model, dataset):
     )
     grad -= model.l2 * packed
     return ll, grad
+
+
+def crf_oracle_length_groups(model, dataset):
+    """``crf._length_groups`` with each row's ids taken from
+    :func:`crf_oracle_feature_ids`."""
+    by_length = {}
+    for entry in dataset.entries:
+        by_length.setdefault(len(entry.surface), []).append(entry)
+    indptr, indices, groups = [0], [], []
+    start = 0
+    for n in sorted(by_length):
+        group = by_length[n]
+        for entry in group:
+            for ids in crf_oracle_feature_ids(model, entry.surface):
+                indices.extend(ids)
+                indptr.append(len(indices))
+        gold = np.array([[_L[l] for l in morphs_to_labels(e.morphs)] for e in group],
+                        dtype=np.intp)
+        groups.append((start, gold))
+        start += gold.size
+    table = csr_matrix(
+        (np.ones(len(indices)), np.asarray(indices, dtype=np.intp), np.asarray(indptr)),
+        shape=(start, len(model.feat_index)),
+    )
+    return table, groups
 
 
 def random_crf_model(data, delta=2, l2=0.0, seed=0):

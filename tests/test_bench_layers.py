@@ -42,7 +42,7 @@ TRAIN = {
 
 
 @pytest.mark.parametrize("module,attr", [
-    ("bpe", "encode"), ("morf", "viterbi_segment"), ("crf", "decode"),
+    ("bpe", "encode"), ("morf", "viterbi_segment"), ("crf", "decode_words"),
 ])
 def test_segment_word_looks_decoder_up_at_call_time(tmp_path, monkeypatch, module, attr):
     # the traced run installs its spans on these module attributes after
@@ -50,12 +50,13 @@ def test_segment_word_looks_decoder_up_at_call_time(tmp_path, monkeypatch, modul
     mod = getattr(polyseg, module)
     path = tmp_path / module
     mod.save_model(TRAIN[module](), path)
-    segment_word, _, _ = polyseg.cli._segmenter(path)
+    segment_words, _, _ = polyseg.cli._segmenter(path)
     calls = []
     real = getattr(mod, attr)
-    monkeypatch.setattr(mod, attr, lambda model, word: calls.append(word) or real(model, word))
-    segment_word("kawi")
-    assert calls == ["kawi"]
+    monkeypatch.setattr(mod, attr, lambda model, arg: calls.append(arg) or real(model, arg))
+    segment_words(["kawi"])
+    # crf's decoder takes the whole word list, bpe's and morf's one word
+    assert calls == [["kawi"] if attr == "decode_words" else "kawi"]
 
 
 def test_train_crf_calls_the_likelihood_through_its_module_attribute(monkeypatch):

@@ -87,16 +87,16 @@ class TestSegmentCache:
     @pytest.mark.parametrize("method,decoder", [
         ("bpe", (bpe, "encode")),
         ("morfessor", (morf, "viterbi_segment")),
-        ("crf", (crf, "decode")),
+        ("crf", (crf, "decode_words")),
     ])
     def test_each_distinct_word_decoded_once(self, trained_models, monkeypatch, tmp_path,
                                              method, decoder):
         d, _ = trained_models
         model = str(d / method)
         text = _write(tmp_path / "text.txt", "kawi suta kawi\nkawi\n\nwisu suta kawi tawi\n")
-        segment_word, style, marker = cli._segmenter(model)
+        segment_words, style, marker = cli._segmenter(model)
         expected = "".join(
-            render_segmented([segment_word(tok) for tok in line.split()], style, marker) + "\n"
+            render_segmented(segment_words(line.split()), style, marker) + "\n"
             for line in open(text, encoding="utf-8").read().splitlines())
 
         module, attr = decoder
@@ -106,8 +106,15 @@ class TestSegmentCache:
         def counting_segmenter(path):
             found = real_segmenter(path)
             real = getattr(module, attr)
-            monkeypatch.setattr(module, attr,
-                                lambda model, word: calls.append(word) or real(model, word))
+            if attr == "decode_words":  # one call for the whole list
+                def counting(model, words):
+                    calls.extend(words)
+                    return real(model, words)
+            else:
+                def counting(model, word):
+                    calls.append(word)
+                    return real(model, word)
+            monkeypatch.setattr(module, attr, counting)
             return found
 
         monkeypatch.setattr(cli, "_segmenter", counting_segmenter)
@@ -325,6 +332,8 @@ class TestExitCodes:
         pytest.param("<s>\tPRE", "<s>\tSUF", 5, id="start-with-a-suffix"),
         pytest.param("PRE\tSTM", "PRE\tSUF", 7, id="transition-not-allowed"),
         pytest.param("<s>\tSTM\t-0.7\n", "", 5, id="no-final-start-category"),
+        pytest.param("STM\tSTM\t-0.7", "STM\tSUF\t-0.2", 9, id="repeated-transition"),
+        pytest.param("STM\twi\t-0.7", "STM\tka\t-0.3", 13, id="repeated-emission"),
     ])
     def test_hostile_morf_model_is_3_naming_the_line(self, tmp_path, corpus_file, capsys,
                                                       old, new, line):
@@ -374,6 +383,17 @@ class TestMalformedModelFiles:
         pytest.param("", 1, id="empty-file"),
         pytest.param("lzw v1 30\n", 1, id="unknown-family"),
         pytest.param("crf v1 0 0.01\n0:k\tB\t0.5\ntransitions:\n", 1, id="crf-delta-zero"),
+        pytest.param("morf v1 flatkat 1.0\nka\t3\n", 1, id="unknown-morf-variant"),
+        pytest.param("morf v1 baseline 1.0\nka\t3\nwi\t2\nka\t5\n", 4,
+                     id="repeated-lexicon-morph"),
+        pytest.param("morf v1 baseline 1.0\nka\t3\ntransitions:\n<s>\tSTM\t0.0\n", 4,
+                     id="baseline-with-transition-rows"),
+        pytest.param("morf v1 lmvr 1.0 12\nka\t3\nemissions:\nSTM\tka\t0.0\n", 4,
+                     id="lmvr-with-emission-rows"),
+        pytest.param("crf v1 2 0.01\n0:k\tB\t0.5\n1:a\tB\t0.1\n0:k\tB\t0.7\n"
+                     "transitions:\n", 4, id="repeated-crf-feature-row"),
+        pytest.param("crf v1 2 0.01\n0:k\tB\t0.5\ntransitions:\nB\tE\t0.1\nE\tB\t0.0\n"
+                     "B\tE\t0.3\n", 6, id="repeated-crf-transition"),
         pytest.param("morf v1 flatcat 1.0\nka\t3\nwi\t2\n", 1,
                      id="flatcat-cut-before-transitions"),
         pytest.param("morf v1 flatcat 1.0\nka\t3\nwi\t2\ntransitions:\nSTM\tSUF\t-0.5\n",

@@ -1,5 +1,8 @@
+import importlib.util
 import math
 import random
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from polyseg import crf
+from polyseg.cli import main, render_segmented
 from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWord
 from polyseg.crf import (
     LABELS,
     PAD,
     BmesSequence,
     CrfModel,
+    _emission_sums,
+    _extended,
+    _feature_slots,
     _logsumexp,
+    _pad_offsets,
     decode,
+    decode_words,
     extract_features,
     labels_to_morphs,
     load_model,
@@ -26,9 +36,13 @@ from polyseg.crf import (
 )
 from polyseg.errors import ConfigError, DataError, ParseError, UnsupportedModeError
 from oracles import (
+    crf_oracle_decode,
+    crf_oracle_feature_ids,
     crf_oracle_features,
+    crf_oracle_length_groups,
     crf_oracle_llgrad,
     crf_oracle_marginals,
+    crf_oracle_scores,
     crf_sequence_score,
     random_crf_model,
     valid_bmes_sequences,
@@ -275,13 +289,154 @@ class TestDecode:
         model.weights = np.array([[rng.choice((-1.0, 0.0, 1.0)) for _ in LABELS]
                                   for _ in model.feat_index])
         model.trans[np.isfinite(model.trans)] = [rng.choice((0.0, 0.5)) for _ in range(8)]
-        for _ in range(60):
-            word = "".join(rng.choice("kawisu") for _ in range(rng.randint(1, 7)))
+        words = ["".join(rng.choice("kawisu") for _ in range(rng.randint(1, 7)))
+                 for _ in range(60)]
+        batch = decode_words(model, words)  # one call, mixed lengths
+        for word, got in zip(words, batch):
             scored = [(crf_sequence_score(model, word, seq), seq)
                       for seq in valid_bmes_sequences(len(word))]
             best = max(score for score, _ in scored)
             expected = min(seq for score, seq in scored if score == best)
+            assert morphs_to_labels(got.morphs) == expected
             assert morphs_to_labels(decode(model, word).morphs) == expected
+
+
+PROBES = st.lists(st.text(alphabet="abkz", min_size=1, max_size=14), max_size=8)
+
+
+def _model_knowing(words, delta, keep, seed, grid=False):
+    """A model that knows a random share ``keep`` of the window features
+    of ``words``, with random weights and transitions; on a coarse grid
+    when ``grid``, so that equal scores are common."""
+    rng = random.Random(seed)
+    feats = sorted({f for w in words for i in range(len(w))
+                    for f in extract_features(w, i, delta)})
+    kept = [f for f in feats if rng.random() < keep]
+    model = CrfModel.zeros(delta, 0.0, {f: k for k, f in enumerate(kept)})
+    size = model.packed().size
+    if grid:
+        model.set_packed(np.array([rng.choice((-1.0, 0.0, 0.5, 1.0)) for _ in range(size)]))
+    else:
+        model.set_packed(np.random.default_rng(seed).uniform(-5.0, 5.0, size))
+    return model
+
+
+class TestFastPathMatchesOracle:
+    """The slot table, emission scores, batched Viterbi and training table
+    against the per-word oracles."""
+
+    @given(train=st.lists(st.text(alphabet="abk", min_size=1, max_size=14), min_size=1,
+                          max_size=6),
+           probes=PROBES, delta=st.integers(1, 5), keep=st.sampled_from((1.0, 0.6)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_slots_and_emission_scores(self, train, probes, delta, keep, seed):
+        model = _model_knowing(train, delta, keep, seed)
+        unknown = len(model.feat_index)
+        pads = _pad_offsets(model)
+        words = train + probes
+        for n in sorted(set(map(len, words))):
+            group = [w for w in words if len(w) == n]
+            slots = _feature_slots(model, group, pads)
+            scores = _emission_sums(_extended(model.weights), slots)
+            for k, word in enumerate(group):
+                rows = slots[k * n : (k + 1) * n].tolist()
+                assert [[i for i in row if i != unknown] for row in rows] == \
+                    crf_oracle_feature_ids(model, word)
+                # bitwise: the same additions in the same order
+                assert scores[k * n : (k + 1) * n].tobytes() == \
+                    crf_oracle_scores(model, word).tobytes()
+
+    @given(train=st.lists(st.text(alphabet="abk", min_size=1, max_size=10), min_size=1,
+                          max_size=6),
+           probes=PROBES, delta=st.integers(1, 5), grid=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_decode_words(self, train, probes, delta, grid, seed):
+        model = _model_knowing(train, delta, 0.8, seed, grid=grid)
+        rng = random.Random(seed)
+        long = "".join(rng.choice("abk") for _ in range(2 * delta + 2 + rng.randint(0, 6)))
+        # length-1 words, an unseen character, words longer than the
+        # window, and repeats
+        words = probes + ["a", "z", long, "zz" + long] + train + probes[:2] + train[:1]
+        assert decode_words(model, words) == [crf_oracle_decode(model, w) for w in words]
+        assert decode_words(model, []) == []
+
+    def test_chunks_of_a_length_group(self, monkeypatch):
+        # chunks of at most 8 positions: one to eight words each, and a
+        # word longer than that alone
+        monkeypatch.setattr(crf, "_CHUNK_POSITIONS", 8)
+        model = random_crf_model(TOY, delta=2, seed=11)
+        rng = random.Random(12)
+        words = ["".join(rng.choice("kawisu") for _ in range(rng.randint(1, 10)))
+                 for _ in range(80)]
+        assert decode_words(model, words) == [crf_oracle_decode(model, w) for w in words]
+        data = dataset(*[(w,) for w in words])
+        table, groups = crf._length_groups(model, data)
+        want_table, want_groups = crf_oracle_length_groups(model, data)
+        assert (table != want_table).nnz == 0
+        assert np.array_equal(table.indices, want_table.indices)
+        assert [(s, g.tolist()) for s, g in groups] == \
+            [(s, g.tolist()) for s, g in want_groups]
+
+    def test_huge_window_radius(self):
+        # words no longer than 12 characters see the same known features at
+        # radius 12 and at radius 10**9, whose window the oracle could not walk
+        small = random_crf_model(TOY, delta=12, seed=13)
+        huge = CrfModel.zeros(10**9, 0.0, small.feat_index)
+        huge.set_packed(small.packed())
+        rng = random.Random(14)
+        words = ["".join(rng.choice("kawisu") for _ in range(rng.randint(1, 12)))
+                 for _ in range(40)]
+        start = time.perf_counter()
+        got = decode_words(huge, words)
+        assert time.perf_counter() - start < 1.0
+        assert got == [crf_oracle_decode(small, w) for w in words]
+
+    def test_empty_word_rejected(self):
+        model = random_crf_model(TOY, delta=2, seed=5)
+        with pytest.raises(DataError):
+            decode_words(model, ["kawi", ""])
+
+    def test_training_matches_the_oracle_table(self, monkeypatch, tmp_path):
+        data = dataset(("p",), ("ka", "wi"), ("ka", "su"), ("ta", "ka", "wi"), ("p", "iwe"),
+                       ("mi", "su", "ta", "ka", "wi", "su"), ("wi",), ("su", "ta"))
+        fast = train_crf(data, delta=3, l2=0.01, max_iters=20)
+        save_model(fast, tmp_path / "fast.crf")
+        monkeypatch.setattr(crf, "_length_groups", crf_oracle_length_groups)
+        slow = train_crf(data, delta=3, l2=0.01, max_iters=20)
+        save_model(slow, tmp_path / "slow.crf")
+        assert fast.objective_history == slow.objective_history
+        assert fast.packed().tobytes() == slow.packed().tobytes()
+        assert (tmp_path / "fast.crf").read_bytes() == (tmp_path / "slow.crf").read_bytes()
+
+
+GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+
+def test_bench_words_segment_like_the_oracle(tmp_path):
+    # the crf-sup benchmark's inputs for one seed, trained as the
+    # benchmark trains; the CLI output must be the per-word oracle's
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.gen_crf_sup(str(tmp_path), 1001)
+    model = str(tmp_path / "model.crf")
+    assert main(["train", "--method", "crf", "--max-iters", "8",
+                 "--input", str(tmp_path / "train.tsv"), "--model", model]) == 0
+    loaded = load_model(model)
+    pieces = {}
+    for name in ("text.txt", "gold_words.txt"):
+        out = tmp_path / (name + ".seg")
+        assert main(["segment", "--model", model, "--input", str(tmp_path / name),
+                     "--output", str(out)]) == 0
+        want = []
+        for line in (tmp_path / name).read_text(encoding="utf-8").splitlines():
+            for tok in line.split():
+                if tok not in pieces:
+                    pieces[tok] = list(crf_oracle_decode(loaded, tok).morphs)
+            want.append(render_segmented([pieces[tok] for tok in line.split()], "cont", "@@"))
+        assert out.read_bytes() == "".join(line + "\n" for line in want).encode("utf-8")
 
 
 class TestModelFile:
