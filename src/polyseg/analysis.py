@@ -44,19 +44,24 @@ def richness_table(
     probe_model: MorfModel, sentences, per_sentence_scores
 ) -> list[RichnessRecord]:
     """Per-sentence morphs-per-token under the probe segmenter, paired with
-    that sentence's score and sorted by richness."""
+    that sentence's score and sorted by richness.  Each distinct token is
+    segmented once per call."""
     sentences = list(sentences)
     scores = list(per_sentence_scores)
     if len(sentences) != len(scores):
         raise AlignmentError(
             "scores not aligned with sentences: %d vs %d" % (len(scores), len(sentences))
         )
+    n_morphs = {}  # token -> its morph count under the probe segmenter
     records = []
     for idx, (sent, score) in enumerate(zip(sentences, scores)):
         tokens = sent.tokens if hasattr(sent, "tokens") else sent
         if not tokens:
             raise DataError("line %d: sentence has no tokens" % (idx + 1,))
-        morphs = sum(len(viterbi_segment(probe_model, tok)) for tok in tokens)
+        for tok in tokens:
+            if tok not in n_morphs:
+                n_morphs[tok] = len(viterbi_segment(probe_model, tok))
+        morphs = sum(n_morphs[tok] for tok in tokens)
         records.append(RichnessRecord(idx, morphs / len(tokens), float(score)))
     return sorted(records, key=lambda r: (r.morphs_per_token, r.index))
 

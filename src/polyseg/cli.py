@@ -242,11 +242,8 @@ def _cmd_signif(args) -> int:
     sys_a = corpus.read_lines(args.sys_a)
     sys_b = corpus.read_lines(args.sys_b)
     refs = corpus.read_lines(args.ref)
-    report_a = metrics.metric_report(args.metric, sys_a, refs)
-    report_b = metrics.metric_report(args.metric, sys_b, refs)
-    p = metrics.paired_randomization_test(
-        sys_a, sys_b, refs, metric=args.metric, trials=args.trials, seed=args.seed
-    )
+    report_a, report_b = metrics.metric_reports(args.metric, [sys_a, sys_b], refs)
+    p = metrics.randomization_p(report_a, report_b, trials=args.trials, seed=args.seed)
     _emit(args.out, _table(
         args, ("metric", "score_a", "score_b", "delta", "p_value", "trials",
                "seed", "classification", "signature"),

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -44,6 +45,9 @@ class ScoreReport:
     score: float
     sentence_scores: tuple[float, ...]
     signature: str
+    # per-sentence sufficient statistics, (sentences, width): what the
+    # corpus score sums and what randomization_p resamples
+    stats: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 # -- segmentation metrics ------------------------------------------------------
@@ -132,55 +136,111 @@ def emma_f1(pred: SegmentationDataset, gold: SegmentationDataset) -> SegScore:
 
 # -- 13a tokenization ----------------------------------------------------------
 
+_13A_REPLACEMENTS = (
+    ("<skipped>", ""),
+    ("-\n", ""),
+    ("\n", " "),
+    ("&quot;", '"'),
+    ("&amp;", "&"),
+    ("&lt;", "<"),
+    ("&gt;", ">"),
+)
+_13A_RULES = tuple(
+    (re.compile(pattern), replacement)
+    for pattern, replacement in (
+        (r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", " \\1 "),
+        (r"([^0-9])([\.,])", "\\1 \\2 "),
+        (r"([\.,])([^0-9])", " \\1 \\2"),
+        (r"([0-9])(-)", "\\1 \\2 "),
+        (r"\s+", " "),
+        (r"^\s+", ""),
+        (r"\s+$", ""),
+    )
+)
+_WHITESPACE = re.compile(r"\s+")
+
 
 def tokenize_13a(line: str) -> str:
     """Minimal tokenization equivalent to the WMT mteval-v13a rule set."""
     norm = line
-    norm = norm.replace("<skipped>", "")
-    norm = norm.replace("-\n", "")
-    norm = norm.replace("\n", " ")
-    norm = norm.replace("&quot;", '"')
-    norm = norm.replace("&amp;", "&")
-    norm = norm.replace("&lt;", "<")
-    norm = norm.replace("&gt;", ">")
-
+    for old, new in _13A_REPLACEMENTS:
+        norm = norm.replace(old, new)
     norm = " {} ".format(norm)
-    norm = re.sub(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", " \\1 ", norm)
-    norm = re.sub(r"([^0-9])([\.,])", "\\1 \\2 ", norm)
-    norm = re.sub(r"([\.,])([^0-9])", " \\1 \\2", norm)
-    norm = re.sub(r"([0-9])(-)", "\\1 \\2 ", norm)
-    norm = re.sub(r"\s+", " ", norm)
-    norm = re.sub(r"^\s+", "", norm)
-    norm = re.sub(r"\s+$", "", norm)
+    for pattern, replacement in _13A_RULES:
+        norm = pattern.sub(replacement, norm)
     return norm
 
 
+# -- per-sentence sufficient statistics ---------------------------------------
+#
+# Each line is read once into its symbols: its 13a tokens for BLEU, its
+# characters without whitespace for chrF.  The n-grams of every line of every
+# input are then counted and matched at once, on integer arrays, so a
+# reference shared by several systems is tokenized and counted once.
+
+
+def _clipped_matches(refs: list, systems: list[list], max_order: int) -> list[np.ndarray]:
+    """For each system, a (sentences, max_order) array whose entry (i, n-1)
+    counts the system's n-grams in sentence i that reference i also has,
+    each at most as often as the reference has it.  ``refs`` and every
+    system are lists of symbol sequences, one per sentence."""
+    n_sent = len(refs)
+    seqs = refs + [seq for hyps in systems for seq in hyps]
+    vocab: dict = {}
+    codes = np.array([vocab.setdefault(sym, len(vocab)) for seq in seqs for sym in seq],
+                     dtype=np.int64)
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    # input k's sentence i is line k * n_sent + i (the references are input 0)
+    line = np.repeat(np.arange(len(seqs)), lengths)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))  # symbols to line end
+    at, gram = np.arange(len(codes)), codes  # where each n-gram starts, and its id
+    matches = [np.zeros((n_sent, max_order)) for _ in systems]
+    for n in range(max_order):
+        if n:
+            # extend every n-gram with room by its next symbol; equal
+            # (n+1)-grams get equal ids, on every input
+            keep = room[at] > n
+            at = at[keep]
+            gram = np.unique(gram[keep] * len(vocab) + codes[at + n], return_inverse=True)[1]
+        width = len(at) + 1
+        keys, counts = np.unique(line[at] * width + gram, return_counts=True)
+        bounds = np.searchsorted(keys, np.arange(len(systems) + 2) * n_sent * width)
+        ref_keys = np.append(keys[: bounds[1]], -1)  # -1 matches no key past the last one
+        ref_counts = counts[: bounds[1]]
+        for k, out in enumerate(matches, 1):
+            sys_keys = keys[bounds[k] : bounds[k + 1]] - k * n_sent * width
+            sys_counts = counts[bounds[k] : bounds[k + 1]]
+            idx = np.searchsorted(ref_keys[:-1], sys_keys)
+            found = ref_keys[idx] == sys_keys
+            clipped = np.minimum(sys_counts[found], ref_counts[idx[found]])
+            out[:, n] = np.bincount(sys_keys[found] // width, weights=clipped, minlength=n_sent)
+    return matches
+
+
+def _bleu_symbols(line: str) -> list[str]:
+    return tokenize_13a(line.rstrip()).split()
+
+
+def _bleu_rows(matches: np.ndarray, hyp_len: np.ndarray, ref_len: np.ndarray) -> np.ndarray:
+    """[correct_1..4, total_1..4, hyp_len, ref_len] per sentence pair."""
+    totals = np.maximum(hyp_len[:, None] - np.arange(BLEU_ORDER), 0)
+    return np.column_stack([matches, totals, hyp_len, ref_len])
+
+
+def _chrf_symbols(line: str) -> str:
+    return _WHITESPACE.sub("", line)
+
+
+def _chrf_rows(matches: np.ndarray, hyp_len: np.ndarray, ref_len: np.ndarray) -> np.ndarray:
+    """[hyp_ngrams, ref_ngrams, matched] for each order 1..6 per sentence
+    pair, whitespace removed from both sides."""
+    orders = np.arange(CHRF_ORDER)
+    hyp_n = np.maximum(hyp_len[:, None] - orders, 0)
+    ref_n = np.maximum(ref_len[:, None] - orders, 0)
+    return np.stack([hyp_n, ref_n, matches], axis=2).reshape(len(matches), 3 * CHRF_ORDER)
+
+
 # -- BLEU ----------------------------------------------------------------------
-
-
-def _ngram_counts(tokens: list[str], max_order: int) -> Counter:
-    counts = Counter()
-    for n in range(1, max_order + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i : i + n])] += 1
-    return counts
-
-
-def bleu_sentence_stats(hyp: str, ref: str) -> np.ndarray:
-    """Sufficient statistics of one sentence pair:
-    [correct_1..4, total_1..4, hyp_len, ref_len] after 13a tokenization."""
-    hyp_toks = tokenize_13a(hyp.rstrip()).split()
-    ref_toks = tokenize_13a(ref.rstrip()).split()
-    stats = np.zeros(2 * BLEU_ORDER + 2)
-    hyp_ngrams = _ngram_counts(hyp_toks, BLEU_ORDER)
-    ref_ngrams = _ngram_counts(ref_toks, BLEU_ORDER)
-    for ngram, cnt in hyp_ngrams.items():
-        n = len(ngram)
-        stats[n - 1] += min(cnt, ref_ngrams.get(ngram, 0))
-        stats[BLEU_ORDER + n - 1] += cnt
-    stats[-2] = len(hyp_toks)
-    stats[-1] = len(ref_toks)
-    return stats
 
 
 def bleu_score_from_stats(stats: np.ndarray) -> np.ndarray:
@@ -230,25 +290,6 @@ def bleu(hyps: list[str], refs: list[str]) -> ScoreReport:
 # -- chrF ----------------------------------------------------------------------
 
 
-def _char_ngrams(s: str, n: int) -> Counter:
-    return Counter(s[i : i + n] for i in range(len(s) - n + 1))
-
-
-def chrf_sentence_stats(hyp: str, ref: str) -> np.ndarray:
-    """[hyp_ngrams, ref_ngrams, matched] for each order 1..6, whitespace
-    removed from both sides first."""
-    hyp = re.sub(r"\s+", "", hyp)
-    ref = re.sub(r"\s+", "", ref)
-    stats = np.zeros(3 * CHRF_ORDER)
-    for i in range(CHRF_ORDER):
-        hc = _char_ngrams(hyp, i + 1)
-        rc = _char_ngrams(ref, i + 1)
-        stats[3 * i] = sum(hc.values())
-        stats[3 * i + 1] = sum(rc.values())
-        stats[3 * i + 2] = sum((hc & rc).values())
-    return stats
-
-
 def chrf_score_from_stats(stats: np.ndarray) -> np.ndarray:
     """chrF (0-100) from (possibly batched) summed statistics; precision and
     recall average over orders present on both sides, F weighs recall by
@@ -275,40 +316,125 @@ def chrf(hyps: list[str], refs: list[str]) -> ScoreReport:
     return metric_report("chrf", hyps, refs)
 
 
+class _Metric(NamedTuple):
+    symbols: Callable  # line -> the sequence its n-grams are taken from
+    rows: Callable  # (clipped matches, hyp lengths, ref lengths) -> statistics
+    score: Callable  # summed statistics, batched -> scores
+    signature: str
+    order: int  # longest n-gram
+
+
 _METRICS = {
-    "bleu": (bleu_sentence_stats, bleu_score_from_stats, BLEU_SIGNATURE),
-    "chrf": (chrf_sentence_stats, chrf_score_from_stats, CHRF_SIGNATURE),
+    "bleu": _Metric(_bleu_symbols, _bleu_rows, bleu_score_from_stats, BLEU_SIGNATURE,
+                    BLEU_ORDER),
+    "chrf": _Metric(_chrf_symbols, _chrf_rows, chrf_score_from_stats, CHRF_SIGNATURE,
+                    CHRF_ORDER),
 }
 
 
-def _sentence_stats(metric: str, hyps: list[str], refs: list[str]) -> np.ndarray:
-    """``metric``'s sufficient statistics of each sentence pair, as a
-    (sentences, width) array; no sentences give zero rows of that width."""
+def _sentence_stats(metric: str, systems: list[list[str]], refs: list[str]) -> list[np.ndarray]:
+    """``metric``'s sufficient statistics of each system's sentence pairs,
+    one (sentences, width) float array per system; no sentences give zero
+    rows.  Each reference line is tokenized and counted once for all
+    systems."""
     if metric not in _METRICS:
         raise ConfigError("unknown MT metric %r" % (metric,))
-    if len(hyps) != len(refs):
-        raise AlignmentError(
-            "hypothesis/reference length mismatch: %d vs %d" % (len(hyps), len(refs))
+    for hyps in systems:
+        if len(hyps) != len(refs):
+            raise AlignmentError(
+                "hypothesis/reference length mismatch: %d vs %d" % (len(hyps), len(refs))
+            )
+    m = _METRICS[metric]
+    ref_symbols = [m.symbols(ref) for ref in refs]
+    hyp_symbols = [[m.symbols(hyp) for hyp in hyps] for hyps in systems]
+    ref_len = np.array([len(seq) for seq in ref_symbols], dtype=float)
+    return [
+        m.rows(matches, np.array([len(seq) for seq in seqs], dtype=float), ref_len)
+        for matches, seqs in zip(_clipped_matches(ref_symbols, hyp_symbols, m.order), hyp_symbols)
+    ]
+
+
+def metric_reports(metric: str, systems: list[list[str]], refs: list[str]) -> list[ScoreReport]:
+    """One :func:`metric_report` per system against the same references,
+    which are read once for all of them."""
+    all_stats = _sentence_stats(metric, systems, refs)
+    m = _METRICS[metric]
+    return [
+        ScoreReport(
+            metric=metric,
+            score=float(m.score(stats.sum(axis=0))[0]),
+            sentence_scores=tuple(float(x) for x in m.score(stats)),
+            signature=m.signature,
+            stats=stats,
         )
-    sentence_stats = _METRICS[metric][0]
-    width = len(sentence_stats("", ""))
-    return np.array([sentence_stats(h, r) for h, r in zip(hyps, refs)]).reshape(-1, width)
+        for stats in all_stats
+    ]
 
 
 def metric_report(metric: str, hyps: list[str], refs: list[str]) -> ScoreReport:
     """Corpus score of ``metric`` with per-sentence scores from the same
     formula; the corpus score sums the sentences' sufficient statistics."""
-    stats = _sentence_stats(metric, hyps, refs)
-    _, score_fn, signature = _METRICS[metric]
-    return ScoreReport(
-        metric=metric,
-        score=float(score_fn(stats.sum(axis=0))[0]),
-        sentence_scores=tuple(float(x) for x in score_fn(stats)),
-        signature=signature,
-    )
+    return metric_reports(metric, [hyps], refs)[0]
 
 
 # -- paired approximate randomization ------------------------------------------
+
+_TRIAL_BLOCK = 1000  # flip patterns drawn and scored at a time
+
+
+def randomization_p(
+    report_a: ScoreReport, report_b: ScoreReport, trials: int = 10000, seed: int = 1917
+) -> float:
+    """Two-sided sign-flip randomization p-value for the corpus-level
+    difference between two reports of one metric on the same references.
+
+    Each trial swaps both systems' outputs on a random subset of sentences
+    and recomputes both corpus scores from the reports' per-sentence
+    sufficient statistics (not from averaged sentence scores); the p-value
+    is ``(1 + #{|delta_trial| >= |delta_observed|}) / (1 + trials)`` and is
+    deterministic for a fixed seed.  When every flip pattern fits within
+    the trial budget (2^sentences <= trials) the null distribution is
+    enumerated exactly instead of sampled; the observed arrangement then
+    plays the role of the +1 term.  Patterns are drawn and scored
+    ``_TRIAL_BLOCK`` at a time from one random stream, so memory stays
+    bounded and the p-value does not depend on the block size: the
+    statistics are integer counts, whose sums are exact in any order.
+    """
+    if trials < 1:
+        raise ConfigError("trials must be positive")
+    if report_a.metric != report_b.metric or report_a.stats is None or report_b.stats is None:
+        raise ConfigError("randomization needs two reports of one metric with their statistics")
+    if len(report_a.stats) != len(report_b.stats):
+        raise AlignmentError(
+            "reports differ in length: %d vs %d" % (len(report_a.stats), len(report_b.stats))
+        )
+    score_fn = _METRICS[report_a.metric].score
+    sum_a = report_a.stats.sum(axis=0)
+    sum_b = report_b.stats.sum(axis=0)
+    delta_obs = abs(float(score_fn(sum_a)[0] - score_fn(sum_b)[0]))
+    diff = report_b.stats - report_a.stats  # adding this to A's stats swaps a sentence
+
+    n = len(diff)
+    if n <= 20 and 2**n <= trials:
+        total, observed = 2**n, 0  # the identity pattern is part of the enumeration
+        bits = np.arange(n)
+        blocks = (
+            (np.arange(lo, min(lo + _TRIAL_BLOCK, total))[:, None] >> bits) & 1 == 1
+            for lo in range(0, total, _TRIAL_BLOCK)
+        )
+    else:
+        total, observed = trials, 1
+        rng = np.random.default_rng(seed)
+        blocks = (
+            rng.random((min(_TRIAL_BLOCK, trials - lo), n)) < 0.5
+            for lo in range(0, trials, _TRIAL_BLOCK)
+        )
+    exceed = 0
+    for flips in blocks:
+        shift = flips @ diff
+        deltas = score_fn(sum_a + shift) - score_fn(sum_b - shift)
+        exceed += int(np.count_nonzero(np.abs(deltas) >= delta_obs))
+    return (observed + exceed) / (observed + total)
 
 
 def paired_randomization_test(
@@ -319,45 +445,12 @@ def paired_randomization_test(
     trials: int = 10000,
     seed: int = 1917,
 ) -> float:
-    """Two-sided sign-flip randomization p-value for a corpus-level metric
-    difference.
-
-    Each trial swaps both systems' outputs on a random subset of sentences
-    and recomputes both corpus scores from per-sentence sufficient
-    statistics (not from averaged sentence scores); the p-value is
-    ``(1 + #{|delta_trial| >= |delta_observed|}) / (1 + trials)`` and is
-    deterministic for a fixed seed.  When every flip pattern fits within
-    the trial budget (2^sentences <= trials) the null distribution is
-    enumerated exactly instead of sampled; the observed arrangement then
-    plays the role of the +1 term.
-    """
+    """:func:`randomization_p` of the two systems' ``metric`` reports
+    against ``refs``."""
     if trials < 1:
         raise ConfigError("trials must be positive")
-    stats_a = _sentence_stats(metric, sys_a, refs)
-    stats_b = _sentence_stats(metric, sys_b, refs)
-    score_fn = _METRICS[metric][1]
-
-    sum_a = stats_a.sum(axis=0)
-    sum_b = stats_b.sum(axis=0)
-    delta_obs = float(score_fn(sum_a)[0] - score_fn(sum_b)[0])
-
-    n = len(refs)
-    if n <= 20 and 2**n <= trials:
-        patterns = np.arange(2**n)
-        flips = (patterns[:, None] >> np.arange(n)[None, :]) & 1 == 1
-        denominator = 2**n
-        numerator_base = 0  # the identity pattern is part of the enumeration
-    else:
-        rng = np.random.default_rng(seed)
-        flips = rng.random((trials, n)) < 0.5
-        denominator = 1 + trials
-        numerator_base = 1
-    diff = stats_b - stats_a  # adding this to A's stats swaps a sentence
-    trial_a = sum_a[None, :] + flips @ diff
-    trial_b = sum_b[None, :] - flips @ diff
-    deltas = score_fn(trial_a) - score_fn(trial_b)
-    exceed = int(np.sum(np.abs(deltas) >= abs(delta_obs)))
-    return (numerator_base + exceed) / denominator
+    report_a, report_b = metric_reports(metric, [sys_a, sys_b], refs)
+    return randomization_p(report_a, report_b, trials, seed)
 
 
 def significance_mark(p_value: float, threshold: float = 0.05) -> str:

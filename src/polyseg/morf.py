@@ -830,6 +830,22 @@ def _count(text: str) -> int:
     return value
 
 
+# The largest magnitude a flatcat alpha or log-probability may have.  A path
+# through an n-character word has at most n morphs, each adding a start or
+# transition term and an emission or unseen cost (alpha * (k + 1) *
+# log(alphabet + 1) + log(total + 1) for k characters), so its cost stays
+# below ~30 * 1e100 * n + n * log(total + 1): finite for any word that fits
+# in memory.  A larger value can make every path cost inf.
+_MAX_MAGNITUDE = 1e100
+
+
+def _bounded(text: str) -> float:
+    value = modelfile.finite(text)
+    if abs(value) > _MAX_MAGNITUDE:
+        raise ValueError("magnitude above %g" % (_MAX_MAGNITUDE,))
+    return value
+
+
 def _category(text: str) -> str:
     if text not in CATEGORIES:
         raise ValueError("unknown category")
@@ -849,8 +865,8 @@ def _variant(text: str) -> str:
 def load_model(path) -> MorfModel:
     (variant, alpha, cap), rows = modelfile.read(
         path, "morf", (_variant, modelfile.finite, int),
-        {"lexicon": (str, _count), "transitions": (_source, _category, modelfile.finite),
-         "emissions": (_category, str, modelfile.finite)},
+        {"lexicon": (str, _count), "transitions": (_source, _category, _bounded),
+         "emissions": (_category, str, _bounded)},
         optional=1,
     )
     modelfile.unique(path, rows["lexicon"], 1, "lexicon morph")
@@ -861,6 +877,9 @@ def load_model(path) -> MorfModel:
                          % (path, min(lineno for lineno, _ in stray), variant))
     categories = None
     if variant == FLATCAT:
+        if abs(alpha) > _MAX_MAGNITUDE:
+            raise ParseError("%s:1: flatcat alpha %r is above %g in magnitude"
+                             % (path, alpha, _MAX_MAGNITUDE))
         modelfile.unique(path, rows["transitions"], 2, "transition")
         modelfile.unique(path, rows["emissions"], 2, "emission")
         start: dict[str, float] = {}

@@ -8,9 +8,11 @@ library's incremental/DP code paths.
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.special import logsumexp
 
@@ -29,6 +31,12 @@ from polyseg.crf import (
     morphs_to_labels,
 )
 from polyseg.errors import NumericError
+from polyseg.metrics import (
+    BLEU_ORDER,
+    CHRF_ORDER,
+    bleu_score_from_stats,
+    chrf_score_from_stats,
+)
 from polyseg.morf import ALLOWED_NEXT as CAT_NEXT
 from polyseg.morf import (
     CATEGORIES,
@@ -576,3 +584,142 @@ def random_emma_instance(rng):
             and len({m for ms in golds for m in ms}) <= 6
         ):
             return surfaces, preds, golds
+
+
+# -- MT metrics ------------------------------------------------------------------
+
+
+def mt_oracle_tokenize_13a(line):
+    """The mteval-v13a rules applied one uncompiled substitution at a time."""
+    norm = line
+    norm = norm.replace("<skipped>", "")
+    norm = norm.replace("-\n", "")
+    norm = norm.replace("\n", " ")
+    norm = norm.replace("&quot;", '"')
+    norm = norm.replace("&amp;", "&")
+    norm = norm.replace("&lt;", "<")
+    norm = norm.replace("&gt;", ">")
+
+    norm = " {} ".format(norm)
+    norm = re.sub(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", " \\1 ", norm)
+    norm = re.sub(r"([^0-9])([\.,])", "\\1 \\2 ", norm)
+    norm = re.sub(r"([\.,])([^0-9])", " \\1 \\2", norm)
+    norm = re.sub(r"([0-9])(-)", "\\1 \\2 ", norm)
+    norm = re.sub(r"\s+", " ", norm)
+    norm = re.sub(r"^\s+", "", norm)
+    norm = re.sub(r"\s+$", "", norm)
+    return norm
+
+
+def _mt_oracle_ngrams(tokens, max_order):
+    counts = Counter()
+    for n in range(1, max_order + 1):
+        for i in range(len(tokens) - n + 1):
+            counts[tuple(tokens[i : i + n])] += 1
+    return counts
+
+
+def bleu_oracle_sentence_stats(hyp, ref):
+    """[correct_1..4, total_1..4, hyp_len, ref_len] of one sentence pair,
+    tokenizing and counting both sides afresh."""
+    hyp_toks = mt_oracle_tokenize_13a(hyp.rstrip()).split()
+    ref_toks = mt_oracle_tokenize_13a(ref.rstrip()).split()
+    stats = np.zeros(2 * BLEU_ORDER + 2)
+    hyp_ngrams = _mt_oracle_ngrams(hyp_toks, BLEU_ORDER)
+    ref_ngrams = _mt_oracle_ngrams(ref_toks, BLEU_ORDER)
+    for ngram, cnt in hyp_ngrams.items():
+        n = len(ngram)
+        stats[n - 1] += min(cnt, ref_ngrams.get(ngram, 0))
+        stats[BLEU_ORDER + n - 1] += cnt
+    stats[-2] = len(hyp_toks)
+    stats[-1] = len(ref_toks)
+    return stats
+
+
+def _mt_oracle_char_ngrams(s, n):
+    return Counter(s[i : i + n] for i in range(len(s) - n + 1))
+
+
+def chrf_oracle_sentence_stats(hyp, ref):
+    """[hyp_ngrams, ref_ngrams, matched] for each order 1..6, whitespace
+    removed from both sides first, every total counted n-gram by n-gram."""
+    hyp = re.sub(r"\s+", "", hyp)
+    ref = re.sub(r"\s+", "", ref)
+    stats = np.zeros(3 * CHRF_ORDER)
+    for i in range(CHRF_ORDER):
+        hc = _mt_oracle_char_ngrams(hyp, i + 1)
+        rc = _mt_oracle_char_ngrams(ref, i + 1)
+        stats[3 * i] = sum(hc.values())
+        stats[3 * i + 1] = sum(rc.values())
+        stats[3 * i + 2] = sum((hc & rc).values())
+    return stats
+
+
+# pieces of hostile MT lines: 13a entities, number punctuation, unicode,
+# words shorter than chrF's order; MT_SEPARATORS go between them
+MT_FRAGMENTS = (
+    "ka", "wi", "Su", "kawikawisu", "&amp;", "&quot;", "&lt;b&gt;", "1,000.5", "3-4",
+    "x-", "-y", "a.b", "e.g.", ",", ".", "-", "don't", "(x)", "50%", "a/b", "<skipped>",
+    "é", "e\u0301", "Straße", "日本語", "\U0001f642", "ǅ", "İ",
+)
+MT_SEPARATORS = ("", " ", "  ", "\t", "\n", "\u00a0", "\u3000", "\x1c", "\u2028")
+
+
+def mt_lines():
+    """Hostile MT lines: joined fragments, any short text, blank lines."""
+    joined = st.lists(
+        st.tuples(st.sampled_from(MT_SEPARATORS), st.sampled_from(MT_FRAGMENTS)), max_size=8
+    ).map(lambda parts: "".join(sep + frag for sep, frag in parts))
+    return st.one_of(joined, st.text(max_size=7), st.sampled_from(("", " ", "\t", "   ")))
+
+
+def mt_corpus(systems, max_sentences=6):
+    """``systems`` hypothesis line lists plus a reference list, equally long."""
+    return st.integers(0, max_sentences).flatmap(
+        lambda n: st.lists(st.lists(mt_lines(), min_size=n, max_size=n),
+                           min_size=systems + 1, max_size=systems + 1)
+    )
+
+
+MT_ORACLES = {
+    "bleu": (bleu_oracle_sentence_stats, bleu_score_from_stats, 2 * BLEU_ORDER + 2),
+    "chrf": (chrf_oracle_sentence_stats, chrf_score_from_stats, 3 * CHRF_ORDER),
+}
+
+
+def mt_oracle_stats(metric, hyps, refs):
+    """(sentences, width) statistics, one string pair at a time."""
+    sentence_stats, _, width = MT_ORACLES[metric]
+    return np.array([sentence_stats(h, r) for h, r in zip(hyps, refs)]).reshape(-1, width)
+
+
+def mt_oracle_scores(metric, hyps, refs):
+    """(corpus score, per-sentence scores) from the oracle statistics."""
+    stats = mt_oracle_stats(metric, hyps, refs)
+    score_fn = MT_ORACLES[metric][1]
+    return float(score_fn(stats.sum(axis=0))[0]), tuple(float(x) for x in score_fn(stats))
+
+
+def mt_oracle_randomization_p(sys_a, sys_b, refs, metric, trials, seed):
+    """Paired sign-flip randomization over the whole flip matrix at once,
+    recomputing each system's statistics from the strings and applying the
+    swaps to each side separately."""
+    stats_a = mt_oracle_stats(metric, sys_a, refs)
+    stats_b = mt_oracle_stats(metric, sys_b, refs)
+    score_fn = MT_ORACLES[metric][1]
+    sum_a = stats_a.sum(axis=0)
+    sum_b = stats_b.sum(axis=0)
+    delta_obs = float(score_fn(sum_a)[0] - score_fn(sum_b)[0])
+    n = len(refs)
+    if n <= 20 and 2**n <= trials:
+        patterns = np.arange(2**n)
+        flips = (patterns[:, None] >> np.arange(n)[None, :]) & 1 == 1
+        denominator, numerator_base = 2**n, 0
+    else:
+        flips = np.random.default_rng(seed).random((trials, n)) < 0.5
+        denominator, numerator_base = 1 + trials, 1
+    diff = stats_b - stats_a
+    trial_a = sum_a[None, :] + flips @ diff
+    trial_b = sum_b[None, :] - flips @ diff
+    deltas = score_fn(trial_a) - score_fn(trial_b)
+    return (numerator_base + int(np.sum(np.abs(deltas) >= abs(delta_obs)))) / denominator

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from polyseg import analysis
 from polyseg.analysis import (
     bin_richness,
     richness_csv,
@@ -39,6 +40,19 @@ class TestRichness:
         records = richness_table(SPLIT_MODEL, sentences, [1.0, 2.0])
         ordered = [r.morphs_per_token for r in records]
         assert ordered == sorted(ordered)
+
+    def test_each_distinct_token_segmented_once(self, monkeypatch):
+        sentences = [["kawi", "kasuwi", "kawi"], ["kasuwi", "suta"], ["kawi"]]
+        real = analysis.viterbi_segment
+        per_token = [sum(len(real(SPLIT_MODEL, tok)) for tok in sent) / len(sent)
+                     for sent in sentences]
+        calls = []
+        monkeypatch.setattr(analysis, "viterbi_segment",
+                            lambda model, tok: calls.append(tok) or real(model, tok))
+        records = richness_table(SPLIT_MODEL, sentences, [1.0, 2.0, 3.0])
+        assert calls == ["kawi", "kasuwi", "suta"]
+        assert sorted((r.index, r.morphs_per_token) for r in records) == list(
+            enumerate(per_token))
 
     def test_score_alignment_checked(self):
         with pytest.raises(AlignmentError):

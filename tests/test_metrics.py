@@ -1,11 +1,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWord
 from polyseg.errors import AlignmentError, UnsupportedModeError
-from oracles import emma_oracle_matching, random_emma_instance
+from oracles import (
+    emma_oracle_matching,
+    mt_corpus,
+    mt_lines,
+    mt_oracle_scores,
+    mt_oracle_stats,
+    mt_oracle_tokenize_13a,
+    random_emma_instance,
+)
 from polyseg.metrics import (
     BLEU_SIGNATURE,
     CHRF_SIGNATURE,
@@ -14,6 +24,8 @@ from polyseg.metrics import (
     boundary_f1,
     chrf,
     emma_f1,
+    metric_report,
+    metric_reports,
     tokenize_13a,
 )
 
@@ -189,3 +201,25 @@ class TestChrf:
         assert len(report.sentence_scores) == 2
         for s in report.sentence_scores:
             assert 0.0 <= s <= 100.0
+
+
+class TestStatisticsMatchOracle:
+    @pytest.mark.parametrize("metric", ("bleu", "chrf"))
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=mt_corpus(systems=2))
+    def test_stats_and_scores(self, metric, corpus):
+        sys_a, sys_b, refs = corpus
+        reports = metric_reports(metric, [sys_a, sys_b], refs)
+        for hyps, report in zip((sys_a, sys_b), reports):
+            expected = mt_oracle_stats(metric, hyps, refs)
+            assert report.stats.shape == expected.shape
+            assert np.array_equal(report.stats, expected)
+            score, sentence_scores = mt_oracle_scores(metric, hyps, refs)
+            assert report.score == score
+            assert report.sentence_scores == sentence_scores
+            assert metric_report(metric, hyps, refs) == report
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=mt_lines())
+    def test_13a_tokenizer(self, line):
+        assert tokenize_13a(line) == mt_oracle_tokenize_13a(line)

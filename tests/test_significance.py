@@ -2,9 +2,14 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyseg.errors import AlignmentError
+from oracles import mt_corpus, mt_oracle_randomization_p
+from polyseg import metrics
+from polyseg.errors import AlignmentError, ConfigError
 from polyseg.metrics import metric_report, paired_randomization_test, significance_mark
 
 
@@ -85,6 +90,58 @@ class TestPairedRandomization:
     def test_alignment_error(self):
         with pytest.raises(AlignmentError):
             paired_randomization_test(["a"], ["a", "b"], ["a"], metric="chrf")
+
+
+class TestBlockwiseTrialsMatchOracle:
+    """The block-wise randomization against the whole flip matrix of the
+    string-level oracle: bit-identical p for any block size."""
+
+    @pytest.mark.parametrize("metric", ("bleu", "chrf"))
+    @pytest.mark.parametrize("block", (7, 1000))
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=mt_corpus(systems=2, max_sentences=8),
+           trials=st.sampled_from((1, 5, 16, 64, 300)), seed=st.integers(0, 2**32 - 1))
+    def test_hostile_lines(self, metric, block, corpus, trials, seed):
+        sys_a, sys_b, refs = corpus
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_TRIAL_BLOCK", block)
+            p = paired_randomization_test(sys_a, sys_b, refs, metric, trials, seed)
+        assert p == mt_oracle_randomization_p(sys_a, sys_b, refs, metric, trials, seed)
+
+    @pytest.mark.parametrize("metric", ("bleu", "chrf"))
+    @pytest.mark.parametrize("n,trials", [
+        (5, 10000),  # exact enumeration: 32 patterns in blocks of 7
+        (40, 1000),  # sampled: 1000 trials in blocks of 7
+    ])
+    def test_blocks_of_seven(self, monkeypatch, metric, n, trials):
+        rng = random.Random(11)
+        vocab = ["ka", "wi", "su", "ta", "mi", "pe"]
+        refs = [_random_line(rng, vocab) for _ in range(n)]
+        sys_a = [_random_line(rng, vocab) for _ in range(n)]
+        sys_b = [_random_line(rng, vocab) for _ in range(n)]
+        expected = mt_oracle_randomization_p(sys_a, sys_b, refs, metric, trials, 1917)
+        assert paired_randomization_test(sys_a, sys_b, refs, metric, trials, 1917) == expected
+        monkeypatch.setattr(metrics, "_TRIAL_BLOCK", 7)
+        assert paired_randomization_test(sys_a, sys_b, refs, metric, trials, 1917) == expected
+        assert 1 / (trials + 1) < expected < 1.0
+
+    def test_blocks_draw_the_whole_matrix_stream(self):
+        # drawing the flip matrix block by block reads the same random stream
+        whole = np.random.default_rng(1917).random((100, 37))
+        rng = np.random.default_rng(1917)
+        blocks = np.concatenate([rng.random((min(7, 100 - lo), 37)) for lo in range(0, 100, 7)])
+        assert np.array_equal(whole, blocks)
+
+    def test_reports_of_one_metric_and_length(self):
+        refs = ["ka wi", "su ta"]
+        bleu_a, bleu_b = metrics.metric_reports("bleu", [refs, refs], refs)
+        with pytest.raises(ConfigError):
+            metrics.randomization_p(bleu_a, metric_report("chrf", refs, refs))
+        with pytest.raises(AlignmentError):
+            metrics.randomization_p(bleu_a, metric_report("bleu", refs[:1], refs[:1]))
+        with pytest.raises(ConfigError):
+            metrics.randomization_p(bleu_a, bleu_b, trials=0)
+        assert metrics.randomization_p(bleu_a, bleu_b) == 1.0
 
 
 class TestMarking:
