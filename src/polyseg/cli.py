@@ -147,6 +147,8 @@ def _cmd_train(args) -> int:
         opts = dict(alpha=args.alpha, seed=args.seed, epsilon=args.epsilon,
                     init=args.init, restarts=args.restarts)
         cap = ""
+        if args.method == "flatcat":
+            morf.check_alpha(args.alpha, morf.FLATCAT)  # before the baseline trains
         if args.method == "lmvr":
             model = morf.train_lmvr(counts, max_lexicon_size=args.cap, **opts)
             cap = " (cap %s)" % (args.cap,)

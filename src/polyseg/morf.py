@@ -175,6 +175,16 @@ def mdl_cost(model: MorfModel) -> MdlCost:
     return MdlCost(corpus_cost=corpus, lexicon_cost=lex, total=corpus + model.alpha * lex)
 
 
+def check_alpha(alpha: float, variant: str = BASELINE) -> None:
+    """Reject an ``alpha`` no ``variant`` model can be trained with: one
+    that is not finite, or for flatcat one that ``load_model`` would refuse
+    (above ``_MAX_MAGNITUDE`` in magnitude)."""
+    if not math.isfinite(alpha):
+        raise ConfigError("alpha must be finite, got %r" % (alpha,))
+    if variant == FLATCAT and abs(alpha) > _MAX_MAGNITUDE:
+        raise ConfigError("flatcat alpha %r is above %g in magnitude" % (alpha, _MAX_MAGNITUDE))
+
+
 class _Trainer:
     """Greedy recursive-split trainer with incremental cost bookkeeping."""
 
@@ -186,6 +196,7 @@ class _Trainer:
                 raise DataError("bad word in counts: %r" % (w,))
             if c < 1:
                 raise DataError("non-positive count for %r" % (w,))
+        check_alpha(alpha)
         if dampening not in ("types", "tokens"):
             raise ConfigError("unknown dampening %r" % (dampening,))
         self.word_counts = dict(word_counts)
@@ -207,6 +218,7 @@ class _Trainer:
         self._sum_clogc = 0.0  # sum of count*log(count) over the lexicon
         self._lex_symbols = 0  # sum of (len(m)+1) over active morphs
         self._active_multichar = 0
+        self._xlogx = [0.0]  # see _xlogx_upto
         self._per_symbol = math.log(len(self.alphabet) + 1)
         self._analyses: dict[str, tuple[str, ...]] = {}
         self._init_analyses(init)
@@ -258,18 +270,15 @@ class _Trainer:
     def _within_cap(self) -> bool:
         return self.cap is None or self._effective_size() <= self.cap
 
-    def _fits_if_added(self, morph: str) -> bool:
-        if self.cap is None or len(morph) == 1 or self._counts[morph] > 0:
-            return True
-        return self._effective_size() + 1 <= self.cap
-
     def _check_sync(self) -> None:
         model = self._snapshot()
         recomputed = mdl_cost(model).total
-        if abs(recomputed - self._tracked_total()) > 1e-6:
+        tracked = self._tracked_total()
+        # "not <=" so that an overflowed (inf or nan) cost fails as well
+        if not abs(recomputed - tracked) <= 1e-6:
             raise NumericError(
-                "tracked cost %.9f drifted from recomputed %.9f"
-                % (self._tracked_total(), recomputed)
+                "tracked cost %.9f drifted from recomputed %.9f (alpha %r)"
+                % (tracked, recomputed, self.alpha)
             )
 
     # -- initialization ----------------------------------------------------
@@ -311,35 +320,87 @@ class _Trainer:
 
     # -- search ------------------------------------------------------------
 
+    def _xlogx_upto(self, k: int) -> list[float]:
+        """The table ``[0.0, 1*log(1), 2*log(2), ...]``, grown to cover ``k``;
+        entry 0 makes adding or removing a zero count an exact no-op."""
+        table = self._xlogx
+        if k >= len(table):
+            table.extend(j * math.log(j) for j in range(len(table), k + 1))
+        return table
+
     def _resegment(self, construction: str, weight: int) -> tuple[str, ...]:
         """Place ``construction`` (currently uncounted) back into the model,
         recursively choosing between keeping it whole and the best binary
-        split; returns the committed morphs."""
-        if len(construction) == 1:
+        split; returns the committed morphs.
+
+        A candidate is scored as if its morphs were added with ``_add``,
+        measured with ``_tracked_total`` and removed with ``_remove``, but on
+        local copies of the bookkeeping: the float steps on ``_sum_clogc``
+        are the same ones in the same order, so the rounding they leave
+        behind is kept too.  Only the committed split touches the lexicon.
+        """
+        n = len(construction)
+        if n == 1:
             self._add(construction, weight)
             return (construction,)
 
+        w = weight
+        get = self._counts.get
+        cuts = range(1, n)
+        lefts = [get(construction[:i], 0) for i in cuts]
+        rights = [get(construction[i:], 0) for i in cuts]
+        whole = get(construction, 0)
+        xlogx = self._xlogx_upto(max(whole, max(lefts), max(rights)) + 2 * w)
+        s = self._sum_clogc
+        lex = self._lex_symbols
+        multichar = self._active_multichar
+        alpha = self.alpha
+        per_symbol = self._per_symbol
+        # the most multi-character morphs the cap admits
+        room = None if self.cap is None else self.cap - len(self.alphabet)
+
         best_cost = math.inf
         best_i = None
-        whole_ok = self._fits_if_added(construction)
+        whole_ok = room is None or whole > 0 or multichar + 1 <= room
         if whole_ok:
-            self._add(construction, weight)
-            best_cost = self._tracked_total()
-            self._remove(construction, weight)
+            s = s - xlogx[whole] + xlogx[whole + w]
+            t = self._total + w
+            grown = lex if whole > 0 else lex + n + 1
+            best_cost = t * math.log(t) - s + alpha * grown * per_symbol
+            s = s - xlogx[whole + w] + xlogx[whole]
 
-        fallback = []
-        for i in range(1, len(construction)):
-            left, right = construction[:i], construction[i:]
-            self._add(left, weight)
-            self._add(right, weight)
-            cost = self._tracked_total()
-            fits = self._within_cap()
-            self._remove(left, weight)
-            self._remove(right, weight)
-            fallback.append((cost, i))
-            if fits and cost < best_cost - 1e-12:
+        t = self._total + 2 * w
+        corpus_total = t * math.log(t)
+        h = n // 2
+        twin = h if construction[:h] * 2 == construction else 0  # split into x + x
+        fallback_cost = math.inf
+        fallback_i = None
+        for i, cl, cr in zip(cuts, lefts, rights):
+            grown, grown_multi = lex, multichar
+            if cl == 0:
+                grown += i + 1
+                grown_multi += i > 1
+            s = s - xlogx[cl] + xlogx[cl + w]
+            if i == twin:
+                # right is left again: its add starts from the raised count
+                s = s - xlogx[cl + w] + xlogx[cl + 2 * w]
+                cost = corpus_total - s + alpha * grown * per_symbol
+                s = s - xlogx[cl + 2 * w] + xlogx[cl + w]
+                s = s - xlogx[cl + w] + xlogx[cl]
+            else:
+                if cr == 0:
+                    grown += n - i + 1
+                    grown_multi += n - i > 1
+                s = s - xlogx[cr] + xlogx[cr + w]
+                cost = corpus_total - s + alpha * grown * per_symbol
+                s = s - xlogx[cl + w] + xlogx[cl]
+                s = s - xlogx[cr + w] + xlogx[cr]
+            if fallback_i is None or cost < fallback_cost:
+                fallback_cost, fallback_i = cost, i
+            if (room is None or grown_multi <= room) and cost < best_cost - 1e-12:
                 best_cost = cost
                 best_i = i
+        self._sum_clogc = s
 
         if best_i is None:
             if whole_ok:
@@ -348,7 +409,7 @@ class _Trainer:
             # cap forbids both the whole construction and every admissible
             # split at this level: descend through the cheapest split and
             # let deeper levels fall back toward single characters.
-            best_i = min(fallback)[1]
+            best_i = fallback_i
 
         left, right = construction[:best_i], construction[best_i:]
         self._add(left, weight)
@@ -479,9 +540,12 @@ def train_lmvr(
 # -- inference ---------------------------------------------------------------
 
 
-def _unseen_cost(model: MorfModel, length: int, total: int) -> float:
+def _unseen_costs(model: MorfModel, word: str, total: int) -> list[float]:
+    """The cost of an unseen morph of every length 0..len(word): its
+    spelling added to the lexicon plus one smoothed corpus token."""
     per_symbol = math.log(len(model.alphabet) + 1)
-    return model.alpha * (length + 1) * per_symbol + math.log(total + 1)
+    smoothed = math.log(total + 1)
+    return [model.alpha * (k + 1) * per_symbol + smoothed for k in range(len(word) + 1)]
 
 
 def viterbi_segment(model: MorfModel, word: str) -> list[str]:
@@ -499,6 +563,7 @@ def viterbi_segment(model: MorfModel, word: str) -> list[str]:
         return morphs
     total = model.total_tokens
     log_total = math.log(total) if total > 0 else 0.0
+    unseen = _unseen_costs(model, word, total)
     n = len(word)
     best = [math.inf] * (n + 1)
     back = [0] * (n + 1)
@@ -512,7 +577,7 @@ def viterbi_segment(model: MorfModel, word: str) -> list[str]:
             if count > 0:
                 cost = log_total - math.log(count)
             else:
-                cost = _unseen_cost(model, len(m), total)
+                cost = unseen[end - start]
             cand = best[start] + cost
             if cand < best[end]:
                 best[end] = cand
@@ -533,7 +598,7 @@ def viterbi_segment_with_categories(model: MorfModel, word: str) -> tuple[list[s
     if not word:
         raise DataError("cannot segment an empty word")
     total = model.total_tokens
-    unseen = [_unseen_cost(model, length, total) for length in range(len(word) + 1)]
+    unseen = _unseen_costs(model, word, total)
     result = _viterbi_categories(model.categories, word, unseen, strict=True)
     if result is None:
         # Every category-legal path died on zeroed emissions; let any
@@ -735,6 +800,7 @@ def train_flatcat(
     returned model re-segments words through the joint split-and-category
     lattice.
     """
+    check_alpha(baseline_model.alpha, FLATCAT)
     for w in word_counts:
         if w not in baseline_model.analyses:
             raise DataError("word %r missing from the baseline analyses" % (w,))

@@ -44,7 +44,7 @@ from polyseg.morf import (
     START_CATS,
     CategoryModel,
     _initial_category_model,
-    _unseen_cost,
+    _Trainer,
 )
 
 _L = {lab: i for i, lab in enumerate(LABELS)}
@@ -143,19 +143,80 @@ def morf_joint_minimum(word_weights, alpha=1.0):
     return best
 
 
+def morf_unseen_cost(model, length, total):
+    per_sym = math.log(len(model.alphabet) + 1)
+    return model.alpha * (length + 1) * per_sym + math.log(total + 1)
+
+
 def morf_morph_cost(model, morph):
     total = model.total_tokens
     count = model.lexicon.get(morph, 0)
     if count > 0:
         return math.log(total) - math.log(count)
-    per_sym = math.log(len(model.alphabet) + 1)
-    return model.alpha * (len(morph) + 1) * per_sym + math.log(total + 1)
+    return morf_unseen_cost(model, len(morph), total)
 
 
 def morf_best_cost(model, word):
     return min(
         sum(morf_morph_cost(model, m) for m in segs) for segs in all_segmentations(word)
     )
+
+
+class MorfOracleTrainer(_Trainer):
+    """The mutate-and-measure search: every candidate is scored by adding
+    its morphs to the lexicon with ``_add``, reading ``_tracked_total`` and
+    removing them again.  ``fallbacks`` counts the levels where the cap
+    forbade every candidate and the cheapest split was taken anyway."""
+
+    fallbacks = 0
+
+    def _fits_if_added(self, morph):
+        if self.cap is None or len(morph) == 1 or self._counts[morph] > 0:
+            return True
+        return self._effective_size() + 1 <= self.cap
+
+    def _resegment(self, construction, weight):
+        if len(construction) == 1:
+            self._add(construction, weight)
+            return (construction,)
+
+        best_cost = math.inf
+        best_i = None
+        whole_ok = self._fits_if_added(construction)
+        if whole_ok:
+            self._add(construction, weight)
+            best_cost = self._tracked_total()
+            self._remove(construction, weight)
+
+        fallback = []
+        for i in range(1, len(construction)):
+            left, right = construction[:i], construction[i:]
+            self._add(left, weight)
+            self._add(right, weight)
+            cost = self._tracked_total()
+            fits = self._within_cap()
+            self._remove(left, weight)
+            self._remove(right, weight)
+            fallback.append((cost, i))
+            if fits and cost < best_cost - 1e-12:
+                best_cost = cost
+                best_i = i
+
+        if best_i is None:
+            if whole_ok:
+                self._add(construction, weight)
+                return (construction,)
+            self.fallbacks += 1
+            best_i = min(fallback)[1]
+
+        left, right = construction[:best_i], construction[best_i:]
+        self._add(left, weight)
+        self._add(right, weight)
+        self._remove(left, weight)
+        lparts = self._resegment(left, weight)
+        self._remove(right, weight)
+        rparts = self._resegment(right, weight)
+        return lparts + rparts
 
 
 # -- crf -------------------------------------------------------------------------
@@ -488,7 +549,7 @@ def _flatcat_oracle_lattice(model, word, strict):
                 if logp == _NEG_INF:
                     if strict and m in known:
                         continue  # known morph, zero mass in this category
-                    emit_cost = _unseen_cost(model, len(m), total)
+                    emit_cost = morf_unseen_cost(model, len(m), total)
                 else:
                     emit_cost = -logp
                 if start == 0:

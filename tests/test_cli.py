@@ -309,6 +309,25 @@ class TestExitCodes:
         assert run("train", "--method", "lmvr", "--input", corpus_file,
                    "--model", str(tmp_path / "m"), "--cap", "1") == 2
 
+    @pytest.mark.parametrize("method", ["morfessor", "lmvr", "flatcat"])
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "-1e999"])
+    def test_non_finite_alpha_is_2(self, tmp_path, corpus_file, capsys, method, alpha):
+        model = tmp_path / "m"
+        assert run("train", "--method", method, "--input", corpus_file,
+                   "--model", str(model), "--alpha=" + alpha) == 2
+        err = capsys.readouterr().err
+        assert "alpha" in err and "Traceback" not in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("alpha", ["1e200", "-1.5e100"])
+    def test_flatcat_alpha_above_the_file_bound_is_2(self, tmp_path, corpus_file, capsys,
+                                                    alpha):
+        model = tmp_path / "m"
+        assert run("train", "--method", "flatcat", "--input", corpus_file,
+                   "--model", str(model), "--alpha=" + alpha) == 2
+        assert "flatcat alpha" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_stray_marker_is_3(self, tmp_path):
         bad = _write(tmp_path / "bad.txt", "ka</w>wi\n")
         assert run("desegment", "--style", "eow", "--input", bad) == 3

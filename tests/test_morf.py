@@ -3,9 +3,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyseg.errors import ConfigError, DataError
+from polyseg.errors import ConfigError, DataError, NumericError
 from oracles import (
+    MorfOracleTrainer,
     morf_best_cost,
     morf_joint_minimum,
     morf_morph_cost,
@@ -13,11 +16,14 @@ from oracles import (
 )
 from polyseg.morf import (
     MorfModel,
+    _Trainer,
+    _train_restarts,
     load_model,
     mdl_cost,
     save_model,
     segment_corpus,
     train_baseline,
+    train_flatcat,
     train_lmvr,
     viterbi_segment,
 )
@@ -90,6 +96,91 @@ class TestBaseline:
     def test_empty_counts_rejected(self):
         with pytest.raises(DataError):
             train_baseline({})
+
+
+class TestSearchMatchesOracle:
+    """Scoring candidates by arithmetic leaves the trainer in exactly the
+    state the mutate-and-measure oracle reaches: same analyses, lexicon
+    (insertion order included), epoch costs and rounding in the running
+    sum of count*log(count)."""
+
+    @staticmethod
+    def _trained(cls, word_counts, restarts, seed, **kw):
+        kw.setdefault("alpha", 1.0)
+        kw.setdefault("epsilon", 0.1)
+        kw.setdefault("max_epochs", 30)
+        return _train_restarts(lambda s: cls(word_counts, seed=s, **kw), seed, restarts)
+
+    def _assert_same(self, word_counts, restarts=1, seed=0, **kw):
+        fast = self._trained(_Trainer, word_counts, restarts, seed, **kw)
+        slow = self._trained(MorfOracleTrainer, word_counts, restarts, seed, **kw)
+        assert fast._analyses == slow._analyses
+        assert list(fast._counts.items()) == list(slow._counts.items())
+        assert fast.cost_history == slow.cost_history
+        assert fast._sum_clogc == slow._sum_clogc
+        return slow
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        words=st.lists(
+            st.one_of(st.text(st.sampled_from("aab"), min_size=1, max_size=8),
+                      st.text(st.sampled_from("abkm"), min_size=1, max_size=8),
+                      st.sampled_from(("abab", "aaaa", "kmkm", "aa"))),
+            min_size=1, max_size=10),
+        counts=st.lists(st.integers(1, 40), min_size=10, max_size=10),
+        dampening=st.sampled_from(("types", "tokens")),
+        init=st.sampled_from(("words", "chars", "random")),
+        restarts=st.integers(1, 3),
+        slack=st.one_of(st.none(), st.integers(0, 3)),
+        alpha=st.sampled_from((1.0, 0.25, 3.0)),
+        seed=st.integers(0, 10_000),
+    )
+    def test_random_configurations(self, words, counts, dampening, init, restarts,
+                                   slack, alpha, seed):
+        word_counts = dict(zip(words, counts))
+        cap = None if slack is None else len(set("".join(word_counts))) + slack
+        self._assert_same(word_counts, restarts, seed, alpha=alpha, dampening=dampening,
+                          cap=cap, init=init)
+
+    @pytest.mark.parametrize("word_counts", [
+        {"abab": 10}, {"aaaa": 7}, {"abab": 1, "aaaa": 1},
+        {"abab": 3, "aaaa": 2, "abba": 1, "ab": 4, "aa": 1},
+    ])
+    @pytest.mark.parametrize("dampening", ["types", "tokens"])
+    def test_twin_halves(self, word_counts, dampening):
+        # "abab" and "aaaa" split at 2 add the same morph twice
+        for init in ("words", "chars", "random"):
+            self._assert_same(word_counts, 2, 7, dampening=dampening, cap=None, init=init)
+
+    def test_tight_cap_descends_through_cheapest_split(self):
+        wc = {"kakamisu": 9, "misukaka": 4, "sukami": 6, "kamika": 3}
+        alphabet = set("".join(wc))
+        oracle = self._assert_same(wc, 1, 3, dampening="tokens", cap=len(alphabet) + 1,
+                                   init="words")
+        assert oracle.fallbacks > 0
+
+
+class TestAlphaAndDrift:
+    def test_flatcat_rejects_alpha_its_file_cannot_carry(self):
+        base = MorfModel.from_segmentations({w: (w,) for w in FOUR_WORDS}, alpha=1e200)
+        with pytest.raises(ConfigError, match="flatcat alpha"):
+            train_flatcat(FOUR_WORDS, base)
+
+    def test_overflowing_cost_fails_the_drift_check(self):
+        with pytest.raises(NumericError, match="drifted"):
+            train_baseline(FOUR_WORDS, alpha=1e308)
+
+    def test_drift_in_running_sum_is_caught(self, monkeypatch):
+        real_visit = _Trainer._visit
+
+        def nudging_visit(self, word):
+            real_visit(self, word)
+            if word == "taka":
+                self._sum_clogc += 1e-3
+
+        monkeypatch.setattr(_Trainer, "_visit", nudging_visit)
+        with pytest.raises(NumericError, match="drifted"):
+            train_baseline(FOUR_WORDS, seed=5)
 
 
 class TestViterbi:
