@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,6 +82,10 @@ def train_bpe(
     merged each round; ties break lexicographically on (left, right) so
     training is deterministic.  Stops early once no pair occurs at least
     twice.
+
+    Pair counts are updated incrementally (Sennrich et al., 2016): a merge
+    rewrites only the words that hold its pair, and moves only the counts
+    of the pairs beside each merged occurrence.
     """
     if not word_counts:
         raise DataError("empty word counts")
@@ -91,9 +95,14 @@ def train_bpe(
             raise DataError("empty word in counts")
         syms = _word_symbols(word, marker)
         agg[syms] = agg.get(syms, 0) + freq
-    words = [[list(syms), freq] for syms, freq in agg.items()]
+    # words are tuples of symbols and the sets of word indexes below are
+    # dicts of ints: the cyclic garbage collector does not track either, so
+    # the tables training keeps for its whole run add nothing to the full
+    # collections the process runs later
+    words = list(agg)
+    freqs = list(agg.values())
 
-    vocab = {s for syms, _ in agg.items() for s in syms}
+    vocab = {s for syms in agg for s in syms}
     if target_vocab_size < len(vocab):
         raise ConfigError(
             "target vocab size %d below initial alphabet size %d"
@@ -101,19 +110,30 @@ def train_bpe(
         )
 
     # pair counts and a pair -> word-index map are maintained incrementally:
-    # a merge only touches the words that contain the merged pair
-    pair_counts = Counter()
-    pair_where: dict[tuple[str, str], set[int]] = defaultdict(set)
-    for idx, (syms, freq) in enumerate(words):
-        for a, b in zip(syms, syms[1:]):
-            pair_counts[(a, b)] += freq
-            pair_where[(a, b)].add(idx)
+    # a merge only touches the words that contain the merged pair.  The map
+    # is a superset: a word stays listed under a pair it no longer holds
+    # and is skipped when the pair is merged.
+    pair_counts: dict[tuple[str, str], int] = {}
+    pair_where: dict[tuple[str, str], dict[int, None]] = defaultdict(dict)
+    for idx, (syms, freq) in enumerate(zip(words, freqs)):
+        for pair in zip(syms, syms[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + freq
+            pair_where[pair][idx] = None
 
     # a lazy max-heap of (-count, pair): the smallest entry is the most
     # frequent pair, ties going to the lexicographically first; an entry
     # whose count no longer matches pair_counts is stale and skipped
     heap = [(-count, pair) for pair, count in pair_counts.items()]
     heapq.heapify(heap)
+    touched: set[tuple[str, str]] = set()  # pairs whose count a merge changed
+
+    def move(old, new, idx, freq):
+        pair_counts[old] -= freq
+        pair_counts[new] = pair_counts.get(new, 0) + freq
+        pair_where[new][idx] = None
+        touched.add(old)
+        touched.add(new)
+
     merges: list[tuple[str, str]] = []
     while len(vocab) < target_vocab_size and heap:
         neg_count, best = heapq.heappop(heap)
@@ -122,25 +142,46 @@ def train_bpe(
         if -neg_count < 2:
             break
         merges.append(best)
-        vocab.add(best[0] + best[1])
-        changed = Counter()  # net count change; most pairs of a word keep theirs
-        for idx in sorted(pair_where[best]):
-            syms, freq = words[idx]
-            for a, b in zip(syms, syms[1:]):
-                pair_counts[(a, b)] -= freq
-                if pair_counts[(a, b)] <= 0:
-                    del pair_counts[(a, b)]
-                pair_where[(a, b)].discard(idx)
-                changed[(a, b)] -= freq
-            merged = list(_merge_word(tuple(syms), best))
-            words[idx][0] = merged
-            for a, b in zip(merged, merged[1:]):
-                pair_counts[(a, b)] += freq
-                pair_where[(a, b)].add(idx)
-                changed[(a, b)] += freq
-        for pair, change in changed.items():
-            if change and pair in pair_counts:
-                heapq.heappush(heap, (-pair_counts[pair], pair))
+        a, b = best
+        ab = a + b
+        vocab.add(ab)
+        touched.add(best)  # its count ends at 0 and is dropped below
+        for idx in pair_where.pop(best):
+            syms, freq = list(words[idx]), freqs[idx]
+            i = 0
+            while True:
+                # the next a with a symbol after it; a stale word has none
+                # followed by b and keeps its tuple
+                try:
+                    i = syms.index(a, i, len(syms) - 1)
+                except ValueError:
+                    break
+                if syms[i + 1] != b:
+                    i += 1
+                    continue
+                # merge the occurrence: the pair goes, and each neighbour
+                # pair now holds ab.  The left neighbour is read after the
+                # word's earlier merges, so a back-to-back occurrence has
+                # already turned (b, a) into (ab, a), which becomes (ab, ab)
+                syms[i] = ab
+                del syms[i + 1]
+                pair_counts[best] -= freq
+                if i:
+                    x = syms[i - 1]
+                    move((x, a), (x, ab), idx, freq)
+                if i + 1 < len(syms):
+                    y = syms[i + 1]
+                    move((b, y), (ab, y), idx, freq)
+                i += 1
+            if len(syms) < len(words[idx]):
+                words[idx] = tuple(syms)
+        for pair in touched:
+            count = pair_counts[pair]
+            if count:
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del pair_counts[pair]
+        touched.clear()
 
     return BpeModel(
         merges=merges,

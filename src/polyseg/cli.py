@@ -15,6 +15,7 @@ from collections import Counter
 from . import analysis, bpe, corpus, crf, metrics, modelfile, morf
 from .errors import (
     ConfigError,
+    DataError,
     FormatError,
     NumericError,
     ParseError,
@@ -116,9 +117,22 @@ def _cmd_seg_stats(args) -> int:
     return 0
 
 
-def _word_counts(path) -> Counter:
+def _reject_marker(path, lines, marker: str) -> None:
+    """bpe cannot encode a token that holds its boundary marker; name the
+    first one by ``path:line``."""
+    for lineno, line in enumerate(lines, 1):
+        if marker in line:
+            word = next(tok for tok in line.split() if marker in tok)
+            raise DataError("%s:%d: word %r contains the boundary marker %r"
+                            % (path, lineno, word, marker))
+
+
+def _word_counts(path, marker: str | None = None) -> Counter:
+    lines = corpus.read_lines(path)
+    if marker is not None:
+        _reject_marker(path, lines, marker)
     counts = Counter()
-    for line in corpus.read_lines(path):
+    for line in lines:
         counts.update(line.split())
     if not counts:
         raise ParseError("%s: no tokens found" % (path,))
@@ -127,7 +141,7 @@ def _word_counts(path) -> Counter:
 
 def _cmd_train(args) -> int:
     if args.method == "bpe":
-        model = bpe.train_bpe(_word_counts(args.input), args.vocab_size)
+        model = bpe.train_bpe(_word_counts(args.input, bpe.DEFAULT_MARKER), args.vocab_size)
         bpe.save_model(model, args.model)
         print("trained bpe: vocab size %d, %d merges -> %s"
               % (len(model.vocab), len(model.merges), args.model))
@@ -188,7 +202,10 @@ def _segmenter(path):
 
 def _cmd_segment(args) -> int:
     segment_words, style, marker = _segmenter(args.model)
-    lines = [line.split() for line in corpus.read_lines(args.input)]
+    raw = corpus.read_lines(args.input)
+    if style == EOW:  # bpe
+        _reject_marker(args.input, raw, marker)
+    lines = [line.split() for line in raw]
     # every family's decoder is a pure function of (model, word), so each
     # distinct word is segmented once, in first-seen order; text repeats
     # words, Zipf-like

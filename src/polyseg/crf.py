@@ -120,6 +120,10 @@ class CrfModel:
     weights: np.ndarray  # (F, 4)
     trans: np.ndarray  # (4, 4), -inf on forbidden pairs
     objective_history: list[float] = field(default_factory=list)
+    # how L-BFGS ended (scipy's ``nit`` and ``message``); None on a model
+    # loaded from a file, which does not store them
+    nit: int | None = None
+    stop_message: str | None = None
 
     @classmethod
     def zeros(cls, delta: int, l2: float, feat_index) -> "CrfModel":
@@ -422,6 +426,8 @@ def train_crf(
     )
     model.set_packed(result.x)
     model.objective_history = history
+    model.nit = int(result.nit)
+    model.stop_message = str(result.message)
     return model
 
 

@@ -271,14 +271,17 @@ class _Trainer:
         return self.cap is None or self._effective_size() <= self.cap
 
     def _check_sync(self) -> None:
-        model = self._snapshot()
-        recomputed = mdl_cost(model).total
+        cost = mdl_cost(self._snapshot())
         tracked = self._tracked_total()
-        # "not <=" so that an overflowed (inf or nan) cost fails as well
-        if not abs(recomputed - tracked) <= 1e-6:
+        # rounding grows with the magnitude of the summed terms (~1e-14 of
+        # it measured), so the drift allowed does too, down to 1e-6; a
+        # non-finite drift (an overflowed cost) always fails
+        scale = cost.corpus_cost + abs(self.alpha * cost.lexicon_cost)
+        drift = abs(cost.total - tracked)
+        if not (math.isfinite(drift) and drift <= max(1e-6, 1e-10 * scale)):
             raise NumericError(
                 "tracked cost %.9f drifted from recomputed %.9f (alpha %r)"
-                % (tracked, recomputed, self.alpha)
+                % (tracked, cost.total, self.alpha)
             )
 
     # -- initialization ----------------------------------------------------

@@ -95,6 +95,65 @@ class TestTraining:
         assert model.vocab == {"a", "b" + DEFAULT_MARKER, "aa"}
 
 
+def _initial_symbols(word_counts):
+    return {c for w in word_counts for c in w[:-1]} | {w[-1] + DEFAULT_MARKER for w in word_counts}
+
+
+# words over tiny alphabets, runs of one symbol and repeated pairs, so that
+# rounds tie on counts and merged occurrences sit back to back or overlap
+# ("aaaa" with pair ("a", "a"), "abab" with ("a", "b")); non-ASCII letters
+# check that nothing depends on one character per byte
+ADVERSARIAL_WORD = st.one_of(
+    st.text(st.sampled_from("ab"), min_size=1, max_size=10),
+    st.text(st.sampled_from("abcd"), min_size=1, max_size=8),
+    st.text(st.sampled_from("aä語😀"), min_size=1, max_size=6),
+    st.builds(lambda unit, n: unit * n,
+              st.sampled_from(["a", "ab", "aab", "ä語", "aba"]), st.integers(1, 6)),
+)
+
+
+class TestTrainingMatchesOracle:
+    """The incremental trainer against the from-scratch recount of
+    ``bpe_oracle_merges``: the same merges in the same order, and a vocab of
+    the initial symbols plus every merge result."""
+
+    @staticmethod
+    def _assert_same(word_counts, target):
+        model = train_bpe(word_counts, target)
+        merges = bpe_oracle_merges(word_counts, target)
+        assert model.merges == merges
+        assert model.vocab == _initial_symbols(word_counts) | {a + b for a, b in merges}
+
+    @given(corpus=st.dictionaries(ADVERSARIAL_WORD, st.integers(1, 4), min_size=1,
+                                  max_size=12),
+           budget=st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_adversarial_corpora(self, corpus, budget):
+        self._assert_same(corpus, len(_initial_symbols(corpus)) + budget)
+
+    @pytest.mark.parametrize("corpus", [
+        {"aaaab": 2, "aaab": 1},  # ("a", "a") overlaps itself; (aa, a) comes and goes
+        {"abab": 2, "ababab": 1, "ba": 1},  # back to back: (b, a) -> (ab, a) -> (ab, ab)
+        {"aaaaa": 3, "baaab": 2},  # odd runs, ending on the marker or not
+        {"ab": 1, "ba": 1, "aa": 1, "bb": 1},  # every pair once: nothing merges
+    ])
+    def test_runs_and_back_to_back_occurrences(self, corpus):
+        self._assert_same(corpus, len(_initial_symbols(corpus)) + 20)
+
+    def test_seeded_zipfian_corpus(self):
+        rng = random.Random(2016)
+        syllables = [c + v for c in "ptkmnsw" for v in "aeiu"]
+        stems = ["".join(rng.choice(syllables) for _ in range(rng.randint(1, 3)))
+                 for _ in range(120)]
+        suffixes = ["", "ka", "ni", "ta", "mu", "kani", "seta"]
+        corpus = {}
+        for rank in range(1, 400):
+            word = rng.choice(stems) + rng.choice(suffixes)
+            corpus[word] = corpus.get(word, 0) + max(1, 400 // rank)
+        assert len(corpus) > 200
+        self._assert_same(corpus, len(_initial_symbols(corpus)) + 150)
+
+
 class TestEncodeDecode:
     def test_merge_replay_by_hand(self):
         model = train_bpe({"aaab": 2, "aab": 1}, target_vocab_size=3)

@@ -332,6 +332,24 @@ class TestExitCodes:
         bad = _write(tmp_path / "bad.txt", "ka</w>wi\n")
         assert run("desegment", "--style", "eow", "--input", bad) == 3
 
+    def test_bpe_marker_in_training_token_is_3(self, tmp_path, capsys):
+        bad = _write(tmp_path / "bad.txt", "kawi suta\nwisu ab</w>c kawi\n")
+        model = tmp_path / "m.bpe"
+        assert run("train", "--method", "bpe", "--input", bad, "--model", str(model)) == 3
+        assert ("%s:2: word 'ab</w>c' contains the boundary marker '</w>'" % (bad,)
+                in capsys.readouterr().err)
+        assert not model.exists()
+
+    def test_bpe_marker_in_segmented_token_is_3(self, trained_models, tmp_path, capsys):
+        d, _ = trained_models
+        bad = _write(tmp_path / "bad.txt", "ab</w>c kawi\n")
+        out = tmp_path / "seg.txt"
+        assert run("segment", "--model", str(d / "bpe"), "--input", bad,
+                   "--output", str(out)) == 3
+        assert ("%s:1: word 'ab</w>c' contains the boundary marker '</w>'" % (bad,)
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_corrupt_score_file_is_3(self, tmp_path, corpus_file, capsys):
         model = str(tmp_path / "m.morf")
         assert run("train", "--method", "morfessor", "--input", corpus_file,

@@ -242,6 +242,20 @@ class TestTraining:
         assert len(model.objective_history) == 5
         assert model.objective_history[-1] == log_likelihood_and_gradient(model, TOY)[0]
 
+    def test_stop_reason_kept_off_the_model_file(self, tmp_path):
+        model = train_crf(TOY, delta=2, l2=0.01, max_iters=5)
+        assert model.nit == 5
+        assert "ITERATIONS REACHED LIMIT" in model.stop_message
+        converged = train_crf(TOY, delta=2, l2=0.01, max_iters=200)
+        assert 5 < converged.nit < 200
+        assert "CONVERGENCE" in converged.stop_message
+        path, again = tmp_path / "m.crf", tmp_path / "again.crf"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.nit, loaded.stop_message) == (None, None)
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_window_radius_below_one_rejected(self):
         with pytest.raises(ConfigError):
             train_crf(TOY, delta=0)

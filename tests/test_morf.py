@@ -171,16 +171,39 @@ class TestAlphaAndDrift:
             train_baseline(FOUR_WORDS, alpha=1e308)
 
     def test_drift_in_running_sum_is_caught(self, monkeypatch):
+        self._nudged(monkeypatch, 1e-3)
+        with pytest.raises(NumericError, match="drifted"):
+            train_baseline(FOUR_WORDS, seed=5)
+
+    def test_drift_at_large_alpha_is_caught(self, monkeypatch):
+        # the cost here is ~4e6, so the drift allowed is ~4e-4
+        self._nudged(monkeypatch, 1e-2)
+        with pytest.raises(NumericError, match="drifted"):
+            train_baseline(FOUR_WORDS, seed=5, alpha=1e5)
+
+    @staticmethod
+    def _nudged(monkeypatch, nudge):
         real_visit = _Trainer._visit
 
         def nudging_visit(self, word):
             real_visit(self, word)
             if word == "taka":
-                self._sum_clogc += 1e-3
+                self._sum_clogc += nudge
 
         monkeypatch.setattr(_Trainer, "_visit", nudging_visit)
-        with pytest.raises(NumericError, match="drifted"):
-            train_baseline(FOUR_WORDS, seed=5)
+
+    @pytest.mark.parametrize("alpha", [1e5, 1e7, 1e12])
+    def test_large_alpha_trains(self, alpha):
+        # rounding in a cost of ~7e7 at alpha 1e5 (~7e14 at 1e12) exceeds
+        # any fixed absolute tolerance; the drift allowed scales with it
+        rng = random.Random(4)
+        syllables = [c + v for c in "ptkmnsw" for v in "aiu"]
+        counts = Counter()
+        for _ in range(300):
+            word = "".join(rng.choice(syllables) for _ in range(rng.randint(1, 4)))
+            counts[word] += rng.randint(1, 20)
+        model = train_baseline(counts, alpha=alpha, restarts=1)
+        assert mdl_cost(model).total > alpha
 
 
 class TestViterbi:
