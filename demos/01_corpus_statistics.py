@@ -23,7 +23,7 @@ root = Path(tempfile.mkdtemp())
 (root / "dev.tgt").write_text("yo corro lejos\n", encoding="utf-8")
 
 train = load_parallel(root / "train.src", root / "train.tgt")
-dev = load_parallel(root / "dev.src", root / "dev.tgt", split="dev")
+dev = load_parallel(root / "dev.src", root / "dev.tgt")
 
 print("== train ==")
 print(stats_table(corpus_stats(train)))

@@ -38,14 +38,9 @@ class Sentence:
 
 @dataclass(frozen=True)
 class ParallelCorpus:
-    """Line-aligned sentence pairs with a split label."""
+    """Line-aligned sentence pairs."""
 
     pairs: tuple[tuple[Sentence, Sentence], ...]
-    split: str = "train"
-
-    def __post_init__(self):
-        if not self.split:
-            raise DataError("split label missing")
 
     def __len__(self):
         return len(self.pairs)
@@ -84,7 +79,6 @@ class SegmentedWord:
 class SegmentationDataset:
     entries: tuple[SegmentedWord, ...]
     mode: str
-    split: str = "train"
 
     def __post_init__(self):
         for e in self.entries:
@@ -134,15 +128,18 @@ class SegDatasetStats:
 
 def read_lines(path) -> list[str]:
     """The lines of the UTF-8 text file at ``path``, without line ends; a
-    file that cannot be read or decoded raises ParseError naming it."""
+    file that cannot be read or decoded raises ParseError naming it.  Lines
+    end only where iterating over the file ends them, not at the other
+    breaks of ``str.splitlines`` (``\x85``, ``\u2028``, ...)."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read().splitlines()
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
+    return text.removesuffix("\n").split("\n") if text else []
 
 
-def load_parallel(source_path, target_path, split: str = "train") -> ParallelCorpus:
+def load_parallel(source_path, target_path) -> ParallelCorpus:
     """Load a line-aligned parallel corpus from two plain-text files."""
     src_lines = read_lines(source_path)
     tgt_lines = read_lines(target_path)
@@ -158,10 +155,10 @@ def load_parallel(source_path, target_path, split: str = "train") -> ParallelCor
         if not tgt.split():
             raise ParseError("%s: line %d is empty" % (target_path, i))
         pairs.append((Sentence(tuple(src.split())), Sentence(tuple(tgt.split()))))
-    return ParallelCorpus(tuple(pairs), split=split)
+    return ParallelCorpus(tuple(pairs))
 
 
-def load_segmentation(path, mode: str = SURFACE, split: str = "train") -> SegmentationDataset:
+def load_segmentation(path, mode: str = SURFACE) -> SegmentationDataset:
     """Load a TSV segmentation dataset (``surface<TAB>morph1 morph2 ...``)."""
     if mode not in MODES:
         raise DataError("unknown segmentation mode: %r" % (mode,))
@@ -177,7 +174,7 @@ def load_segmentation(path, mode: str = SURFACE, split: str = "train") -> Segmen
             entries.append(SegmentedWord(surface, morphs, mode=mode))
         except DataError as exc:
             raise DataError("%s: line %d: %s" % (path, i, exc)) from exc
-    return SegmentationDataset(tuple(entries), mode=mode, split=split)
+    return SegmentationDataset(tuple(entries), mode=mode)
 
 
 def _side_counts(corpus: ParallelCorpus, side: int) -> Counter:

@@ -9,11 +9,11 @@ offset and content.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.sparse import csr_matrix
 
 from . import modelfile
 from .corpus import SURFACE, SegmentationDataset, SegmentedWord
@@ -264,25 +264,38 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return total + np.squeeze(top, axis=axis)
 
 
-def _forward_backward(scores: np.ndarray, trans: np.ndarray):
-    """Log-space forward and backward values of a ``(words, length, 4)``
-    batch of same-length words, and each word's log partition value."""
+def forward_backward(scores: np.ndarray, start: np.ndarray, trans: np.ndarray,
+                     final: np.ndarray):
+    """Log-space forward and backward values of a ``(chains, length, 4)``
+    batch of label scores, and each chain's log partition value; ``start``
+    and ``final`` score each label opening and closing a chain (-inf
+    forbids).  The crf's BMES chain and flatcat's category chain run here."""
     n = scores.shape[1]
     alpha = np.empty_like(scores)
     beta = np.empty_like(scores)
-    alpha[:, 0] = scores[:, 0] + _START_MASK
+    alpha[:, 0] = scores[:, 0] + start
     for i in range(1, n):
         alpha[:, i] = scores[:, i] + _logsumexp(alpha[:, i - 1, :, None] + trans, axis=1)
-    beta[:, -1] = _FINAL_MASK
+    beta[:, -1] = final
     for i in range(n - 2, -1, -1):
         beta[:, i] = _logsumexp(trans + (scores[:, i + 1] + beta[:, i + 1])[:, None, :], axis=2)
-    log_z = _logsumexp(alpha[:, -1] + _FINAL_MASK, axis=1)
+    log_z = _logsumexp(alpha[:, -1] + final, axis=1)
     return alpha, beta, log_z
+
+
+def transition_counts(scores, trans, alpha, beta, log_z) -> np.ndarray:
+    """The expected ``(4, 4)`` label-pair counts of a batch, summed over its
+    chains and adjacent positions, from :func:`forward_backward`'s values."""
+    # log marginals of each adjacent label pair, (chains, n - 1, 4, 4)
+    xi = alpha[:, :-1, :, None] + trans + (scores[:, 1:] + beta[:, 1:])[:, :, None, :]
+    return np.exp(xi - log_z[:, None, None, None]).sum(axis=(0, 1))
 
 
 def marginals(model: CrfModel, word: str):
     """Per-position label marginals and the sequence partition value."""
-    alpha, beta, log_z = _forward_backward(_emission_scores(model, word)[None], model.trans)
+    alpha, beta, log_z = forward_backward(
+        _emission_scores(model, word)[None], _START_MASK, model.trans, _FINAL_MASK
+    )
     return np.exp(alpha[0] + beta[0] - log_z[0]), log_z[0]
 
 
@@ -299,40 +312,34 @@ def _sequences(dataset: SegmentationDataset):
 
 
 def _length_groups(model: CrfModel, dataset: SegmentationDataset):
-    """The dataset's words grouped by exact length, behind one feature table.
+    """The dataset's words grouped by exact length, behind one slot table.
 
-    Returns ``(table, groups)``.  ``table`` is a sparse (positions x
-    features) count matrix over every character position, laid out group
-    by group, word by word; a row holds the position's known feature ids
-    in ``extract_features`` order.  Each group is ``(start, gold)``: its
-    first row in ``table`` and its ``(words, length)`` array of gold label
-    ids.
+    Returns ``(slots, groups)``.  ``slots`` holds the :func:`_feature_slots`
+    row of every character position, laid out group by group, word by
+    word, each padded on the right with the unknown id up to the widest
+    row.  Each group is ``(start, gold)``: its first row in ``slots`` and
+    its ``(words, length)`` array of gold label ids.
     """
     by_length: dict[int, list] = {}
     for word, labels in _sequences(dataset):
         by_length.setdefault(len(word), []).append((word, labels))
-    unknown = len(model.feat_index)
     pads = _pad_offsets(model)
-    # per row, the number of known ids; the leading 0 makes the cumulative
-    # sum the table's indptr
-    indices, row_sizes, groups = [np.zeros(0, dtype=np.intp)], [np.zeros(1, dtype=np.intp)], []
+    tables, groups = [], []
     start = 0
     for n in sorted(by_length):
         group = by_length[n]
-        for chunk in _chunks([word for word, _ in group], n):
-            slots = _feature_slots(model, chunk, pads)
-            known = slots != unknown
-            indices.append(slots[known])
-            row_sizes.append(known.sum(axis=1))
+        tables.extend(_feature_slots(model, chunk, pads)
+                      for chunk in _chunks([word for word, _ in group], n))
         gold = np.array([[_L[l] for l in labels] for _, labels in group], dtype=np.intp)
         groups.append((start, gold))
         start += gold.size
-    indices = np.concatenate(indices)
-    table = csr_matrix(
-        (np.ones(len(indices)), indices, np.cumsum(np.concatenate(row_sizes))),
-        shape=(start, unknown),
-    )
-    return table, groups
+    width = max((t.shape[1] for t in tables), default=1)
+    slots = np.full((start, width), len(model.feat_index), dtype=np.intp)
+    row = 0
+    for t in tables:
+        slots[row : row + len(t), : t.shape[1]] = t
+        row += len(t)
+    return slots, groups
 
 
 def log_likelihood_and_gradient(model: CrfModel, dataset: SegmentationDataset):
@@ -342,8 +349,8 @@ def log_likelihood_and_gradient(model: CrfModel, dataset: SegmentationDataset):
     empirical minus expected feature counts, minus the l2 term.  Words of
     one length run through the forward-backward together.
     """
-    table, groups = _length_groups(model, dataset)
-    scores = table @ model.weights  # (positions, 4)
+    slots, groups = _length_groups(model, dataset)
+    scores = _emission_sums(_extended(model.weights), slots)  # (positions, 4)
     residual = np.empty_like(scores)  # gold one-hot minus label marginals
     grad_t = np.zeros((4, 4))
     ll = 0.0
@@ -351,7 +358,8 @@ def log_likelihood_and_gradient(model: CrfModel, dataset: SegmentationDataset):
         words, n = gold.shape
         stop = start + gold.size
         group_scores = scores[start:stop].reshape(words, n, 4)
-        alpha, beta, log_z = _forward_backward(group_scores, model.trans)
+        alpha, beta, log_z = forward_backward(group_scores, _START_MASK, model.trans,
+                                              _FINAL_MASK)
         prev, nxt = gold[:, :-1], gold[:, 1:]
         ll += np.take_along_axis(group_scores, gold[..., None], axis=2).sum()
         ll += model.trans[prev, nxt].sum() - log_z.sum()
@@ -361,15 +369,11 @@ def log_likelihood_and_gradient(model: CrfModel, dataset: SegmentationDataset):
         residual[np.arange(start, stop), gold.ravel()] += 1.0
 
         grad_t += np.bincount((prev * 4 + nxt).ravel(), minlength=16).reshape(4, 4)
-        # log marginals of each adjacent label pair, (words, n - 1, 4, 4)
-        xi = (
-            alpha[:, :-1, :, None]
-            + model.trans
-            + (group_scores[:, 1:] + beta[:, 1:])[:, :, None, :]
-            - log_z[:, None, None, None]
-        )
-        grad_t -= np.exp(xi).sum(axis=(0, 1))
-    grad_w = table.T @ residual
+        grad_t -= transition_counts(group_scores, model.trans, alpha, beta, log_z)
+    # one bincount per label over every slot in row order, less the unknown id's bin
+    ids, width, bins = slots.ravel(), slots.shape[1], len(model.feat_index) + 1
+    grad_w = np.stack([np.bincount(ids, np.repeat(r, width), bins)[:-1] for r in residual.T],
+                      axis=1)
 
     packed = model.packed()
     ll -= 0.5 * model.l2 * float(packed @ packed)
@@ -398,6 +402,8 @@ def train_crf(
         )
     if delta < 1:
         raise ConfigError("window radius delta must be at least 1, got %d" % (delta,))
+    if not (math.isfinite(l2) and l2 >= 0):
+        raise ConfigError("l2 weight must be finite and at least 0, got %r" % (l2,))
     feat_index: dict[tuple[int, str], int] = {}
     for entry in dataset.entries:
         for i in range(len(entry.surface)):
@@ -514,10 +520,17 @@ def _delta(text: str) -> int:
     return value
 
 
+def _l2(text: str) -> float:
+    value = modelfile.finite(text)
+    if value < 0:
+        raise ValueError("negative l2 weight")
+    return value
+
+
 def load_model(path) -> CrfModel:
     label = _L.__getitem__
     (delta, l2), rows = modelfile.read(
-        path, "crf", (_delta, float),
+        path, "crf", (_delta, _l2),
         {"features": (_feature_key, label, modelfile.finite),
          "transitions": (label, label, modelfile.finite)},
     )

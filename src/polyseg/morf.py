@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import modelfile
-from .crf import _logsumexp
+from .crf import forward_backward, transition_counts
 from .errors import ConfigError, DataError, NumericError, ParseError
 
 BASELINE = "baseline"
@@ -751,28 +751,6 @@ def _category_model(emit, start, trans, morphs: list[str]) -> CategoryModel:
     )
 
 
-def _forward_backward(ids, emit, start, trans):
-    """Log-space forward/backward over categories for a ``(words, n)``
-    batch of morph-id sequences of one length.
-
-    Returns ``(ll, alpha, beta, e)``: each word's log-likelihood, the
-    ``(words, n, 4)`` forward and backward values and the emission
-    log-probabilities of its morphs.  The first morph takes a category
-    ``start`` gives mass and the last a word-final one (stem or suffix).
-    """
-    e = emit.T[ids]
-    alpha = np.empty_like(e)
-    beta = np.empty_like(e)
-    alpha[:, 0] = start + e[:, 0]
-    for i in range(1, ids.shape[1]):
-        alpha[:, i] = _logsumexp(alpha[:, i - 1, :, None] + trans, axis=1) + e[:, i]
-    ll = _logsumexp(alpha[:, -1] + _FINAL_MASK, axis=1)
-    beta[:, -1] = _FINAL_MASK
-    for i in range(ids.shape[1] - 2, -1, -1):
-        beta[:, i] = _logsumexp(trans + e[:, i + 1, None, :] + beta[:, i + 1, None, :], axis=2)
-    return ll, alpha, beta, e
-
-
 def _normalize(counts, previous):
     """Each row of ``counts`` as log-probabilities over its total, -inf
     where a count is zero; a row whose total is not positive keeps its
@@ -827,16 +805,15 @@ def train_flatcat(
         trans_counts = np.zeros((4, 4))
         total_ll = 0.0
         for ids, slot in zip(groups, slots):
-            ll, alpha, beta, e = _forward_backward(ids, emit, start, trans)
+            e = emit.T[ids]  # each morph's emission log-probabilities
+            alpha, beta, ll = forward_backward(e, start, trans, _FINAL_MASK)
             if np.isneginf(ll).any():
                 raise NumericError("zero-probability segmentation in EM")
             total_ll += float(ll.sum())
             gamma = np.exp(alpha + beta - ll[:, None, None])
             emit_counts += np.bincount(slot.ravel(), gamma.ravel(), len(emit_counts))
             start_counts += gamma[:, 0].sum(axis=0)
-            xi = (alpha[:, :-1, :, None] + trans + e[:, 1:, None, :]
-                  + beta[:, 1:, None, :] - ll[:, None, None, None])
-            trans_counts += np.exp(xi).sum(axis=(0, 1))
+            trans_counts += transition_counts(e, trans, alpha, beta, ll)
         ll_history.append(total_ll)
 
         start = _normalize(start_counts, start)

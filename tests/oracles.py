@@ -13,7 +13,6 @@ from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
 from scipy.special import logsumexp
 
 from polyseg.bpe import DEFAULT_MARKER
@@ -383,27 +382,25 @@ def crf_oracle_llgrad(model, dataset):
 
 def crf_oracle_length_groups(model, dataset):
     """``crf._length_groups`` with each row's ids taken from
-    :func:`crf_oracle_feature_ids`."""
+    :func:`crf_oracle_feature_ids`, so a row holds only the known ids, then
+    the unknown id up to the widest row."""
     by_length = {}
     for entry in dataset.entries:
         by_length.setdefault(len(entry.surface), []).append(entry)
-    indptr, indices, groups = [0], [], []
+    rows, groups = [], []
     start = 0
     for n in sorted(by_length):
         group = by_length[n]
         for entry in group:
-            for ids in crf_oracle_feature_ids(model, entry.surface):
-                indices.extend(ids)
-                indptr.append(len(indices))
+            rows.extend(crf_oracle_feature_ids(model, entry.surface))
         gold = np.array([[_L[l] for l in morphs_to_labels(e.morphs)] for e in group],
                         dtype=np.intp)
         groups.append((start, gold))
         start += gold.size
-    table = csr_matrix(
-        (np.ones(len(indices)), np.asarray(indices, dtype=np.intp), np.asarray(indptr)),
-        shape=(start, len(model.feat_index)),
-    )
-    return table, groups
+    unknown = len(model.feat_index)
+    width = max([1, *map(len, rows)])
+    slots = np.array([ids + [unknown] * (width - len(ids)) for ids in rows], dtype=np.intp)
+    return slots.reshape(start, width), groups
 
 
 def random_crf_model(data, delta=2, l2=0.0, seed=0):

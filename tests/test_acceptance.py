@@ -333,7 +333,7 @@ def test_c11_supervised_over_unsupervised_ordering():
         pytest.skip("hch.train.tsv / hch.test.tsv not found under POLYSEG_DATA_DIR")
 
     train = load_segmentation(train_path)
-    gold = load_segmentation(test_path, split="test")
+    gold = load_segmentation(test_path)
     word_counts = {}
     for e in train.entries:
         word_counts[e.surface] = word_counts.get(e.surface, 0) + 1

@@ -210,6 +210,19 @@ class TestEval:
         assert run("train", "--method", "crf", "--input", data, "--model", model,
                    "--mode", "canonical") == 3
 
+    @pytest.mark.parametrize("metric", ("bleu", "chrf"))
+    def test_eval_mt_breaks_lines_only_at_newlines(self, tmp_path, capsys, metric):
+        # U+2028 and U+0085 end a line for str.splitlines, not for a file
+        hyps = ["ka wi\u2028su ta", "mi pe\x85ka wi"]
+        refs = ["ka wi su ta", "mi pe ka ka"]
+        hyp = _write(tmp_path / "h.txt", "".join(h + "\n" for h in hyps))
+        ref = _write(tmp_path / "r.txt", "".join(r + "\n" for r in refs))
+        assert run("eval-mt", "--hyp", hyp, "--ref", ref, "--metric", metric,
+                   "--out", str(tmp_path / "out.tsv")) == 0
+        report = metrics.metric_report(metric, hyps, refs)
+        assert capsys.readouterr().out == "%s = %.4f (%s)\n" % (
+            metric, report.score, report.signature)
+
     def test_signif_identical_systems(self, tmp_path, capsys):
         sys_a = _write(tmp_path / "a.txt", "ka wi su ta\nmi pe ka wi\n")
         refs = _write(tmp_path / "r.txt", "ka wi su ta\nmi pe ka ka\n")
@@ -393,6 +406,22 @@ class TestExitCodes:
         assert run("train", "--method", "crf", "--input", str(d / "gold.tsv"),
                    "--model", str(tmp_path / "m.crf"), "--delta", "0") == 2
 
+    @pytest.mark.parametrize("l2", ("nan", "inf", "-inf", "-1", "-1e-300"))
+    def test_crf_bad_l2_is_2(self, tmp_path, capsys, l2):
+        data = _write(tmp_path / "g.tsv", "kawi\tka wi\nsuta\tsu ta\n")
+        model = tmp_path / "m.crf"
+        assert run("train", "--method", "crf", "--input", data, "--model", str(model),
+                   "--l2=" + l2) == 2
+        assert "l2" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_crf_zero_l2_trains(self, tmp_path):
+        data = _write(tmp_path / "g.tsv", "kawi\tka wi\nsuta\tsu ta\n")
+        model = tmp_path / "m.crf"
+        assert run("train", "--method", "crf", "--input", data, "--model", str(model),
+                   "--l2", "0", "--max-iters", "2") == 0
+        assert model.read_text(encoding="utf-8").startswith("crf v1 3 0.0\n")
+
     @pytest.mark.parametrize("metric", ("bleu", "chrf"))
     def test_empty_mt_inputs(self, tmp_path, capsys, metric):
         empty = _write(tmp_path / "empty.txt", "")
@@ -482,6 +511,10 @@ class TestMalformedModelFiles:
         pytest.param("", 1, id="empty-file"),
         pytest.param("lzw v1 30\n", 1, id="unknown-family"),
         pytest.param("crf v1 0 0.01\n0:k\tB\t0.5\ntransitions:\n", 1, id="crf-delta-zero"),
+        pytest.param("crf v1 2 nan\n0:k\tB\t0.5\ntransitions:\n", 1, id="crf-l2-nan"),
+        pytest.param("crf v1 2 inf\n0:k\tB\t0.5\ntransitions:\n", 1, id="crf-l2-inf"),
+        pytest.param("crf v1 2 -0.5\n0:k\tB\t0.5\ntransitions:\n", 1,
+                     id="crf-l2-negative"),
         pytest.param("morf v1 flatkat 1.0\nka\t3\n", 1, id="unknown-morf-variant"),
         pytest.param("morf v1 baseline 1.0\nka\t3\nwi\t2\nka\t5\n", 4,
                      id="repeated-lexicon-morph"),

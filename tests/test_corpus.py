@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyseg import bpe, crf, morf
 from polyseg.corpus import (
@@ -13,6 +15,7 @@ from polyseg.corpus import (
     corpus_stats,
     load_parallel,
     load_segmentation,
+    read_lines,
     round_half_up,
     seg_stats,
     seg_stats_table,
@@ -76,13 +79,44 @@ class TestLoadSegmentation:
         assert "TAB" in str(exc.value)
 
 
-def _corpus(pairs, split="train"):
+class TestReadLines:
+    # every character str.splitlines breaks at but "\n" and "\r"
+    OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(alphabet="ab \n\r" + OTHER_BREAKS, max_size=30))
+    def test_lines_are_those_of_file_iteration(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("lines") / "t.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as f:
+            want = [line[:-1] if line.endswith("\n") else line for line in f]
+        assert read_lines(path) == want
+
+    @pytest.mark.parametrize("text,lines", [
+        ("", []),
+        ("\n", [""]),
+        ("a", ["a"]),
+        ("a\n\n", ["a", ""]),
+        ("a\r\nb\rc\n", ["a", "b", "c"]),
+        ("a\u2028b\x85c\n", ["a\u2028b\x85c"]),
+    ])
+    def test_examples(self, tmp_path, text, lines):
+        path = tmp_path / "t.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert read_lines(path) == lines
+
+    def test_errors_name_the_file_line(self, tmp_path):
+        path = _write(tmp_path / "d.tsv", "kawi\tka wi\u2028\nsuta\tsu ta\nsu\n")
+        with pytest.raises(ParseError, match="line 3 has no TAB"):
+            load_segmentation(path)
+
+
+def _corpus(pairs):
     return ParallelCorpus(
         tuple(
             (Sentence(tuple(s.split())), Sentence(tuple(t.split())))
             for s, t in pairs
-        ),
-        split=split,
+        )
     )
 
 
@@ -116,7 +150,7 @@ class TestCorpusStats:
 
     def test_oov_type_based_over_eval_vocab(self):
         train = _corpus([("a b", "x y")])
-        dev = _corpus([("a c c", "x z")], split="dev")
+        dev = _corpus([("a c c", "x z")])
         stats = corpus_stats(dev, reference_train=train)
         assert stats.oov == (1, 1)
         assert stats.pct_oov[0] == pytest.approx(1 / 2)
@@ -164,9 +198,7 @@ class TestSegStats:
         train = SegmentationDataset(
             (SegmentedWord("ab", ("a", "b")),), mode=SURFACE
         )
-        test = SegmentationDataset(
-            (SegmentedWord("ac", ("a", "c")),), mode=SURFACE, split="test"
-        )
+        test = SegmentationDataset((SegmentedWord("ac", ("a", "c")),), mode=SURFACE)
         assert seg_stats(test, reference_train=train).oov_morphs == 1
 
 
@@ -192,9 +224,7 @@ class TestSyntheticTables:
 
     def test_parallel_dev_oov(self, parallel_fixture):
         train = load_parallel(parallel_fixture["train.tar"], parallel_fixture["train.spa"])
-        dev = load_parallel(
-            parallel_fixture["dev.tar"], parallel_fixture["dev.spa"], split="dev"
-        )
+        dev = load_parallel(parallel_fixture["dev.tar"], parallel_fixture["dev.spa"])
         stats = corpus_stats(dev, reference_train=train)
         assert stats.s == 587
         assert stats.n == (3183, 4133)

@@ -13,6 +13,7 @@ from oracles import (
     flatcat_oracle_segment,
 )
 
+from polyseg.crf import forward_backward
 from polyseg.errors import DataError, NumericError
 from polyseg.morf import (
     ALLOWED_NEXT,
@@ -21,8 +22,8 @@ from polyseg.morf import (
     START_CATS,
     CategoryModel,
     MorfModel,
+    _FINAL_MASK,
     _category_arrays,
-    _forward_backward,
     load_model,
     save_model,
     train_flatcat,
@@ -36,6 +37,13 @@ AFFIX_TOY = {
     "player": ("play", "er"),
     "doer": ("do", "er"),
 }
+
+
+def _category_chain(ids, emit, start, trans):
+    """The shared chain's forward and backward values and log-likelihoods
+    of a ``(words, n)`` batch of morph ids, as flatcat's EM runs it."""
+    return forward_backward(emit.T[ids], start, trans, _FINAL_MASK)
+
 
 TOY_CORPORA = (
     AFFIX_TOY,
@@ -106,7 +114,7 @@ class TestEm:
         cm = _flatcat(AFFIX_TOY, diversity_threshold=2).categories
         morphs = sorted({m for table in cm.emit.values() for m in table})
         ids = np.array([[morphs.index("re"), morphs.index("play")]])
-        ll, alpha, beta, _ = _forward_backward(ids, *_category_arrays(cm, morphs))
+        alpha, beta, ll = _category_chain(ids, *_category_arrays(cm, morphs))
         for i, cat in ((0, "PRE"), (0, "STM"), (1, "STM"), (1, "SUF")):
             c = CATEGORIES.index(cat)
             g = alpha[0, i, c] + beta[0, i, c] - ll[0]
@@ -225,7 +233,7 @@ class TestArraysMatchOracles:
     def test_forward_backward(self, cm, morphs):
         ll, alphas, betas = flatcat_oracle_forward_backward(cm, morphs)
         ids = np.array([[MORPHS.index(m) for m in morphs]])
-        got_ll, alpha, beta, _ = _forward_backward(ids, *_category_arrays(cm, list(MORPHS)))
+        alpha, beta, got_ll = _category_chain(ids, *_category_arrays(cm, list(MORPHS)))
         assert got_ll[0] == pytest.approx(ll, rel=1e-9)
         for i, c in itertools.product(range(len(morphs)), range(4)):
             assert alpha[0, i, c] == pytest.approx(alphas[i][CATEGORIES[c]], rel=1e-9)
