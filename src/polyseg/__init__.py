@@ -64,7 +64,6 @@ from .morf import (
     MdlCost,
     MorfModel,
     mdl_cost,
-    segment_corpus,
     train_baseline,
     train_flatcat,
     train_lmvr,

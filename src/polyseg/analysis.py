@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlignmentError, ConfigError, DataError
-from .morf import MorfModel, viterbi_segment
+from . import morf
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class UnkReport:
 
 
 def richness_table(
-    probe_model: MorfModel, sentences, per_sentence_scores
+    probe_model: morf.MorfModel, sentences, per_sentence_scores
 ) -> list[RichnessRecord]:
     """Per-sentence morphs-per-token under the probe segmenter, paired with
     that sentence's score and sorted by richness.  Each distinct token is
@@ -52,17 +52,15 @@ def richness_table(
         raise AlignmentError(
             "scores not aligned with sentences: %d vs %d" % (len(scores), len(sentences))
         )
-    n_morphs = {}  # token -> its morph count under the probe segmenter
-    records = []
-    for idx, (sent, score) in enumerate(zip(sentences, scores)):
-        tokens = sent.tokens if hasattr(sent, "tokens") else sent
+    for idx, tokens in enumerate(sentences):
         if not tokens:
             raise DataError("line %d: sentence has no tokens" % (idx + 1,))
-        for tok in tokens:
-            if tok not in n_morphs:
-                n_morphs[tok] = len(viterbi_segment(probe_model, tok))
-        morphs = sum(n_morphs[tok] for tok in tokens)
-        records.append(RichnessRecord(idx, morphs / len(tokens), float(score)))
+    distinct = list(dict.fromkeys(tok for tokens in sentences for tok in tokens))
+    n_morphs = {tok: len(morphs)
+                for tok, morphs in zip(distinct, morf.segment_words(probe_model, distinct))}
+    records = [RichnessRecord(idx, sum(n_morphs[tok] for tok in tokens) / len(tokens),
+                              float(score))
+               for idx, (tokens, score) in enumerate(zip(sentences, scores))]
     return sorted(records, key=lambda r: (r.morphs_per_token, r.index))
 
 
@@ -114,8 +112,7 @@ def unk_report(segmented_corpus, vocabulary: set[str], system: str = "system") -
     """Count produced pieces absent from the given piece vocabulary.
 
     ``segmented_corpus`` is a sequence of sentences, each a sequence of
-    tokens, each a sequence of pieces (the shape ``segment_corpus``
-    returns).
+    tokens, each a sequence of pieces.
     """
     if not vocabulary:
         raise ConfigError("empty piece vocabulary")

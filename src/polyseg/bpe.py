@@ -225,6 +225,11 @@ def encode(model: BpeModel, word: str) -> list[str]:
     return list(syms)
 
 
+def segment_words(model: BpeModel, words) -> list[list[str]]:
+    """The pieces of each of ``words``, in input order (see :func:`encode`)."""
+    return [encode(model, word) for word in words]
+
+
 def decode(pieces: list[str], marker: str = DEFAULT_MARKER) -> str:
     """Reassemble a word from its pieces; inverse of :func:`encode`."""
     if not pieces:

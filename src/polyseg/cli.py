@@ -26,6 +26,9 @@ DEFAULT_SEED = 1917
 EOW = "eow"  # end-of-word marker on each word's final piece (bpe family)
 CONT = "cont"  # continuation marker on each word's non-final pieces
 DEFAULT_MARKERS = {EOW: bpe.DEFAULT_MARKER, CONT: "@@"}
+# model family (the first header word) -> its module: load_model, save_model
+# and segment_words(model, words)
+SEGMENTERS = {"bpe": bpe, "morf": morf, "crf": crf}
 
 
 # -- segmented-text rendering ------------------------------------------------
@@ -180,24 +183,19 @@ def _segmenter(path):
     """``(segment_words, style, marker)`` for the model file at ``path``.
 
     ``segment_words`` maps a list of words to the list of their pieces; it
-    looks the family's decoder up on its module at call time, so a wrapper
-    installed there sees every call.  bpe and morf decode word by word, crf
-    decodes the whole list in one call.
+    looks ``segment_words`` up on the family's module at call time, so a
+    wrapper installed there sees every call.
     """
     family = modelfile.family(path)
-    if family == "bpe":
-        model = bpe.load_model(path)
-        return ((lambda words: [bpe.encode(model, word) for word in words]),
-                EOW, model.boundary_marker)
-    if family == "morf":
-        model = morf.load_model(path)
-        return ((lambda words: [morf.viterbi_segment(model, word) for word in words]),
-                CONT, DEFAULT_MARKERS[CONT])
-    if family == "crf":
-        model = crf.load_model(path)
-        return ((lambda words: [list(seg.morphs) for seg in crf.decode_words(model, words)]),
-                CONT, DEFAULT_MARKERS[CONT])
-    raise ParseError("%s:1: unknown model family %r" % (path, family))
+    module = SEGMENTERS.get(family)
+    if module is None:
+        raise ParseError("%s:1: unknown model family %r" % (path, family))
+    model = module.load_model(path)
+    if module is bpe:
+        style, marker = EOW, model.boundary_marker
+    else:
+        style, marker = CONT, DEFAULT_MARKERS[CONT]
+    return (lambda words: module.segment_words(model, words)), style, marker
 
 
 def _cmd_segment(args) -> int:

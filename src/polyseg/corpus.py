@@ -159,11 +159,15 @@ def load_parallel(source_path, target_path) -> ParallelCorpus:
 
 
 def load_segmentation(path, mode: str = SURFACE) -> SegmentationDataset:
-    """Load a TSV segmentation dataset (``surface<TAB>morph1 morph2 ...``)."""
+    """Load a TSV segmentation dataset (``surface<TAB>morph1 morph2 ...``);
+    a file without entries raises ParseError."""
     if mode not in MODES:
         raise DataError("unknown segmentation mode: %r" % (mode,))
+    lines = read_lines(path)
+    if not lines:
+        raise ParseError("%s:1: no segmentation entries" % (path,))
     entries = []
-    for i, line in enumerate(read_lines(path), start=1):
+    for i, line in enumerate(lines, start=1):
         if not line.strip():
             raise ParseError("%s: line %d is empty" % (path, i))
         if "\t" not in line:

@@ -404,6 +404,10 @@ def train_crf(
         raise ConfigError("window radius delta must be at least 1, got %d" % (delta,))
     if not (math.isfinite(l2) and l2 >= 0):
         raise ConfigError("l2 weight must be finite and at least 0, got %r" % (l2,))
+    if max_iters < 1:
+        raise ConfigError("max_iters must be at least 1, got %r" % (max_iters,))
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError("tol must be finite and at least 0, got %r" % (tol,))
     feat_index: dict[tuple[int, str], int] = {}
     for entry in dataset.entries:
         for i in range(len(entry.surface)):
@@ -461,10 +465,10 @@ def _viterbi(scores: np.ndarray, trans: np.ndarray) -> np.ndarray:
     return labels
 
 
-def decode_words(model: CrfModel, words) -> list[SegmentedWord]:
-    """Viterbi decoding of each of ``words``, in input order; among
-    equal-scoring sequences the lexicographically first under B < E < M < S
-    wins.  Words of one length are decoded together."""
+def segment_words(model: CrfModel, words) -> list[tuple[str, ...]]:
+    """The morphs of each of ``words`` under Viterbi decoding, in input
+    order; among equal-scoring sequences the lexicographically first under
+    B < E < M < S wins.  Words of one length are decoded together."""
     words = list(words)
     by_length: dict[int, list[int]] = {}
     for k, word in enumerate(words):
@@ -480,15 +484,13 @@ def decode_words(model: CrfModel, words) -> list[SegmentedWord]:
             scores = _emission_sums(extended, _feature_slots(model, group, pads))
             labels = _viterbi(scores.reshape(len(group), n, 4), model.trans)
             for k, word, row in zip(chunk, group, labels.tolist()):
-                out[k] = SegmentedWord(
-                    word, labels_to_morphs(word, [LABELS[j] for j in row]), mode=SURFACE
-                )
+                out[k] = labels_to_morphs(word, [LABELS[j] for j in row])
     return out
 
 
 def decode(model: CrfModel, word: str) -> SegmentedWord:
-    """Viterbi decoding of one word (see :func:`decode_words`)."""
-    return decode_words(model, [word])[0]
+    """Viterbi decoding of one word (see :func:`segment_words`)."""
+    return SegmentedWord(word, segment_words(model, [word])[0], mode=SURFACE)
 
 
 # -- model files -------------------------------------------------------------

@@ -678,13 +678,10 @@ def _viterbi_categories(cm: CategoryModel, word: str, unseen: list[float], stric
     return morphs, cats
 
 
-def segment_corpus(model: MorfModel, sentences) -> list[list[list[str]]]:
-    """Segment every token of every sentence; concatenation restores tokens."""
-    out = []
-    for sent in sentences:
-        tokens = sent.tokens if hasattr(sent, "tokens") else sent
-        out.append([viterbi_segment(model, tok) for tok in tokens])
-    return out
+def segment_words(model: MorfModel, words) -> list[list[str]]:
+    """The morphs of each of ``words``, in input order (see
+    :func:`viterbi_segment`)."""
+    return [viterbi_segment(model, word) for word in words]
 
 
 # -- category-model training -------------------------------------------------
@@ -830,15 +827,9 @@ def train_flatcat(
         variant=FLATCAT,
         categories=_category_model(emit, start, trans, vocab),
     )
-    new_analyses = {}
-    new_lexicon = Counter()
-    for w in sorted(word_counts):
-        morphs, _ = viterbi_segment_with_categories(refined, w)
-        new_analyses[w] = tuple(morphs)
-        for m in morphs:
-            new_lexicon[m] += 1
-    refined.lexicon = new_lexicon
-    refined.analyses = new_analyses
+    words = sorted(word_counts)
+    refined.analyses = {w: tuple(ms) for w, ms in zip(words, segment_words(refined, words))}
+    refined.lexicon = Counter(m for ms in refined.analyses.values() for m in ms)
     refined.ll_history = ll_history
     return refined
 

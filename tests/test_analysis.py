@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polyseg import analysis
+from polyseg import analysis, morf
 from polyseg.analysis import (
     bin_richness,
     richness_csv,
@@ -12,7 +12,7 @@ from polyseg.analysis import (
 )
 from polyseg.bpe import encode, train_bpe
 from polyseg.errors import AlignmentError, ConfigError
-from polyseg.morf import MorfModel, segment_corpus
+from polyseg.morf import MorfModel, segment_words
 from polyseg.analysis import RichnessRecord
 
 
@@ -43,11 +43,11 @@ class TestRichness:
 
     def test_each_distinct_token_segmented_once(self, monkeypatch):
         sentences = [["kawi", "kasuwi", "kawi"], ["kasuwi", "suta"], ["kawi"]]
-        real = analysis.viterbi_segment
+        real = morf.viterbi_segment
         per_token = [sum(len(real(SPLIT_MODEL, tok)) for tok in sent) / len(sent)
                      for sent in sentences]
         calls = []
-        monkeypatch.setattr(analysis, "viterbi_segment",
+        monkeypatch.setattr(morf, "viterbi_segment",
                             lambda model, tok: calls.append(tok) or real(model, tok))
         records = richness_table(SPLIT_MODEL, sentences, [1.0, 2.0, 3.0])
         assert calls == ["kawi", "kasuwi", "suta"]
@@ -93,7 +93,7 @@ class TestRichness:
 
 class TestUnk:
     def test_full_coverage_gives_zero(self):
-        segged = segment_corpus(SPLIT_MODEL, [["kawi", "kasuwi"]])
+        segged = [segment_words(SPLIT_MODEL, ["kawi", "kasuwi"])]
         vocab = {"ka", "wi", "su"}
         report = unk_report(segged, vocab)
         assert report.unk_tokens == 0
@@ -105,9 +105,9 @@ class TestUnk:
 
     def test_idempotent_after_desegment_resegment(self):
         sentences = [["kawi", "kasuwi"], ["kawi"]]
-        first = segment_corpus(SPLIT_MODEL, sentences)
+        first = [segment_words(SPLIT_MODEL, sent) for sent in sentences]
         rebuilt = [["".join(m) for m in sent] for sent in first]
-        second = segment_corpus(SPLIT_MODEL, rebuilt)
+        second = [segment_words(SPLIT_MODEL, sent) for sent in rebuilt]
         vocab = {"ka", "wi"}
         assert unk_report(first, vocab) == unk_report(second, vocab)
 

@@ -42,7 +42,7 @@ TRAIN = {
 
 
 @pytest.mark.parametrize("module,attr", [
-    ("bpe", "encode"), ("morf", "viterbi_segment"), ("crf", "decode_words"),
+    ("bpe", "encode"), ("morf", "viterbi_segment"), ("crf", "segment_words"),
 ])
 def test_segment_word_looks_decoder_up_at_call_time(tmp_path, monkeypatch, module, attr):
     # the traced run installs its spans on these module attributes after
@@ -56,7 +56,7 @@ def test_segment_word_looks_decoder_up_at_call_time(tmp_path, monkeypatch, modul
     monkeypatch.setattr(mod, attr, lambda model, arg: calls.append(arg) or real(model, arg))
     segment_words(["kawi"])
     # crf's decoder takes the whole word list, bpe's and morf's one word
-    assert calls == [["kawi"] if attr == "decode_words" else "kawi"]
+    assert calls == [["kawi"] if attr == "segment_words" else "kawi"]
 
 
 def test_train_crf_calls_the_likelihood_through_its_module_attribute(monkeypatch):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyseg import bpe, cli, crf, metrics, morf
+from polyseg import bpe, cli, crf, metrics, modelfile, morf
 from polyseg.cli import desegment_line, main, render_segmented
 from polyseg.errors import FormatError
+from oracles import crf_oracle_decode
 
 
 def run(*argv):
@@ -83,12 +84,27 @@ class TestSegmentRoundTrip:
         assert open(m1, "rb").read() == open(m2, "rb").read()
 
 
+# one word list for every family: repeats, characters no model saw in
+# training, and words of one to sixteen characters
+WORDS = ["kawi", "suta", "kawi", "z", "kawisuta", "wiqu", "ta", "suta", "kawikawisutawisu",
+         "\u00e9ka", "wisu", "kawi"]
+
+
+def _per_word(module):
+    """The per-word decoder that ``module.segment_words`` must agree with."""
+    if module is crf:
+        return lambda model, word: crf_oracle_decode(model, word).morphs
+    return {bpe: bpe.encode, morf: morf.viterbi_segment}[module]
+
+
+@pytest.mark.parametrize("method,decoder", [
+    ("bpe", (bpe, "encode")),
+    ("morfessor", (morf, "viterbi_segment")),
+    ("crf", (crf, "segment_words")),
+    ("lmvr", (morf, "viterbi_segment")),
+    ("flatcat", (morf, "viterbi_segment")),
+])
 class TestSegmentCache:
-    @pytest.mark.parametrize("method,decoder", [
-        ("bpe", (bpe, "encode")),
-        ("morfessor", (morf, "viterbi_segment")),
-        ("crf", (crf, "decode_words")),
-    ])
     def test_each_distinct_word_decoded_once(self, trained_models, monkeypatch, tmp_path,
                                              method, decoder):
         d, _ = trained_models
@@ -106,7 +122,7 @@ class TestSegmentCache:
         def counting_segmenter(path):
             found = real_segmenter(path)
             real = getattr(module, attr)
-            if attr == "decode_words":  # one call for the whole list
+            if attr == "segment_words":  # one call for the whole list
                 def counting(model, words):
                     calls.extend(words)
                     return real(model, words)
@@ -122,6 +138,46 @@ class TestSegmentCache:
         assert run("segment", "--model", model, "--input", text, "--output", str(out)) == 0
         assert out.read_text(encoding="utf-8") == expected
         assert sorted(calls) == ["kawi", "suta", "tawi", "wisu"]
+
+    def test_segment_words_matches_the_per_word_decoder(self, trained_models, method,
+                                                        decoder):
+        d, _ = trained_models
+        path = d / method
+        module, _ = decoder
+        assert cli.SEGMENTERS[modelfile.family(path)] is module
+        model = module.load_model(path)
+        per_word = _per_word(module)
+        assert module.segment_words(model, WORDS) == [per_word(model, w) for w in WORDS]
+        assert module.segment_words(model, WORDS[::-1]) == \
+            module.segment_words(model, WORDS)[::-1]
+        assert module.segment_words(model, []) == []
+        if module is crf:
+            for word in WORDS:
+                assert crf.decode(model, word).morphs == crf.segment_words(model, [word])[0]
+
+
+class TestSegmenterTable:
+    @pytest.mark.parametrize("family,method", [
+        ("bpe", "bpe"), ("crf", "crf"), ("morf", "morfessor"), ("morf", "flatcat"),
+    ])
+    def test_each_module_round_trips_its_family(self, trained_models, tmp_path, family,
+                                                method):
+        assert sorted(cli.SEGMENTERS) == ["bpe", "crf", "morf"]
+        module = cli.SEGMENTERS[family]
+        for attr in ("load_model", "save_model", "segment_words"):
+            assert callable(getattr(module, attr, None)), attr
+        d, _ = trained_models
+        resaved = tmp_path / "resaved"
+        module.save_model(module.load_model(d / method), resaved)
+        assert modelfile.family(resaved) == family
+
+    @pytest.mark.parametrize("command", ("segment", "desegment"))
+    def test_unknown_family_is_3_at_line_1(self, tmp_path, corpus_file, capsys, command):
+        model = _write(tmp_path / "m.lzw", "lzw v1 30\n")
+        assert run(command, "--model", model, "--input", corpus_file) == 3
+        err = capsys.readouterr().err
+        assert "%s:1: unknown model family 'lzw'" % (model,) in err
+        assert "Traceback" not in err
 
 
 class TestDesegmentHelpers:
@@ -414,6 +470,46 @@ class TestExitCodes:
                    "--l2=" + l2) == 2
         assert "l2" in capsys.readouterr().err
         assert not model.exists()
+
+    @pytest.mark.parametrize("option,value", [
+        ("--max-iters", "0"), ("--max-iters", "-1"),
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
+    ])
+    def test_crf_bad_stopping_rule_is_2(self, tmp_path, capsys, option, value):
+        data = _write(tmp_path / "g.tsv", "kawi\tka wi\nsuta\tsu ta\n")
+        model = tmp_path / "m.crf"
+        assert run("train", "--method", "crf", "--input", data, "--model", str(model),
+                   "%s=%s" % (option, value)) == 2
+        assert option[2:].replace("-", "_") in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_crf_zero_tol_trains(self, tmp_path):
+        data = _write(tmp_path / "g.tsv", "kawi\tka wi\nsuta\tsu ta\n")
+        model = tmp_path / "m.crf"
+        assert run("train", "--method", "crf", "--input", data, "--model", str(model),
+                   "--tol", "0", "--max-iters", "2") == 0
+        assert model.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("eval-seg", "--pred", "{empty}", "--gold", "{gold}", "--metric", "boundary"),
+        ("eval-seg", "--pred", "{empty}", "--gold", "{gold}", "--metric", "emma"),
+        ("eval-seg", "--pred", "{gold}", "--gold", "{empty}", "--metric", "boundary"),
+        ("eval-seg", "--pred", "{gold}", "--gold", "{empty}", "--metric", "emma"),
+        ("train", "--method", "crf", "--input", "{empty}", "--model", "{out}"),
+        ("seg-stats", "--data", "{empty}", "--out", "{out}"),
+        ("seg-stats", "--data", "{gold}", "--train", "{empty}", "--out", "{out}"),
+    ])
+    def test_empty_segmentation_file_is_3(self, tmp_path, capsys, argv):
+        paths = {"empty": _write(tmp_path / "empty.tsv", ""),
+                 "gold": _write(tmp_path / "gold.tsv", "kawi\tka wi\n"),
+                 "out": str(tmp_path / "out")}
+        if argv[0] == "eval-seg":
+            argv += ("--out", "{out}")
+        assert run(*[arg.format(**paths) for arg in argv]) == 3
+        err = capsys.readouterr().err
+        assert "%s:1: no segmentation entries" % (paths["empty"],) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_crf_zero_l2_trains(self, tmp_path):
         data = _write(tmp_path / "g.tsv", "kawi\tka wi\nsuta\tsu ta\n")

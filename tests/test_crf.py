@@ -24,7 +24,6 @@ from polyseg.crf import (
     _logsumexp,
     _pad_offsets,
     decode,
-    decode_words,
     extract_features,
     labels_to_morphs,
     load_model,
@@ -32,6 +31,7 @@ from polyseg.crf import (
     marginals,
     morphs_to_labels,
     save_model,
+    segment_words,
     train_crf,
 )
 from polyseg.errors import ConfigError, DataError, ParseError, UnsupportedModeError
@@ -305,13 +305,13 @@ class TestDecode:
         model.trans[np.isfinite(model.trans)] = [rng.choice((0.0, 0.5)) for _ in range(8)]
         words = ["".join(rng.choice("kawisu") for _ in range(rng.randint(1, 7)))
                  for _ in range(60)]
-        batch = decode_words(model, words)  # one call, mixed lengths
+        batch = segment_words(model, words)  # one call, mixed lengths
         for word, got in zip(words, batch):
             scored = [(crf_sequence_score(model, word, seq), seq)
                       for seq in valid_bmes_sequences(len(word))]
             best = max(score for score, _ in scored)
             expected = min(seq for score, seq in scored if score == best)
-            assert morphs_to_labels(got.morphs) == expected
+            assert morphs_to_labels(got) == expected
             assert morphs_to_labels(decode(model, word).morphs) == expected
 
 
@@ -366,15 +366,16 @@ class TestFastPathMatchesOracle:
            probes=PROBES, delta=st.integers(1, 5), grid=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_decode_words(self, train, probes, delta, grid, seed):
+    def test_segment_words(self, train, probes, delta, grid, seed):
         model = _model_knowing(train, delta, 0.8, seed, grid=grid)
         rng = random.Random(seed)
         long = "".join(rng.choice("abk") for _ in range(2 * delta + 2 + rng.randint(0, 6)))
         # length-1 words, an unseen character, words longer than the
         # window, and repeats
         words = probes + ["a", "z", long, "zz" + long] + train + probes[:2] + train[:1]
-        assert decode_words(model, words) == [crf_oracle_decode(model, w) for w in words]
-        assert decode_words(model, []) == []
+        assert segment_words(model, words) == [crf_oracle_decode(model, w).morphs
+                                               for w in words]
+        assert segment_words(model, []) == []
 
     def test_chunks_of_a_length_group(self, monkeypatch):
         # chunks of at most 8 positions: one to eight words each, and a
@@ -384,7 +385,8 @@ class TestFastPathMatchesOracle:
         rng = random.Random(12)
         words = ["".join(rng.choice("kawisu") for _ in range(rng.randint(1, 10)))
                  for _ in range(80)]
-        assert decode_words(model, words) == [crf_oracle_decode(model, w) for w in words]
+        assert segment_words(model, words) == [crf_oracle_decode(model, w).morphs
+                                               for w in words]
         data = dataset(*[(w,) for w in words])
         slots, groups = crf._length_groups(model, data)
         want_slots, want_groups = crf_oracle_length_groups(model, data)
@@ -404,14 +406,14 @@ class TestFastPathMatchesOracle:
         words = ["".join(rng.choice("kawisu") for _ in range(rng.randint(1, 12)))
                  for _ in range(40)]
         start = time.perf_counter()
-        got = decode_words(huge, words)
+        got = segment_words(huge, words)
         assert time.perf_counter() - start < 1.0
-        assert got == [crf_oracle_decode(small, w) for w in words]
+        assert got == [crf_oracle_decode(small, w).morphs for w in words]
 
     def test_empty_word_rejected(self):
         model = random_crf_model(TOY, delta=2, seed=5)
         with pytest.raises(DataError):
-            decode_words(model, ["kawi", ""])
+            segment_words(model, ["kawi", ""])
 
     def test_training_matches_the_oracle_table(self, monkeypatch, tmp_path):
         data = dataset(("p",), ("ka", "wi"), ("ka", "su"), ("ta", "ka", "wi"), ("p", "iwe"),

@@ -21,7 +21,7 @@ from polyseg.morf import (
     load_model,
     mdl_cost,
     save_model,
-    segment_corpus,
+    segment_words,
     train_baseline,
     train_flatcat,
     train_lmvr,
@@ -267,7 +267,7 @@ class TestSegmentCorpus:
     def test_concatenation_invariant(self):
         model = train_baseline(FOUR_WORDS, seed=1917, restarts=16)
         sentences = [["taka", "misu"], ["zzz"]]
-        segged = segment_corpus(model, sentences)
+        segged = [segment_words(model, sent) for sent in sentences]
         assert len(segged) == 2
         for sent, seg in zip(sentences, segged):
             for tok, morphs in zip(sent, seg):
