@@ -8,6 +8,7 @@ line-aligned across the two sides; segmentation datasets are UTF-8 TSV with
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -17,6 +18,8 @@ from .errors import AlignmentError, DataError, ParseError
 SURFACE = "surface"
 CANONICAL = "canonical"
 MODES = (SURFACE, CANONICAL)
+# matches the characters that str.isspace() is true for
+_WHITESPACE = re.compile(r"\s")
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class Sentence:
         if not self.tokens:
             raise DataError("sentence has no tokens")
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            if not tok or _WHITESPACE.search(tok):
                 raise DataError("token is empty or contains whitespace: %r" % (tok,))
 
     def __len__(self):
@@ -61,13 +64,12 @@ class SegmentedWord:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DataError("unknown segmentation mode: %r" % (self.mode,))
-        if not self.surface or any(ch.isspace() for ch in self.surface):
+        if not self.surface or _WHITESPACE.search(self.surface):
             raise DataError("bad surface form: %r" % (self.surface,))
         if not self.morphs:
             raise DataError("no morphs for %r" % (self.surface,))
-        for m in self.morphs:
-            if not m or any(ch.isspace() for ch in m):
-                raise DataError("empty or whitespace morph in %r" % (self.surface,))
+        if not all(self.morphs) or any(map(_WHITESPACE.search, self.morphs)):
+            raise DataError("empty or whitespace morph in %r" % (self.surface,))
         if self.mode == SURFACE and "".join(self.morphs) != self.surface:
             raise DataError(
                 "morphs %s do not concatenate to surface %r"
@@ -151,9 +153,9 @@ def load_parallel(source_path, target_path) -> ParallelCorpus:
     pairs = []
     for i, (src, tgt) in enumerate(zip(src_lines, tgt_lines), start=1):
         if not src.split():
-            raise ParseError("%s: line %d is empty" % (source_path, i))
+            raise ParseError("%s:%d: empty line" % (source_path, i))
         if not tgt.split():
-            raise ParseError("%s: line %d is empty" % (target_path, i))
+            raise ParseError("%s:%d: empty line" % (target_path, i))
         pairs.append((Sentence(tuple(src.split())), Sentence(tuple(tgt.split()))))
     return ParallelCorpus(tuple(pairs))
 
@@ -169,15 +171,15 @@ def load_segmentation(path, mode: str = SURFACE) -> SegmentationDataset:
     entries = []
     for i, line in enumerate(lines, start=1):
         if not line.strip():
-            raise ParseError("%s: line %d is empty" % (path, i))
+            raise ParseError("%s:%d: empty line" % (path, i))
         if "\t" not in line:
-            raise ParseError("%s: line %d has no TAB separator" % (path, i))
+            raise ParseError("%s:%d: no TAB separator" % (path, i))
         surface, morph_field = line.split("\t", 1)
         morphs = tuple(morph_field.split())
         try:
             entries.append(SegmentedWord(surface, morphs, mode=mode))
         except DataError as exc:
-            raise DataError("%s: line %d: %s" % (path, i, exc)) from exc
+            raise DataError("%s:%d: %s" % (path, i, exc)) from exc
     return SegmentationDataset(tuple(entries), mode=mode)
 
 

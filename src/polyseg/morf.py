@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import modelfile
-from .crf import forward_backward, transition_counts
+from .crf import _chunks, forward_backward, transition_counts
 from .errors import ConfigError, DataError, NumericError, ParseError
 
 BASELINE = "baseline"
@@ -81,26 +81,26 @@ class CategoryModel:
 
     @cached_property
     def _lattice_tables(self):
-        """``(emit_costs, first_steps, trans)`` for the category lattice,
-        categories as their CATEGORIES indices.
+        """``(ids, emit, limit, steps)`` for the category lattice,
+        categories in CATEGORIES order.
 
-        ``emit_costs`` maps every emitted morph to its four costs ``-logp``,
-        inf where a category gives it no mass.  ``first_steps[c]`` is
-        ``[(None, -logp)]`` for a category that may open a word and ``[]``
-        for one that may not; ``trans[p][c]`` is the log-probability of
-        ``c`` after ``p``, None where the step is forbidden.
+        ``ids`` numbers every emitted morph, and row ``ids[m]`` of the
+        ``(len(ids) + 1, 4)`` array ``emit`` holds its costs ``-logp``, inf
+        where a category gives it no mass; the last row, for any other
+        morph, is all inf.  ``limit`` is the longest morph's length (at
+        least 1).  ``steps[p, c]`` is the cost ``-logp`` of ``c`` after
+        ``p``, and ``steps[4, c]`` of ``c`` opening a word; inf where that
+        is forbidden.
         """
-        emit_costs = {}
+        morphs = dict.fromkeys(m for table in self.emit.values() for m in table)
+        ids = {m: i for i, m in enumerate(morphs)}
+        emit = np.full((len(ids) + 1, 4), math.inf)
         for c, cat in enumerate(CATEGORIES):
             for morph, logp in self.emit.get(cat, {}).items():
-                emit_costs.setdefault(morph, [math.inf] * 4)[c] = -logp
-        starts = [self.start_logp(cat) for cat in CATEGORIES]
-        first_steps = [[] if s == _NEG_INF else [(None, -s)] for s in starts]
-        trans = [
-            [None if t == _NEG_INF else t for t in (self.trans_logp(a, b) for b in CATEGORIES)]
-            for a in CATEGORIES
-        ]
-        return {m: tuple(v) for m, v in emit_costs.items()}, first_steps, trans
+                emit[ids[morph], c] = -logp
+        steps = -np.array([[self.trans_logp(a, b) for b in CATEGORIES] for a in CATEGORIES]
+                          + [[self.start_logp(b) for b in CATEGORIES]])
+        return ids, emit, max(map(len, ids), default=1), steps
 
 
 @dataclass
@@ -543,145 +543,182 @@ def train_lmvr(
 # -- inference ---------------------------------------------------------------
 
 
-def _unseen_costs(model: MorfModel, word: str, total: int) -> list[float]:
-    """The cost of an unseen morph of every length 0..len(word): its
-    spelling added to the lexicon plus one smoothed corpus token."""
+def _span_ids(words: list[str], ids: dict[str, int], limit: int):
+    """For each end ``1..n`` of ``words`` (all of length ``n``), the ids of
+    the spans ending there that are at most ``limit`` long, numbered one
+    end at a time: a ``(len(words), width)`` array whose column ``j`` is the
+    span from ``end - width + j``, ``len(ids)`` where ``ids`` lacks it."""
+    count, n = len(words), len(words[0])
+    chars = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"),
+                          dtype=np.uint32).reshape(count, n)
+    get, unknown = ids.get, len(ids)
+    codes = np.empty((count, 0), dtype=np.intp)
+    for end in range(1, n + 1):
+        width = min(limit, end)
+        # a span is the one a character shorter (-1 for none) plus its last character
+        shorter = np.concatenate([codes[:, codes.shape[1] - width + 1 :],
+                                  np.full((count, 1), -1)], axis=1)
+        key = (shorter + 1) * 0x110000 + chars[:, end - 1 : end]
+        _, first, codes = np.unique(key.ravel(), return_index=True, return_inverse=True)
+        codes = codes.reshape(count, width)
+        w, j = np.divmod(first, width)
+        a = end - width
+        found = [get(words[x][a + y : end], unknown) for x, y in zip(w.tolist(), j.tolist())]
+        yield np.array(found, dtype=np.intp)[codes]
+
+
+def _viterbi(words: list[str], tables, unseen) -> list[list[str]]:
+    """The cheapest morph sequence of each of ``words`` (one length), ties
+    keeping the first start.  A known morph ``m`` costs ``costs[ids[m]]``
+    for ``(ids, costs, limit) = tables``; an unseen one of length ``k``
+    costs ``unseen[k]``."""
+    ids, costs, limit = tables
+    count, n = len(words), len(words[0])
+    best = np.zeros((count, n + 1))
+    back = np.zeros((count, n + 1), dtype=np.intp)
+    for end, span in enumerate(_span_ids(words, ids, limit), 1):
+        a = end - span.shape[1]
+        cand = best[:, :end] + unseen[end:0:-1]
+        cand[:, a:] = best[:, a:end] + np.where(span == len(ids), unseen[end - a : 0 : -1],
+                                                costs[span])
+        back[:, end] = np.argmin(cand, axis=1)
+        best[:, end] = cand.min(axis=1)
+    out = []
+    for word, starts in zip(words, back.tolist()):
+        morphs, end = [], n
+        while end:
+            morphs.append(word[starts[end] : end])
+            end = starts[end]
+        out.append(morphs[::-1])
+    return out
+
+
+def _lattice(words: list[str], tables, unseen, strict: bool = True) -> list:
+    """The cheapest ``(morphs, categories)`` of each of ``words`` (one
+    length) under ``CategoryModel._lattice_tables``, None without a legal
+    path.  With ``strict`` a known morph cannot take a category that gives
+    it no mass, and words left without a path are decoded again without.
+
+    From each start, the previous categories are tried in the order they
+    reached it: by the first start that gave them a finite cost, then by
+    index.  Ties keep the first start, then the first previous category;
+    the final category is the cheaper of STM and SUF, STM on a tie.
+    """
+    ids, emit, limit, steps = tables
+    count, n = len(words), len(words[0])
+    # reach[w, pos, k]: the cost of the k-th category to reach pos, slot_cat
+    # that category; pos 0 has only category 4, whose steps are the starts
+    reach = np.full((count, n + 1, 4), math.inf)
+    reach[:, 0, 0] = 0.0
+    slot_cat = np.full((count, n + 1, 4), 4, dtype=np.int8)
+    back = np.zeros((count, n + 1, 4), dtype=np.intp)  # start * 5 + previous category
+    for end, span in enumerate(_span_ids(words, ids, limit), 1):
+        a = end - span.shape[1]
+        e = np.broadcast_to(unseen[end:0:-1, None], (count, end, 4)).copy()
+        known = emit[span]
+        keep = (span < len(ids))[..., None] if strict else known != math.inf
+        np.copyto(e[:, a:], known, where=keep)
+        # the emission is added before the minimum over previous categories
+        cand = np.full((count, end, 4), math.inf)
+        via = np.zeros((count, end, 4), dtype=np.int8)
+        y = np.empty_like(cand)
+        for k in range(4):
+            np.add(reach[:, :end, k, None], steps[slot_cat[:, :end, k]], out=y)
+            better = np.add(y, e, out=y) < cand
+            np.copyto(cand, y, where=better)
+            via[better] = k
+        start = np.argmin(cand, axis=1)
+        best = cand.min(axis=1)
+        via = np.take_along_axis(via, start[:, None], axis=1)[:, 0]
+        back[:, end] = start * 5 + slot_cat[np.arange(count)[:, None], start, via]
+        reached = cand < math.inf
+        first = np.where(reached.any(axis=1), reached.argmax(axis=1), end)
+        slot_cat[:, end] = order = np.argsort(first * 4 + np.arange(4), axis=1)
+        reach[:, end] = np.take_along_axis(best, order, axis=1)
+    final = best[:, 1:3]  # STM, SUF
+    out = []
+    for word, cost, cat, ptrs in zip(words, final.min(axis=1).tolist(),
+                                     (1 + np.argmin(final, axis=1)).tolist(),
+                                     map(np.ndarray.tolist, back)):
+        morphs, cats, end = [], [], n
+        while end and cost < math.inf:
+            start, prev = divmod(ptrs[end][cat], 5)
+            morphs.append(word[start:end])
+            cats.append(CATEGORIES[cat])
+            end, cat = start, prev
+        out.append((morphs[::-1], cats[::-1]) if morphs else None)
+    retry = [k for k, result in enumerate(out) if result is None]
+    if strict and retry:
+        # every category-legal path died on zeroed emissions: let any
+        # substring fall back to the add-to-lexicon cost instead
+        for k, result in zip(retry, _lattice([words[k] for k in retry], tables, unseen, False)):
+            out[k] = result
+    return out
+
+
+def _decode(model: MorfModel, words) -> list:
+    """Each of ``words`` decoded, in input order: its morphs, or under a
+    category model its ``(morphs, categories)``.  Words of one length are
+    decoded together, in the chunks of :func:`polyseg.crf._chunks`."""
+    words = list(words)
+    by_length: dict[int, list[int]] = {}
+    for k, word in enumerate(words):
+        if not word:
+            raise DataError("cannot segment an empty word")
+        by_length.setdefault(len(word), []).append(k)
+    total = model.total_tokens
+    # an unseen morph of each length pays its spelling, added to the
+    # lexicon, and one smoothed corpus token
     per_symbol = math.log(len(model.alphabet) + 1)
     smoothed = math.log(total + 1)
-    return [model.alpha * (k + 1) * per_symbol + smoothed for k in range(len(word) + 1)]
+    unseen = np.array([model.alpha * (k + 1) * per_symbol + smoothed
+                       for k in range(max(by_length, default=0) + 1)])
+    if model.categories is None:
+        log_total = math.log(total) if total > 0 else 0.0
+        known = {m: c for m, c in model.lexicon.items() if c > 0}
+        costs = np.array([log_total - math.log(c) for c in known.values()] + [math.inf])
+        decode, tables = _viterbi, (dict(zip(known, range(len(known)))), costs,
+                                    max(map(len, known), default=1))
+    else:
+        decode, tables = _lattice, model.categories._lattice_tables
+    out: list = [None] * len(words)
+    # inf and nan mark impossible steps; sums overflow to inf as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, members in by_length.items():
+            for chunk in _chunks(members, n):
+                for k, result in zip(chunk, decode([words[k] for k in chunk], tables, unseen)):
+                    out[k] = result
+    for word, result in zip(words, out):
+        if result is None:
+            raise NumericError("no legal category path for %r" % (word,))
+    return out
 
 
-def viterbi_segment(model: MorfModel, word: str) -> list[str]:
-    """Split ``word`` into the cheapest morph sequence under the lexicon.
+def segment_words(model: MorfModel, words) -> list[list[str]]:
+    """The cheapest morph sequence of each of ``words``, in input order.
 
     Known morphs cost their negative log probability; unknown substrings
     pay the add-to-lexicon price (uniform-character spelling, corpus-weight
     scaled) plus a one-token smoothed corpus cost, so out-of-vocabulary
-    words always segment.
+    words always segment.  Among equal-cost splits the one whose last morph
+    starts first wins.  A category model decodes through the joint
+    split-and-category lattice instead (see :func:`_lattice`).
     """
-    if not word:
-        raise DataError("cannot segment an empty word")
-    if model.categories is not None:
-        morphs, _ = viterbi_segment_with_categories(model, word)
-        return morphs
-    total = model.total_tokens
-    log_total = math.log(total) if total > 0 else 0.0
-    unseen = _unseen_costs(model, word, total)
-    n = len(word)
-    best = [math.inf] * (n + 1)
-    back = [0] * (n + 1)
-    best[0] = 0.0
-    for end in range(1, n + 1):
-        for start in range(end):
-            if best[start] == math.inf:
-                continue
-            m = word[start:end]
-            count = model.lexicon.get(m, 0)
-            if count > 0:
-                cost = log_total - math.log(count)
-            else:
-                cost = unseen[end - start]
-            cand = best[start] + cost
-            if cand < best[end]:
-                best[end] = cand
-                back[end] = start
-    morphs = []
-    pos = n
-    while pos > 0:
-        morphs.append(word[back[pos] : pos])
-        pos = back[pos]
-    morphs.reverse()
-    return morphs
+    decoded = _decode(model, words)
+    return decoded if model.categories is None else [morphs for morphs, _ in decoded]
+
+
+def viterbi_segment(model: MorfModel, word: str) -> list[str]:
+    """The morphs of one word (see :func:`segment_words`)."""
+    return segment_words(model, [word])[0]
 
 
 def viterbi_segment_with_categories(model: MorfModel, word: str) -> tuple[list[str], list[str]]:
-    """Joint split-and-category decoding for category-model variants."""
+    """Joint split-and-category decoding of one word for category-model
+    variants: its ``(morphs, categories)`` (see :func:`_lattice`)."""
     if model.categories is None:
         raise ConfigError("model has no category parameters")
-    if not word:
-        raise DataError("cannot segment an empty word")
-    total = model.total_tokens
-    unseen = _unseen_costs(model, word, total)
-    result = _viterbi_categories(model.categories, word, unseen, strict=True)
-    if result is None:
-        # Every category-legal path died on zeroed emissions; let any
-        # substring fall back to the add-to-lexicon cost instead.
-        result = _viterbi_categories(model.categories, word, unseen, strict=False)
-    if result is None:
-        raise NumericError("no legal category path for %r" % (word,))
-    return result
-
-
-def _viterbi_categories(cm: CategoryModel, word: str, unseen: list[float], strict: bool):
-    """The cheapest (morphs, categories) of ``word``, or None without a
-    legal path.  ``unseen[k]`` is the cost of an unseen morph of length k;
-    with ``strict`` a known morph cannot take a category that gives it no
-    mass.
-
-    Ties keep the first start, and among previous categories the one that
-    first reached that position; the final category is the cheapest, then
-    the first by name.
-    """
-    emit_costs, first_steps, trans = cm._lattice_tables
-    inf = math.inf
-    n = len(word)
-    # steps[pos][c]: (previous category, its cost - log p(c | previous)) for
-    # every category that reached pos and may precede c, in the order they
-    # reached it; a morph ending later only adds its emission cost
-    steps: list = [first_steps] + [None] * n
-    back: list = [None] * (n + 1)
-    best: dict = {}
-    for end in range(1, n + 1):
-        best, ptr = {}, {}
-        for start in range(end):
-            prev = steps[start]
-            if prev is None:
-                continue
-            costs = emit_costs.get(word[start:end])
-            if costs is None:
-                costs = (unseen[end - start],) * 4
-            elif not strict:
-                costs = [unseen[end - start] if e == inf else e for e in costs]
-            for c in range(4):
-                e = costs[c]
-                if e == inf:
-                    continue  # no mass, or an overflowing unseen cost
-                cand = inf
-                for p, x in prev[c]:
-                    y = x + e
-                    if y < cand:
-                        cand = y
-                        pc = p
-                if cand < best.get(c, inf):
-                    best[c] = cand
-                    ptr[c] = (start, pc)
-        back[end] = ptr
-        if best:
-            steps[end] = [
-                [(p, cost - trans[p][c]) for p, cost in best.items() if trans[p][c] is not None]
-                for c in range(4)
-            ]
-    finals = [c for c in best if CATEGORIES[c] in FINAL_CATS]
-    if not finals:
-        return None
-    cat = min(finals, key=lambda c: (best[c], CATEGORIES[c]))
-    morphs: list[str] = []
-    cats: list[str] = []
-    pos = n
-    while pos > 0:
-        start, prev_cat = back[pos][cat]
-        morphs.append(word[start:pos])
-        cats.append(CATEGORIES[cat])
-        pos, cat = start, prev_cat
-    morphs.reverse()
-    cats.reverse()
-    return morphs, cats
-
-
-def segment_words(model: MorfModel, words) -> list[list[str]]:
-    """The morphs of each of ``words``, in input order (see
-    :func:`viterbi_segment`)."""
-    return [viterbi_segment(model, word) for word in words]
+    return _decode(model, [word])[0]
 
 
 # -- category-model training -------------------------------------------------

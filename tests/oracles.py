@@ -161,6 +161,45 @@ def morf_best_cost(model, word):
     )
 
 
+def morf_oracle_viterbi(model, word):
+    """The lexicon Viterbi over one word, one span at a time: every start
+    before every end, a known morph costing ``log(total) - log(count)`` and
+    an unseen one ``morf_unseen_cost``; a strictly cheaper start replaces
+    the one kept, so ties keep the first start."""
+    total = model.total_tokens
+    log_total = math.log(total) if total > 0 else 0.0
+    n = len(word)
+    best = [math.inf] * (n + 1)
+    back = [0] * (n + 1)
+    best[0] = 0.0
+    for end in range(1, n + 1):
+        for start in range(end):
+            if best[start] == math.inf:
+                continue
+            count = model.lexicon.get(word[start:end], 0)
+            if count > 0:
+                cost = log_total - math.log(count)
+            else:
+                cost = morf_unseen_cost(model, end - start, total)
+            cand = best[start] + cost
+            if cand < best[end]:
+                best[end] = cand
+                back[end] = start
+    morphs = []
+    pos = n
+    while pos > 0:
+        morphs.append(word[back[pos] : pos])
+        pos = back[pos]
+    return morphs[::-1]
+
+
+def morf_word_lists(max_length):
+    """Lists of words of one to ``max_length`` characters over "abcd",
+    then the same words again in another order."""
+    words = st.lists(st.text("abcd", min_size=1, max_size=max_length), min_size=1, max_size=8)
+    return words.flatmap(lambda first: st.permutations(first).map(lambda again: first + again))
+
+
 class MorfOracleTrainer(_Trainer):
     """The mutate-and-measure search: every candidate is scored by adding
     its morphs to the lexicon with ``_add``, reading ``_tracked_total`` and

@@ -43,14 +43,13 @@ class TestRichness:
 
     def test_each_distinct_token_segmented_once(self, monkeypatch):
         sentences = [["kawi", "kasuwi", "kawi"], ["kasuwi", "suta"], ["kawi"]]
-        real = morf.viterbi_segment
-        per_token = [sum(len(real(SPLIT_MODEL, tok)) for tok in sent) / len(sent)
-                     for sent in sentences]
+        real = morf.segment_words
+        per_token = [sum(map(len, real(SPLIT_MODEL, sent))) / len(sent) for sent in sentences]
         calls = []
-        monkeypatch.setattr(morf, "viterbi_segment",
-                            lambda model, tok: calls.append(tok) or real(model, tok))
+        monkeypatch.setattr(morf, "segment_words",
+                            lambda model, toks: calls.append(list(toks)) or real(model, toks))
         records = richness_table(SPLIT_MODEL, sentences, [1.0, 2.0, 3.0])
-        assert calls == ["kawi", "kasuwi", "suta"]
+        assert calls == [["kawi", "kasuwi", "suta"]]
         assert sorted((r.index, r.morphs_per_token) for r in records) == list(
             enumerate(per_token))
 

@@ -42,7 +42,7 @@ TRAIN = {
 
 
 @pytest.mark.parametrize("module,attr", [
-    ("bpe", "encode"), ("morf", "viterbi_segment"), ("crf", "segment_words"),
+    ("bpe", "encode"), ("morf", "segment_words"), ("crf", "segment_words"),
 ])
 def test_segment_word_looks_decoder_up_at_call_time(tmp_path, monkeypatch, module, attr):
     # the traced run installs its spans on these module attributes after
@@ -55,7 +55,7 @@ def test_segment_word_looks_decoder_up_at_call_time(tmp_path, monkeypatch, modul
     real = getattr(mod, attr)
     monkeypatch.setattr(mod, attr, lambda model, arg: calls.append(arg) or real(model, arg))
     segment_words(["kawi"])
-    # crf's decoder takes the whole word list, bpe's and morf's one word
+    # crf's and morf's decoders take the whole word list, bpe's one word
     assert calls == [["kawi"] if attr == "segment_words" else "kawi"]
 
 
@@ -82,18 +82,18 @@ def test_train_crf_calls_the_likelihood_through_its_module_attribute(monkeypatch
 
 
 def test_flatcat_decodes_through_the_category_lattice_attribute(monkeypatch):
-    # the traced run's morf.catlattice span wraps this attribute and counts
-    # its calls: training decodes each of its words once through it, and so
-    # does viterbi_segment on a flatcat model
+    # the traced run wraps morf's batch decoder by its module attribute:
+    # training decodes all its words in one call through it
     morf = polyseg.morf
     counts = {"kawi": 3, "suta": 2, "wisu": 1}
     baseline = morf.train_baseline(counts, seed=1)
     calls = []
-    real = morf.viterbi_segment_with_categories
-    monkeypatch.setattr(morf, "viterbi_segment_with_categories",
-                        lambda model, word: calls.append(word) or real(model, word))
+    real = morf.segment_words
+    monkeypatch.setattr(morf, "segment_words",
+                        lambda model, words: calls.append(list(words)) or real(model, words))
     model = morf.train_flatcat(counts, baseline)
-    assert calls == sorted(counts)
+    assert calls == [sorted(counts)]
     del calls[:]
-    assert morf.viterbi_segment(model, "kawisu") == real(model, "kawisu")[0]
-    assert calls == ["kawisu"]
+    assert morf.viterbi_segment(model, "kawisu") == \
+        morf.viterbi_segment_with_categories(model, "kawisu")[0]
+    assert calls == [["kawisu"]]

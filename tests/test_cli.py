@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from polyseg import bpe, cli, crf, metrics, modelfile, morf
 from polyseg.cli import desegment_line, main, render_segmented
 from polyseg.errors import FormatError
-from oracles import crf_oracle_decode
+from oracles import crf_oracle_decode, flatcat_oracle_segment, morf_oracle_viterbi
 
 
 def run(*argv):
@@ -94,15 +94,18 @@ def _per_word(module):
     """The per-word decoder that ``module.segment_words`` must agree with."""
     if module is crf:
         return lambda model, word: crf_oracle_decode(model, word).morphs
-    return {bpe: bpe.encode, morf: morf.viterbi_segment}[module]
+    if module is morf:
+        return lambda model, word: (morf_oracle_viterbi(model, word) if model.categories is None
+                                    else flatcat_oracle_segment(model, word)[0])
+    return bpe.encode
 
 
 @pytest.mark.parametrize("method,decoder", [
     ("bpe", (bpe, "encode")),
-    ("morfessor", (morf, "viterbi_segment")),
+    ("morfessor", (morf, "segment_words")),
     ("crf", (crf, "segment_words")),
-    ("lmvr", (morf, "viterbi_segment")),
-    ("flatcat", (morf, "viterbi_segment")),
+    ("lmvr", (morf, "segment_words")),
+    ("flatcat", (morf, "segment_words")),
 ])
 class TestSegmentCache:
     def test_each_distinct_word_decoded_once(self, trained_models, monkeypatch, tmp_path,

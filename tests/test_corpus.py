@@ -8,6 +8,7 @@ from polyseg import bpe, crf, morf
 from polyseg.corpus import (
     SURFACE,
     CANONICAL,
+    _WHITESPACE,
     ParallelCorpus,
     SegmentationDataset,
     SegmentedWord,
@@ -51,7 +52,7 @@ class TestLoadParallel:
         tgt = _write(tmp_path / "b", "x\ny\nz\n")
         with pytest.raises(ParseError) as exc:
             load_parallel(src, tgt)
-        assert "line 2" in str(exc.value)
+        assert str(exc.value) == "%s:2: empty line" % (src,)
 
 
 class TestLoadSegmentation:
@@ -64,7 +65,7 @@ class TestLoadSegmentation:
         path = _write(tmp_path / "d.tsv", "kawi\tka wa\n")
         with pytest.raises(DataError) as exc:
             load_segmentation(path, mode=SURFACE)
-        assert "line 1" in str(exc.value)
+        assert str(exc.value).startswith("%s:1: " % (path,))
         assert "wa" in str(exc.value)
 
     def test_canonical_skips_concatenation_check(self, tmp_path):
@@ -77,6 +78,25 @@ class TestLoadSegmentation:
         with pytest.raises(ParseError) as exc:
             load_segmentation(path)
         assert "TAB" in str(exc.value)
+
+
+WHITESPACE = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+
+
+class TestWhitespace:
+    def test_pattern_agrees_with_isspace_on_every_code_point(self):
+        assert len(WHITESPACE) > 20
+        matched = [chr(cp) for cp in range(0x110000) if _WHITESPACE.match(chr(cp))]
+        assert matched == WHITESPACE
+
+    @pytest.mark.parametrize("ch", WHITESPACE, ids=lambda ch: "U+%04X" % ord(ch))
+    def test_every_whitespace_code_point_is_rejected(self, ch):
+        with pytest.raises(DataError, match="^bad surface form"):
+            SegmentedWord("ka" + ch + "wi", ("ka", ch, "wi"))
+        with pytest.raises(DataError, match="^empty or whitespace morph in 'kawi'$"):
+            SegmentedWord("kawi", ("ka", "w" + ch + "i"), mode=CANONICAL)
+        with pytest.raises(DataError, match="^token is empty or contains whitespace"):
+            Sentence(("ka" + ch,))
 
 
 class TestReadLines:
@@ -107,7 +127,7 @@ class TestReadLines:
 
     def test_errors_name_the_file_line(self, tmp_path):
         path = _write(tmp_path / "d.tsv", "kawi\tka wi\u2028\nsuta\tsu ta\nsu\n")
-        with pytest.raises(ParseError, match="line 3 has no TAB"):
+        with pytest.raises(ParseError, match=":3: no TAB separator$"):
             load_segmentation(path)
 
 

@@ -1,18 +1,22 @@
 import itertools
 import math
+import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     _flatcat_oracle_lattice,
     flatcat_oracle_em,
     flatcat_oracle_forward_backward,
     flatcat_oracle_segment,
+    morf_word_lists,
 )
 
+from polyseg import crf
 from polyseg.crf import forward_backward
 from polyseg.errors import DataError, NumericError
 from polyseg.morf import (
@@ -24,8 +28,10 @@ from polyseg.morf import (
     MorfModel,
     _FINAL_MASK,
     _category_arrays,
+    _decode as _decode_batch,
     load_model,
     save_model,
+    segment_words,
     train_flatcat,
     viterbi_segment,
     viterbi_segment_with_categories,
@@ -318,3 +324,34 @@ class TestArraysMatchOracles:
         want = (["b", "ba", "b"], ["STM", "STM", "STM"])
         assert flatcat_oracle_segment(model, "bbab") == want
         assert _decode(model, "bbab") == want
+
+
+# every substring of "ab" is known as a prefix only, so no strict path of
+# "ab" ends in a stem or suffix; "ba" has one, as an unseen stem
+PREFIXES_ONLY = CategoryModel(start={"PRE": -1.0, "STM": -1.0},
+                              trans={"PRE": {"PRE": -1.0, "STM": -1.0}},
+                              emit={"PRE": {"a": -1.0, "b": -1.0, "ab": -1.0}})
+
+
+class TestBatchLatticeMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(cm=category_models(), alpha=st.sampled_from((0.25, 1.0, 1e300, 1e308)),
+           words=morf_word_lists(7), chunk=st.integers(1, 24))
+    @example(cm=PREFIXES_ONLY, alpha=1.0, words=["ab", "ba", "ab", "c"], chunk=24)
+    def test_segment_words(self, cm, alpha, words, chunk):
+        # at alpha 1e308 every unseen morph of two or more characters costs
+        # inf; a small _CHUNK_POSITIONS cuts length groups into chunks
+        model = _flatcat_model(cm, alpha)
+        want = [flatcat_oracle_segment(model, w) for w in words]
+        with mock.patch.object(crf, "_CHUNK_POSITIONS", chunk):
+            if None in want:
+                message = "no legal category path for %r" % (words[want.index(None)],)
+                with pytest.raises(NumericError, match=re.escape(message) + "$"):
+                    _decode_batch(model, words)
+            else:
+                assert _decode_batch(model, words) == want
+                assert segment_words(model, words) == [morphs for morphs, _ in want]
+
+    def test_empty_word(self):
+        with pytest.raises(DataError):
+            segment_words(_flatcat_model(PREFIXES_ONLY), ["ba", ""])

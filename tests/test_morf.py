@@ -1,18 +1,23 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyseg import crf
 from polyseg.errors import ConfigError, DataError, NumericError
 from oracles import (
     MorfOracleTrainer,
     morf_best_cost,
     morf_joint_minimum,
     morf_morph_cost,
+    morf_oracle_viterbi,
     morf_total_cost,
+    morf_word_lists,
 )
 from polyseg.morf import (
     MorfModel,
@@ -225,6 +230,55 @@ class TestViterbi:
             assert "".join(morphs) == word
             got = sum(morf_morph_cost(model, m) for m in morphs)
             assert got == pytest.approx(morf_best_cost(model, word), abs=1e-9)
+
+
+# -- the batch decoder against the per-word oracle --------------------------------
+
+
+@st.composite
+def lexicon_models(draw):
+    """Lexicons over a few short morphs with counts 1 or 2, so equal-cost
+    splits are common.  At alpha 1e308 every unseen morph of two or more
+    characters costs inf, and at -1e308 -inf."""
+    morphs = draw(st.sets(st.sampled_from(("a", "b", "ab", "ba", "abc", "cab"))))
+    return MorfModel(lexicon=Counter({m: draw(st.sampled_from((1, 2))) for m in morphs}),
+                     alphabet=frozenset("abcd"),
+                     alpha=draw(st.sampled_from((0.0, 0.25, 1.0, 1e300, 1e308, -1e308))))
+
+
+class TestSegmentWords:
+    @settings(max_examples=300, deadline=None)
+    @given(model=lexicon_models(), words=morf_word_lists(9), chunk=st.integers(1, 24))
+    def test_matches_the_per_word_oracle(self, model, words, chunk):
+        # a small _CHUNK_POSITIONS cuts each length group into several chunks
+        with mock.patch.object(crf, "_CHUNK_POSITIONS", chunk):
+            got = segment_words(model, words)
+        assert got == [morf_oracle_viterbi(model, w) for w in words]
+
+    def test_empty_word(self):
+        model = MorfModel.from_segmentations({"ab": ("a", "b")})
+        with pytest.raises(DataError):
+            segment_words(model, ["ab", ""])
+        assert segment_words(model, []) == []
+
+    @pytest.mark.parametrize("variant", ["baseline", "flatcat"])
+    def test_long_word_in_small_memory(self, variant):
+        # spans are numbered one end at a time: a table of all 2000 * 2001 / 2
+        # spans would take 16 MB as int64 alone
+        model = train_baseline(FOUR_WORDS, seed=1917)
+        if variant == "flatcat":
+            model = train_flatcat(FOUR_WORDS, model)
+        rng = random.Random(5)
+        word = "".join(rng.choice("takmisuz") for _ in range(2000))
+        segment_words(model, ["taka"])  # build the model's tables first
+        tracemalloc.start()
+        try:
+            morphs = segment_words(model, [word])[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "".join(morphs) == word
+        assert peak < 3_000_000
 
 
 class TestLmvr:
