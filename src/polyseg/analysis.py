@@ -41,11 +41,12 @@ class UnkReport:
 
 
 def richness_table(
-    probe_model: morf.MorfModel, sentences, per_sentence_scores
+    probe_model: morf.MorfModel, sentences, per_sentence_scores, source="sentences"
 ) -> list[RichnessRecord]:
     """Per-sentence morphs-per-token under the probe segmenter, paired with
     that sentence's score and sorted by richness.  Each distinct token is
-    segmented once per call."""
+    segmented once per call.  An empty sentence is named as
+    ``source:line``."""
     sentences = list(sentences)
     scores = list(per_sentence_scores)
     if len(sentences) != len(scores):
@@ -54,7 +55,7 @@ def richness_table(
         )
     for idx, tokens in enumerate(sentences):
         if not tokens:
-            raise DataError("line %d: sentence has no tokens" % (idx + 1,))
+            raise DataError("%s:%d: sentence has no tokens" % (source, idx + 1))
     distinct = list(dict.fromkeys(tok for tokens in sentences for tok in tokens))
     n_morphs = {tok: len(morphs)
                 for tok, morphs in zip(distinct, morf.segment_words(probe_model, distinct))}

@@ -252,8 +252,9 @@ def save_model(model: BpeModel, path) -> None:
 
 
 def load_model(path) -> BpeModel:
-    (target, marker), rows = modelfile.read(path, "bpe", (int, str), {"merges": (str, str)})
-    merges = [(a, b) for _, (a, b) in rows["merges"]]
+    (target, marker), sections = modelfile.read(
+        path, "bpe", (int, str), {"merges": (modelfile.text, modelfile.text)})
+    merges = list(zip(*sections["merges"].columns))
     # The file format stores merges only; vocab is rebuilt from them.
     # Alphabet symbols that never merged are not recoverable from the file.
     vocab = set()

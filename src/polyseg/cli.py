@@ -279,7 +279,7 @@ def _cmd_analyze(args) -> int:
         sentences = [line.split() for line in corpus.read_lines(args.input)]
         scores = [modelfile.field(args.scores, i, float, text)
                   for i, text in enumerate(corpus.read_lines(args.scores), 1)]
-        records = analysis.richness_table(model, sentences, scores)
+        records = analysis.richness_table(model, sentences, scores, source=args.input)
         _emit(args.out, analysis.richness_csv(records))
         if args.bins_out:
             bins = analysis.bin_richness(records, bins=args.bins)

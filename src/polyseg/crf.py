@@ -529,25 +529,33 @@ def _l2(text: str) -> float:
     return value
 
 
+_labels = modelfile.each(_L.__getitem__)
+
+
 def load_model(path) -> CrfModel:
-    label = _L.__getitem__
-    (delta, l2), rows = modelfile.read(
+    (delta, l2), sections = modelfile.read(
         path, "crf", (_delta, _l2),
-        {"features": (_feature_key, label, modelfile.finite),
-         "transitions": (label, label, modelfile.finite)},
+        {"features": (modelfile.once(_feature_key), _labels, modelfile.finites),
+         "transitions": (_labels, _labels, modelfile.finites)},
     )
-    modelfile.unique(path, rows["features"], 2, "feature row")
-    modelfile.unique(path, rows["transitions"], 2, "transition")
-    feat_index: dict[tuple[int, str], int] = {}
-    for _, (feat, _, _) in rows["features"]:
-        feat_index.setdefault(feat, len(feat_index))
+    features, transitions = sections["features"], sections["transitions"]
+    keys, labels, weights = features.columns
+    # aliases such as 3:x and +3:x parse to one key, so to one weight row
+    feat_index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    rows = np.fromiter(map(feat_index.__getitem__, keys), dtype=np.intp, count=len(keys))
+    labels = np.array(labels, dtype=np.intp)
+    modelfile.unique(path, features.lines, (rows * 4 + labels).tolist(), "feature row")
+    modelfile.unique(path, transitions.lines, list(zip(*transitions.columns[:2])),
+                     "transition")
     model = CrfModel.zeros(delta, l2, feat_index)
-    for _, (feat, lab, w) in rows["features"]:
-        model.weights[feat_index[feat], lab] = w
-    for lineno, (a, b, w) in rows["transitions"]:
+    model.weights[rows, labels] = weights
+    for lineno, a, b, w in zip(transitions.lines, *transitions.columns):
         # decode and the likelihood read -inf in trans as a forbidden pair
         if model.trans[a, b] == -np.inf:
             raise ParseError("%s:%d: transition %s->%s is not allowed"
                              % (path, lineno, LABELS[a], LABELS[b]))
         model.trans[a, b] = w
+    # save_model always writes it; a file cut short loses it from the end
+    if not transitions.opened:
+        raise ParseError("%s:1: crf model has no transitions: line" % (path,))
     return model

@@ -937,29 +937,35 @@ def _variant(text: str) -> str:
 
 
 def load_model(path) -> MorfModel:
-    (variant, alpha, cap), rows = modelfile.read(
+    each = modelfile.each
+    (variant, alpha, cap), sections = modelfile.read(
         path, "morf", (_variant, modelfile.finite, int),
-        {"lexicon": (str, _count), "transitions": (_source, _category, _bounded),
-         "emissions": (_category, str, _bounded)},
+        {"lexicon": (modelfile.text, each(_count)),
+         "transitions": (each(_source), each(_category), each(_bounded)),
+         "emissions": (each(_category), modelfile.text, each(_bounded))},
         optional=1,
     )
-    modelfile.unique(path, rows["lexicon"], 1, "lexicon morph")
-    lexicon = Counter(dict(row for _, row in rows["lexicon"]))
-    stray = rows["transitions"] + rows["emissions"]
+    transitions, emissions = sections["transitions"], sections["emissions"]
+    morphs, counts = sections["lexicon"].columns
+    modelfile.unique(path, sections["lexicon"].lines, morphs, "lexicon morph")
+    lexicon = Counter(dict(zip(morphs, counts)))
+    stray = transitions.lines + emissions.lines
     if variant != FLATCAT and stray:
         raise ParseError("%s:%d: a %s model has no category tables"
-                         % (path, min(lineno for lineno, _ in stray), variant))
+                         % (path, min(stray), variant))
     categories = None
     if variant == FLATCAT:
         if abs(alpha) > _MAX_MAGNITUDE:
             raise ParseError("%s:1: flatcat alpha %r is above %g in magnitude"
                              % (path, alpha, _MAX_MAGNITUDE))
-        modelfile.unique(path, rows["transitions"], 2, "transition")
-        modelfile.unique(path, rows["emissions"], 2, "emission")
+        modelfile.unique(path, transitions.lines, list(zip(*transitions.columns[:2])),
+                         "transition")
+        modelfile.unique(path, emissions.lines, list(zip(*emissions.columns[:2])),
+                         "emission")
         start: dict[str, float] = {}
         trans: dict[str, dict[str, float]] = {}
         emit: dict[str, dict[str, float]] = {}
-        for lineno, (src, dst, logp) in rows["transitions"]:
+        for lineno, src, dst, logp in zip(transitions.lines, *transitions.columns):
             if src == "<s>":
                 if dst not in START_CATS:
                     raise ParseError("%s:%d: a word cannot start with %s" % (path, lineno, dst))
@@ -969,7 +975,7 @@ def load_model(path) -> MorfModel:
             else:
                 raise ParseError("%s:%d: transition %s->%s is not allowed"
                                  % (path, lineno, src, dst))
-        for _, (cat, morph, logp) in rows["emissions"]:
+        for cat, morph, logp in zip(*emissions.columns):
             emit.setdefault(cat, {})[morph] = logp
         # a file cut short loses its tables from the end; the header line
         # is what promised them
@@ -977,7 +983,7 @@ def load_model(path) -> MorfModel:
             raise ParseError("%s:1: flatcat model has no <s> start row" % (path,))
         if not any(cat in FINAL_CATS for cat in start):
             # not even a one-morph word could be decoded
-            first = next(n for n, (src, _, _) in rows["transitions"] if src == "<s>")
+            first = transitions.lines[transitions.columns[0].index("<s>")]
             raise ParseError("%s:%d: no <s> row opens a word-final category (%s)"
                              % (path, first, " or ".join(FINAL_CATS)))
         if not emit:

@@ -15,8 +15,9 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from polyseg import crf, modelfile, morf
 from polyseg.bpe import DEFAULT_MARKER
-from polyseg.corpus import SURFACE, SegmentedWord
+from polyseg.corpus import SURFACE, SegmentedWord, read_lines
 from polyseg.crf import (
     ALLOWED_NEXT,
     ALLOWED_PAIRS,
@@ -29,7 +30,7 @@ from polyseg.crf import (
     labels_to_morphs,
     morphs_to_labels,
 )
-from polyseg.errors import NumericError
+from polyseg.errors import NumericError, ParseError
 from polyseg.metrics import (
     BLEU_ORDER,
     CHRF_ORDER,
@@ -820,3 +821,132 @@ def mt_oracle_randomization_p(sys_a, sys_b, refs, metric, trials, seed):
     trial_b = sum_b[None, :] - flips @ diff
     deltas = score_fn(trial_a) - score_fn(trial_b)
     return (numerator_base + int(np.sum(np.abs(deltas) >= abs(delta_obs)))) / denominator
+
+
+# -- model files -------------------------------------------------------------------
+
+
+def modelfile_oracle_read(path, family, header, sections, optional=0):
+    """The row-by-row reader: ``sections`` maps each section name to one
+    field converter per row field.  Returns the converted header fields,
+    ``{section: [(line number, converted row), ...]}`` and the set of
+    sections a ``<name>:`` line opened."""
+    lines = read_lines(path)
+    if not lines:
+        raise ParseError("%s:1: empty model file" % (path,))
+    head = lines[0].split(" ")
+    n = len(head) - 2
+    if (head[:2] != [family, modelfile.VERSION]
+            or not len(header) - optional <= n <= len(header) or "" in head):
+        raise ParseError("%s:1: bad %s header %r" % (path, family, lines[0]))
+    values = [modelfile.field(path, 1, conv, text) for conv, text in zip(header, head[2:])]
+    values += [None] * (len(header) - n)
+
+    rows = {name: [] for name in sections}
+    opened = set()
+    section = next(iter(sections))
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.endswith(":") and line[:-1] in sections:
+            section = line[:-1]
+            opened.add(section)
+            continue
+        convs = sections[section]
+        parts = line.split("\t")
+        if len(parts) != len(convs):
+            raise ParseError("%s:%d: expected %d TAB-separated fields in %s, got %d"
+                             % (path, lineno, len(convs), section, len(parts)))
+        rows[section].append((lineno, [modelfile.field(path, lineno, conv, text)
+                                       for conv, text in zip(convs, parts)]))
+    return values, rows, opened
+
+
+def modelfile_oracle_unique(path, rows, width, what):
+    """Raise a ParseError naming the first of ``rows`` (``(line number,
+    row)`` pairs) whose first ``width`` fields repeat an earlier row's."""
+    first = {}
+    for lineno, row in rows:
+        key = tuple(row[:width])
+        if key in first:
+            raise ParseError("%s:%d: repeated %s (first at line %d)"
+                             % (path, lineno, what, first[key]))
+        first[key] = lineno
+
+
+def crf_oracle_load_model(path):
+    """Load a crf model file row by row, one field at a time."""
+    label = _L.__getitem__
+    (delta, l2), rows, opened = modelfile_oracle_read(
+        path, "crf", (crf._delta, crf._l2),
+        {"features": (crf._feature_key, label, modelfile.finite),
+         "transitions": (label, label, modelfile.finite)},
+    )
+    modelfile_oracle_unique(path, rows["features"], 2, "feature row")
+    modelfile_oracle_unique(path, rows["transitions"], 2, "transition")
+    feat_index = {}
+    for _, (feat, _, _) in rows["features"]:
+        feat_index.setdefault(feat, len(feat_index))
+    model = CrfModel.zeros(delta, l2, feat_index)
+    for _, (feat, lab, w) in rows["features"]:
+        model.weights[feat_index[feat], lab] = w
+    for lineno, (a, b, w) in rows["transitions"]:
+        if model.trans[a, b] == -np.inf:
+            raise ParseError("%s:%d: transition %s->%s is not allowed"
+                             % (path, lineno, LABELS[a], LABELS[b]))
+        model.trans[a, b] = w
+    if "transitions" not in opened:
+        raise ParseError("%s:1: crf model has no transitions: line" % (path,))
+    return model
+
+
+def bpe_oracle_load_model(path):
+    """The merges and marker of a bpe model file, read row by row."""
+    (target, marker), rows, _ = modelfile_oracle_read(
+        path, "bpe", (int, str), {"merges": (str, str)})
+    return target, marker, [(a, b) for _, (a, b) in rows["merges"]]
+
+
+def morf_oracle_load_model(path):
+    """``(variant, alpha, cap, lexicon, categories)`` of a morf model file,
+    read row by row; ``categories`` is ``(start, trans, emit)`` or None."""
+    (variant, alpha, cap), rows, _ = modelfile_oracle_read(
+        path, "morf", (morf._variant, modelfile.finite, int),
+        {"lexicon": (str, morf._count),
+         "transitions": (morf._source, morf._category, morf._bounded),
+         "emissions": (morf._category, str, morf._bounded)},
+        optional=1,
+    )
+    modelfile_oracle_unique(path, rows["lexicon"], 1, "lexicon morph")
+    lexicon = Counter(dict(row for _, row in rows["lexicon"]))
+    stray = rows["transitions"] + rows["emissions"]
+    if variant != "flatcat":
+        if stray:
+            raise ParseError("%s:%d: a %s model has no category tables"
+                             % (path, min(lineno for lineno, _ in stray), variant))
+        return variant, alpha, cap, lexicon, None
+    if abs(alpha) > morf._MAX_MAGNITUDE:
+        raise ParseError("%s:1: flatcat alpha %r is above %g in magnitude"
+                         % (path, alpha, morf._MAX_MAGNITUDE))
+    modelfile_oracle_unique(path, rows["transitions"], 2, "transition")
+    modelfile_oracle_unique(path, rows["emissions"], 2, "emission")
+    start, trans, emit = {}, {}, {}
+    for lineno, (src, dst, logp) in rows["transitions"]:
+        if src == "<s>":
+            if dst not in START_CATS:
+                raise ParseError("%s:%d: a word cannot start with %s" % (path, lineno, dst))
+            start[dst] = logp
+        elif dst in CAT_NEXT[src]:
+            trans.setdefault(src, {})[dst] = logp
+        else:
+            raise ParseError("%s:%d: transition %s->%s is not allowed"
+                             % (path, lineno, src, dst))
+    for _, (cat, morph, logp) in rows["emissions"]:
+        emit.setdefault(cat, {})[morph] = logp
+    if not start:
+        raise ParseError("%s:1: flatcat model has no <s> start row" % (path,))
+    if not any(cat in FINAL_CATS for cat in start):
+        first = next(n for n, (src, _, _) in rows["transitions"] if src == "<s>")
+        raise ParseError("%s:%d: no <s> row opens a word-final category (%s)"
+                         % (path, first, " or ".join(FINAL_CATS)))
+    if not emit:
+        raise ParseError("%s:1: flatcat model has no emission rows" % (path,))
+    return variant, alpha, cap, lexicon, (start, trans, emit)

@@ -97,3 +97,24 @@ def test_flatcat_decodes_through_the_category_lattice_attribute(monkeypatch):
     assert morf.viterbi_segment(model, "kawisu") == \
         morf.viterbi_segment_with_categories(model, "kawisu")[0]
     assert calls == [["kawisu"]]
+
+
+@pytest.mark.parametrize("module", ["bpe", "morf", "crf"])
+def test_cli_loads_models_through_the_module_attribute(tmp_path, monkeypatch, module):
+    # the traced run's <family>.load_model span wraps this attribute; a
+    # loader the CLI held by reference would leave the span empty
+    mod = getattr(polyseg, module)
+    path = tmp_path / module
+    mod.save_model(TRAIN[module](), path)
+    text = tmp_path / "text.txt"
+    text.write_text("kawi suta\n", encoding="utf-8")
+    calls = []
+    real = mod.load_model
+    monkeypatch.setattr(mod, "load_model", lambda arg: calls.append(arg) or real(arg))
+    segmented = tmp_path / "segmented.txt"
+    assert polyseg.cli.main(["segment", "--model", str(path), "--input", str(text),
+                             "--output", str(segmented)]) == 0
+    assert calls == [str(path)]
+    assert polyseg.cli.main(["desegment", "--model", str(path), "--input", str(segmented),
+                             "--output", str(tmp_path / "restored.txt")]) == 0
+    assert calls == [str(path)] * 2

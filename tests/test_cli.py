@@ -458,7 +458,17 @@ class TestExitCodes:
         scores = _write(tmp_path / "scores.txt", "1.0\n2.0\n3.0\n")
         assert run("analyze", "richness", "--probe-model", str(d / "morfessor"),
                    "--input", text, "--scores", scores) == 3
-        assert "line 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "%s:2: sentence has no tokens" % (text,) in err
+        assert "Traceback" not in err
+
+    def test_blank_richness_line_names_the_input(self, trained_models, tmp_path, capsys):
+        d, _ = trained_models
+        text = _write(tmp_path / "text.txt", "kawi suta\nwisu\n  \t \n")
+        scores = _write(tmp_path / "scores.txt", "1.0\n2.0\n3.0\n")
+        assert run("analyze", "richness", "--probe-model", str(d / "flatcat"),
+                   "--input", text, "--scores", scores) == 3
+        assert capsys.readouterr().err.endswith("%s:3: sentence has no tokens\n" % (text,))
 
     def test_crf_delta_zero_is_2(self, trained_models, tmp_path):
         d, _ = trained_models
@@ -631,6 +641,8 @@ class TestMalformedModelFiles:
                      1, id="flatcat-cut-before-start-rows"),
         pytest.param("morf v1 flatcat 1.0\nka\t3\nwi\t2\ntransitions:\n<s>\tSTM\t0.0\n"
                      "STM\tSTM\t0.0\n", 1, id="flatcat-cut-before-emissions"),
+        pytest.param("crf v1 2 0.01\n0:k\tB\t0.5\n1:a\tE\t0.1\n", 1,
+                     id="crf-cut-before-transitions"),
     ])
     def test_segment_exits_3_naming_file_and_line(self, tmp_path, corpus_file, capsys,
                                                   text, line):

@@ -471,6 +471,15 @@ class TestModelFile:
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_file_cut_before_transitions_rejected(self, tmp_path):
+        # a trained file cut at a line boundary inside its feature rows
+        path = tmp_path / "m.crf"
+        save_model(train_crf(TOY, delta=2, l2=0.01, max_iters=5), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"m\.crf:1: crf model has no transitions: line"):
+            load_model(path)
+
     def test_forbidden_transition_rejected(self, tmp_path):
         path = tmp_path / "m.crf"
         path.write_text("crf v1 2 0.01\n0:k\tB\t0.5\ntransitions:\nB\tS\t0.0\n",
