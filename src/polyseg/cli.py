@@ -277,7 +277,7 @@ def _cmd_analyze(args) -> int:
             raise ConfigError("analyze richness needs --probe-model and --scores")
         model = morf.load_model(args.probe_model)
         sentences = [line.split() for line in corpus.read_lines(args.input)]
-        scores = [modelfile.field(args.scores, i, float, text)
+        scores = [modelfile.field(args.scores, i, modelfile.finite, text)
                   for i, text in enumerate(corpus.read_lines(args.scores), 1)]
         records = analysis.richness_table(model, sentences, scores, source=args.input)
         _emit(args.out, analysis.richness_csv(records))

@@ -10,6 +10,7 @@ offset and content.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,10 +156,21 @@ class CrfModel:
 _CHUNK_POSITIONS = 1 << 14
 
 
-def _chunks(items: list, n: int):
-    """``items`` (words of length ``n``, or their indices) in chunks."""
-    size = max(1, _CHUNK_POSITIONS // n)
-    return (items[k : k + size] for k in range(0, len(items), size))
+def _batches(words: list[str]):
+    """``words`` in chunks of one length: yields ``(indices, group)``, the
+    positions in ``words`` of one chunk and those words.  Lengths come in
+    first-seen order and words in input order; a chunk holds at most
+    ``_CHUNK_POSITIONS`` characters, or one longer word."""
+    by_length: dict[int, list[int]] = {}
+    for k, word in enumerate(words):
+        if not word:
+            raise DataError("cannot decode an empty word")
+        by_length.setdefault(len(word), []).append(k)
+    for n, members in by_length.items():
+        size = max(1, _CHUNK_POSITIONS // n)
+        for k in range(0, len(members), size):
+            indices = members[k : k + size]
+            yield indices, [words[i] for i in indices]
 
 
 def _pad_offsets(model: CrfModel) -> list[int]:
@@ -170,25 +182,26 @@ def _pad_offsets(model: CrfModel) -> list[int]:
 
 def _substrings(words: list[str], max_length: int):
     """Integer codes of the substrings of ``words``, which all have one
-    length ``n``.  For each length ``1..max_length`` gives ``(codes,
-    distinct)``: ``codes[w, a]`` numbers the substring of that length
-    starting at ``a`` in ``words[w]``, and ``distinct[code]`` is its text."""
+    length ``n``.  Yields ``(codes, distinct)`` for each length
+    ``1..max_length`` in turn: ``codes[w, a]`` numbers the substring of
+    that length starting at ``a`` in ``words[w]``, and ``distinct[code]``
+    is its text."""
     count, n = len(words), len(words[0])
-    chars = np.frombuffer(
+    key = np.frombuffer(
         "".join(words).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
     ).reshape(count, n)
-    out = {}
-    key = chars
     for length in range(1, max_length + 1):
         if length > 1:
             # a substring is the one a character shorter plus its last character
-            key = out[length - 1][0][:, :-1] * len(out[1][1]) + out[1][0][:, length - 1 :]
+            key = codes[:, :-1] * nchars + char_codes[:, length - 1 :]
         span = n - length + 1
         _, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
+        codes = inverse.reshape(count, span)
         w, a = np.divmod(first, span)
-        out[length] = (inverse.reshape(count, span),
-                       [words[x][y : y + length] for x, y in zip(w.tolist(), a.tolist())])
-    return out
+        distinct = [words[x][y : y + length] for x, y in zip(w.tolist(), a.tolist())]
+        if length == 1:
+            char_codes, nchars = codes, len(distinct)
+        yield codes, distinct
 
 
 def _feature_slots(model: CrfModel, words: list[str], pad_offsets: list[int]) -> np.ndarray:
@@ -208,27 +221,27 @@ def _feature_slots(model: CrfModel, words: list[str], pad_offsets: list[int]) ->
     unknown = len(index)
     count, n = len(words), len(words[0])
     reach = min(delta, n - 1)
-    specs = (
-        [(1, o) for o in pad_offsets if o < -reach]
-        + [(1, o) for o in range(-reach, reach + 1)]
-        + [(1, o) for o in pad_offsets if o > reach]
-        + [(length, r)
-           for length in range(2, min(delta, n) + 1)
-           for r in range(max(-delta, 1 - n), min(delta - length + 1, n - length) + 1)]
-    )
-    substrings = _substrings(words, min(delta, n))
-    slots = np.full((count, n, len(specs)), unknown, dtype=np.intp)
-    for k, (length, r) in enumerate(specs):
-        # positions i whose substring starts inside the word: 0 <= i + r <= n - length
-        lo = min(n, max(0, -r))
-        hi = max(lo, min(n, n - length + 1 - r))
-        if length == 1:
-            slots[:, :lo, k] = slots[:, hi:, k] = index.get((r, PAD), unknown)
-        if lo < hi:
-            codes, distinct = substrings[length]
-            ids = np.array([index.get((r, s), unknown) for s in distinct], dtype=np.intp)
-            slots[:, lo:hi, k] = ids[codes[:, lo + r : hi + r]]
-    return slots.reshape(count * n, len(specs))
+    # the start offsets of each substring length 1..min(delta, n)
+    offsets = [[o for o in pad_offsets if o < -reach] + list(range(-reach, reach + 1))
+               + [o for o in pad_offsets if o > reach]]
+    offsets += [range(max(-delta, 1 - n), min(delta - length + 1, n - length) + 1)
+                for length in range(2, min(delta, n) + 1)]
+    width = sum(map(len, offsets))
+    slots = np.full((count, n, width), unknown, dtype=np.intp)
+    k = 0
+    for length, (rs, (codes, distinct)) in enumerate(
+            zip(offsets, _substrings(words, len(offsets))), 1):
+        for r in rs:
+            # positions i whose substring starts inside the word: 0 <= i + r <= n - length
+            lo = min(n, max(0, -r))
+            hi = max(lo, min(n, n - length + 1 - r))
+            if length == 1:
+                slots[:, :lo, k] = slots[:, hi:, k] = index.get((r, PAD), unknown)
+            if lo < hi:
+                ids = np.array([index.get((r, s), unknown) for s in distinct], dtype=np.intp)
+                slots[:, lo:hi, k] = ids[codes[:, lo + r : hi + r]]
+            k += 1
+    return slots.reshape(count * n, width)
 
 
 def _extended(weights: np.ndarray) -> np.ndarray:
@@ -299,40 +312,26 @@ def marginals(model: CrfModel, word: str):
     return np.exp(alpha[0] + beta[0] - log_z[0]), log_z[0]
 
 
-def _sequences(dataset: SegmentationDataset):
-    seqs = []
-    for idx, entry in enumerate(dataset.entries):
-        labels = morphs_to_labels(entry.morphs)
-        try:
-            validate_bmes(labels)
-        except DataError as exc:
-            raise DataError("entry %d (%r): %s" % (idx, entry.surface, exc)) from exc
-        seqs.append((entry.surface, labels))
-    return seqs
-
-
 def _length_groups(model: CrfModel, dataset: SegmentationDataset):
     """The dataset's words grouped by exact length, behind one slot table.
 
     Returns ``(slots, groups)``.  ``slots`` holds the :func:`_feature_slots`
-    row of every character position, laid out group by group, word by
-    word, each padded on the right with the unknown id up to the widest
-    row.  Each group is ``(start, gold)``: its first row in ``slots`` and
-    its ``(words, length)`` array of gold label ids.
+    row of every character position, laid out group by group (lengths
+    ascending), word by word, each padded on the right with the unknown id
+    up to the widest row.  Each group is ``(start, gold)``: its first row
+    in ``slots`` and its ``(words, length)`` array of gold label ids.
     """
-    by_length: dict[int, list] = {}
-    for word, labels in _sequences(dataset):
-        by_length.setdefault(len(word), []).append((word, labels))
+    entries = sorted(dataset.entries, key=lambda entry: len(entry.surface))
+    words = [entry.surface for entry in entries]
     pads = _pad_offsets(model)
-    tables, groups = [], []
+    tables = [_feature_slots(model, group, pads) for _, group in _batches(words)]
+    gold = np.array([_L[l] for entry in entries for l in morphs_to_labels(entry.morphs)],
+                    dtype=np.intp)
+    groups = []
     start = 0
-    for n in sorted(by_length):
-        group = by_length[n]
-        tables.extend(_feature_slots(model, chunk, pads)
-                      for chunk in _chunks([word for word, _ in group], n))
-        gold = np.array([[_L[l] for l in labels] for _, labels in group], dtype=np.intp)
-        groups.append((start, gold))
-        start += gold.size
+    for n, count in Counter(map(len, words)).items():
+        groups.append((start, gold[start : start + count * n].reshape(count, n)))
+        start += count * n
     width = max((t.shape[1] for t in tables), default=1)
     slots = np.full((start, width), len(model.feat_index), dtype=np.intp)
     row = 0
@@ -470,21 +469,14 @@ def segment_words(model: CrfModel, words) -> list[tuple[str, ...]]:
     order; among equal-scoring sequences the lexicographically first under
     B < E < M < S wins.  Words of one length are decoded together."""
     words = list(words)
-    by_length: dict[int, list[int]] = {}
-    for k, word in enumerate(words):
-        if not word:
-            raise DataError("cannot decode an empty word")
-        by_length.setdefault(len(word), []).append(k)
     extended = _extended(model.weights)
     pads = _pad_offsets(model)
     out: list = [None] * len(words)
-    for n, members in by_length.items():
-        for chunk in _chunks(members, n):
-            group = [words[k] for k in chunk]
-            scores = _emission_sums(extended, _feature_slots(model, group, pads))
-            labels = _viterbi(scores.reshape(len(group), n, 4), model.trans)
-            for k, word, row in zip(chunk, group, labels.tolist()):
-                out[k] = labels_to_morphs(word, [LABELS[j] for j in row])
+    for indices, group in _batches(words):
+        scores = _emission_sums(extended, _feature_slots(model, group, pads))
+        labels = _viterbi(scores.reshape(len(group), -1, 4), model.trans)
+        for k, word, row in zip(indices, group, labels.tolist()):
+            out[k] = labels_to_morphs(word, [LABELS[j] for j in row])
     return out
 
 

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import modelfile
-from .crf import _chunks, forward_backward, transition_counts
+from .crf import _batches, _substrings, forward_backward, transition_counts
 from .errors import ConfigError, DataError, NumericError, ParseError
 
 BASELINE = "baseline"
@@ -82,7 +82,8 @@ class CategoryModel:
     @cached_property
     def _lattice_tables(self):
         """``(ids, emit, limit, steps)`` for the category lattice,
-        categories in CATEGORIES order.
+        categories in CATEGORIES order: the tables of
+        :func:`_category_arrays`, negated.
 
         ``ids`` numbers every emitted morph, and row ``ids[m]`` of the
         ``(len(ids) + 1, 4)`` array ``emit`` holds its costs ``-logp``, inf
@@ -92,15 +93,11 @@ class CategoryModel:
         ``p``, and ``steps[4, c]`` of ``c`` opening a word; inf where that
         is forbidden.
         """
-        morphs = dict.fromkeys(m for table in self.emit.values() for m in table)
+        morphs = list(dict.fromkeys(m for table in self.emit.values() for m in table))
+        emit, start, trans = _category_arrays(self, morphs)
+        emit = np.vstack([-emit.T, np.full((1, 4), math.inf)])
         ids = {m: i for i, m in enumerate(morphs)}
-        emit = np.full((len(ids) + 1, 4), math.inf)
-        for c, cat in enumerate(CATEGORIES):
-            for morph, logp in self.emit.get(cat, {}).items():
-                emit[ids[morph], c] = -logp
-        steps = -np.array([[self.trans_logp(a, b) for b in CATEGORIES] for a in CATEGORIES]
-                          + [[self.start_logp(b) for b in CATEGORIES]])
-        return ids, emit, max(map(len, ids), default=1), steps
+        return ids, emit, max(map(len, ids), default=1), -np.vstack([trans, start])
 
 
 @dataclass
@@ -197,6 +194,8 @@ class _Trainer:
             if c < 1:
                 raise DataError("non-positive count for %r" % (w,))
         check_alpha(alpha)
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ConfigError("epsilon must be finite and at least 0, got %r" % (epsilon,))
         if dampening not in ("types", "tokens"):
             raise ConfigError("unknown dampening %r" % (dampening,))
         self.word_counts = dict(word_counts)
@@ -545,26 +544,19 @@ def train_lmvr(
 
 def _span_ids(words: list[str], ids: dict[str, int], limit: int):
     """For each end ``1..n`` of ``words`` (all of length ``n``), the ids of
-    the spans ending there that are at most ``limit`` long, numbered one
-    end at a time: a ``(len(words), width)`` array whose column ``j`` is the
-    span from ``end - width + j``, ``len(ids)`` where ``ids`` lacks it."""
+    the spans ending there that are at most ``limit`` long: a
+    ``(len(words), width)`` array whose column ``j`` is the span from
+    ``end - width + j``, ``len(ids)`` where ``ids`` lacks it.  The spans
+    are numbered by :func:`polyseg.crf._substrings`, one length at a time."""
     count, n = len(words), len(words[0])
-    chars = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"),
-                          dtype=np.uint32).reshape(count, n)
-    get, unknown = ids.get, len(ids)
-    codes = np.empty((count, 0), dtype=np.intp)
+    m, unknown = min(limit, n), len(ids)
+    # table[:, end - 1, m - k] is the span of length k ending at end
+    table = np.full((count, n, m), unknown, dtype=np.intp)
+    for k, (codes, distinct) in enumerate(_substrings(words, m), 1):
+        found = np.array([ids.get(s, unknown) for s in distinct], dtype=np.intp)
+        table[:, k - 1 :, m - k] = found[codes]
     for end in range(1, n + 1):
-        width = min(limit, end)
-        # a span is the one a character shorter (-1 for none) plus its last character
-        shorter = np.concatenate([codes[:, codes.shape[1] - width + 1 :],
-                                  np.full((count, 1), -1)], axis=1)
-        key = (shorter + 1) * 0x110000 + chars[:, end - 1 : end]
-        _, first, codes = np.unique(key.ravel(), return_index=True, return_inverse=True)
-        codes = codes.reshape(count, width)
-        w, j = np.divmod(first, width)
-        a = end - width
-        found = [get(words[x][a + y : end], unknown) for x, y in zip(w.tolist(), j.tolist())]
-        yield np.array(found, dtype=np.intp)[codes]
+        yield table[:, end - 1, max(0, m - end) :]
 
 
 def _viterbi(words: list[str], tables, unseen) -> list[list[str]]:
@@ -659,20 +651,15 @@ def _lattice(words: list[str], tables, unseen, strict: bool = True) -> list:
 def _decode(model: MorfModel, words) -> list:
     """Each of ``words`` decoded, in input order: its morphs, or under a
     category model its ``(morphs, categories)``.  Words of one length are
-    decoded together, in the chunks of :func:`polyseg.crf._chunks`."""
+    decoded together, in the batches of :func:`polyseg.crf._batches`."""
     words = list(words)
-    by_length: dict[int, list[int]] = {}
-    for k, word in enumerate(words):
-        if not word:
-            raise DataError("cannot segment an empty word")
-        by_length.setdefault(len(word), []).append(k)
     total = model.total_tokens
     # an unseen morph of each length pays its spelling, added to the
     # lexicon, and one smoothed corpus token
     per_symbol = math.log(len(model.alphabet) + 1)
     smoothed = math.log(total + 1)
     unseen = np.array([model.alpha * (k + 1) * per_symbol + smoothed
-                       for k in range(max(by_length, default=0) + 1)])
+                       for k in range(max(map(len, words), default=0) + 1)])
     if model.categories is None:
         log_total = math.log(total) if total > 0 else 0.0
         known = {m: c for m, c in model.lexicon.items() if c > 0}
@@ -684,10 +671,9 @@ def _decode(model: MorfModel, words) -> list:
     out: list = [None] * len(words)
     # inf and nan mark impossible steps; sums overflow to inf as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, members in by_length.items():
-            for chunk in _chunks(members, n):
-                for k, result in zip(chunk, decode([words[k] for k in chunk], tables, unseen)):
-                    out[k] = result
+        for indices, group in _batches(words):
+            for k, result in zip(indices, decode(group, tables, unseen)):
+                out[k] = result
     for word, result in zip(words, out):
         if result is None:
             raise NumericError("no legal category path for %r" % (word,))
@@ -811,11 +797,15 @@ def train_flatcat(
     prefix-like, long morphs look stem-like), EM then fits the constrained
     HMM to the baseline segmentation; the data log-likelihood is
     non-decreasing per iteration.  Each EM iteration runs one
-    forward-backward per morph count over all analyses of that count.  The
+    forward-backward per morph count over all analyses of that count.  EM
+    stops once an iteration raises the log-likelihood by less than the
+    finite ``epsilon``; a negative one runs all ``max_iters``.  The
     returned model re-segments words through the joint split-and-category
     lattice.
     """
     check_alpha(baseline_model.alpha, FLATCAT)
+    if not math.isfinite(epsilon):
+        raise ConfigError("EM epsilon must be finite, got %r" % (epsilon,))
     for w in word_counts:
         if w not in baseline_model.analyses:
             raise DataError("word %r missing from the baseline analyses" % (w,))

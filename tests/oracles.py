@@ -636,6 +636,21 @@ def flatcat_oracle_segment(model, word):
     return result
 
 
+def flatcat_oracle_lattice_tables(cm):
+    """``CategoryModel._lattice_tables`` by a walk over the dict tables:
+    each emitted morph's costs written into an all-inf array one entry at
+    a time, and the step costs read pair by pair."""
+    morphs = dict.fromkeys(m for table in cm.emit.values() for m in table)
+    ids = {m: i for i, m in enumerate(morphs)}
+    emit = np.full((len(ids) + 1, 4), math.inf)
+    for c, cat in enumerate(CATEGORIES):
+        for morph, logp in cm.emit.get(cat, {}).items():
+            emit[ids[morph], c] = -logp
+    steps = -np.array([[cm.trans_logp(a, b) for b in CATEGORIES] for a in CATEGORIES]
+                      + [[cm.start_logp(b) for b in CATEGORIES]])
+    return ids, emit, max(map(len, ids), default=1), steps
+
+
 # -- emma ------------------------------------------------------------------------
 
 

@@ -426,10 +426,31 @@ class TestExitCodes:
         model = str(tmp_path / "m.morf")
         assert run("train", "--method", "morfessor", "--input", corpus_file,
                    "--model", model) == 0
-        scores = _write(tmp_path / "scores.txt", "10.0\nnot-a-number\n1.0\n")
-        assert run("analyze", "richness", "--probe-model", model,
-                   "--input", corpus_file, "--scores", scores) == 3
-        assert "%s:2: bad field 'not-a-number'" % (scores,) in capsys.readouterr().err
+        capsys.readouterr()
+        out = tmp_path / "rich.csv"
+        for score in ("not-a-number", "nan", "inf", "-inf"):
+            scores = _write(tmp_path / "scores.txt", "10.0\n%s\n1.0\n" % (score,))
+            assert run("analyze", "richness", "--probe-model", model, "--input", corpus_file,
+                       "--scores", scores, "--out", str(out)) == 3
+            assert "%s:2: bad field %r" % (scores, score) in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["morfessor", "lmvr", "flatcat"])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-1"])
+    def test_bad_epsilon_is_2(self, tmp_path, corpus_file, capsys, method, epsilon):
+        model = tmp_path / "m"
+        assert run("train", "--method", method, "--input", corpus_file,
+                   "--model", str(model), "--epsilon=" + epsilon) == 2
+        err = capsys.readouterr().err
+        assert "epsilon must be finite and at least 0" in err and "Traceback" not in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("method", ["morfessor", "lmvr", "flatcat"])
+    def test_zero_epsilon_trains(self, tmp_path, corpus_file, method):
+        model = tmp_path / "m"
+        assert run("train", "--method", method, "--input", corpus_file,
+                   "--model", str(model), "--epsilon", "0") == 0
+        assert model.exists()
 
     @pytest.mark.parametrize("argv,option", [
         (("richness", "--scores", "{d}/corpus.txt"), "--probe-model"),

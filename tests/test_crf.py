@@ -3,6 +3,7 @@ import math
 import random
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -395,6 +396,25 @@ class TestFastPathMatchesOracle:
             [[i for i in row if i != unknown] for row in want_slots.tolist()]
         assert [(s, g.tolist()) for s, g in groups] == \
             [(s, g.tolist()) for s, g in want_groups]
+
+    @given(words=st.lists(st.text(alphabet="ab", min_size=1, max_size=6), max_size=30),
+           chunk=st.integers(1, 12), empty_at=st.integers(0, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_batches(self, words, chunk, empty_at):
+        with mock.patch.object(crf, "_CHUNK_POSITIONS", chunk):
+            batches = list(crf._batches(words))
+            # an empty word anywhere fails before any chunk is yielded
+            with pytest.raises(DataError, match="empty word"):
+                next(crf._batches(words[:empty_at] + [""] + words[empty_at:]))
+        indices = [k for chunk_indices, _ in batches for k in chunk_indices]
+        # each word once; lengths in first-seen order, input order within a length
+        lengths = list(dict.fromkeys(map(len, words)))
+        assert indices == sorted(range(len(words)), key=lambda k: lengths.index(len(words[k])))
+        for chunk_indices, group in batches:
+            n = len(group[0])
+            assert group == [words[k] for k in chunk_indices]
+            assert {len(w) for w in group} == {n}
+            assert 1 <= len(group) <= max(1, chunk // n)
 
     def test_huge_window_radius(self):
         # words no longer than 12 characters see the same known features at

@@ -12,13 +12,14 @@ from oracles import (
     _flatcat_oracle_lattice,
     flatcat_oracle_em,
     flatcat_oracle_forward_backward,
+    flatcat_oracle_lattice_tables,
     flatcat_oracle_segment,
     morf_word_lists,
 )
 
 from polyseg import crf
 from polyseg.crf import forward_backward
-from polyseg.errors import DataError, NumericError
+from polyseg.errors import ConfigError, DataError, NumericError
 from polyseg.morf import (
     ALLOWED_NEXT,
     CATEGORIES,
@@ -32,6 +33,7 @@ from polyseg.morf import (
     load_model,
     save_model,
     segment_words,
+    train_baseline,
     train_flatcat,
     viterbi_segment,
     viterbi_segment_with_categories,
@@ -127,6 +129,11 @@ class TestEm:
             got = math.exp(g) if g != float("-inf") else 0.0
             want = enumerate_posterior(cm, ("re", "play"), i, cat)
             assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ConfigError, match="EM epsilon must be finite"):
+            _flatcat(AFFIX_TOY, epsilon=epsilon)
 
     def test_requires_baseline_coverage(self):
         base = MorfModel.from_segmentations({"ab": ("a", "b")})
@@ -355,3 +362,44 @@ class TestBatchLatticeMatchesOracle:
     def test_empty_word(self):
         with pytest.raises(DataError):
             segment_words(_flatcat_model(PREFIXES_ONLY), ["ba", ""])
+
+
+def _assert_lattice_tables_match_oracle(cm):
+    ids, emit, limit, steps = cm._lattice_tables
+    want_ids, want_emit, want_limit, want_steps = flatcat_oracle_lattice_tables(cm)
+    assert list(ids.items()) == list(want_ids.items())
+    assert limit == want_limit
+    for got, want in ((emit, want_emit), (steps, want_steps)):
+        # the same bits, inf where a table gives no mass
+        assert np.array_equal(got, want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLatticeTablesMatchOracle:
+    @pytest.mark.parametrize("analyses", TOY_CORPORA, ids=("affix", "shared", "reduplicated"))
+    def test_trained(self, analyses):
+        _assert_lattice_tables_match_oracle(_flatcat(analyses).categories)
+        base = train_baseline({w: 1 for w in analyses}, seed=3)
+        _assert_lattice_tables_match_oracle(
+            train_flatcat({w: 1 for w in analyses}, base).categories)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cm=category_models(), data=st.data())
+    def test_hand_built(self, cm, data):
+        # whole categories missing from the start, transition and emission
+        # tables, and values of -inf and -0.0 written out
+        def some(table):
+            keys = data.draw(st.sets(st.sampled_from(sorted(table))), label="keys") \
+                if table else set()
+            return {k: table[k] for k in sorted(keys)}
+
+        odd = data.draw(st.sampled_from((None, -math.inf, -0.0)), label="odd")
+        emit = some(cm.emit)
+        if odd is not None and "STM" in emit:
+            emit["STM"] = dict(emit["STM"], bca=odd)
+        _assert_lattice_tables_match_oracle(
+            CategoryModel(start=some(cm.start), trans=some(cm.trans), emit=emit))
+
+    def test_no_emissions(self):
+        _assert_lattice_tables_match_oracle(
+            CategoryModel(start={"STM": 0.0}, trans={}, emit={}))

@@ -263,7 +263,8 @@ class TestSegmentWords:
 
     @pytest.mark.parametrize("variant", ["baseline", "flatcat"])
     def test_long_word_in_small_memory(self, variant):
-        # spans are numbered one end at a time: a table of all 2000 * 2001 / 2
+        # only spans no longer than the model's longest morph are numbered,
+        # one substring length at a time: a table of all 2000 * 2001 / 2
         # spans would take 16 MB as int64 alone
         model = train_baseline(FOUR_WORDS, seed=1917)
         if variant == "flatcat":
