@@ -32,7 +32,6 @@ from .corpus import (
     seg_stats,
 )
 from .crf import (
-    BmesSequence,
     CrfModel,
     decode as crf_decode,
     extract_features,

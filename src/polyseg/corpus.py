@@ -129,15 +129,24 @@ class SegDatasetStats:
 
 
 def read_lines(path) -> list[str]:
-    """The lines of the UTF-8 text file at ``path``, without line ends; a
-    file that cannot be read or decoded raises ParseError naming it.  Lines
-    end only where iterating over the file ends them, not at the other
-    breaks of ``str.splitlines`` (``\x85``, ``\u2028``, ...)."""
+    """The lines of the UTF-8 text file at ``path``, without line ends and
+    without a byte-order mark (one leading U+FEFF is dropped).  A file that
+    cannot be read raises ParseError naming it, and one that is not valid
+    UTF-8 raises ParseError at ``path:line:``.  Lines end at ``\n``,
+    ``\r\n`` and ``\r``, not at the other breaks of ``str.splitlines``
+    (``\x85``, ``\u2028``, ...)."""
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError("%s:%d: invalid UTF-8 (byte 0x%02x: %s)"
+                         % (path, line, data[exc.start], exc.reason)) from exc
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     return text.removesuffix("\n").split("\n") if text else []
 
 

@@ -38,37 +38,6 @@ ALLOWED_PAIRS = tuple(
 PAD = "⟨pad⟩"  # ⟨pad⟩
 
 
-def validate_bmes(labels) -> None:
-    """Raise DataError (with the offending index) on ill-formed label runs."""
-    if not labels:
-        raise DataError("empty label sequence")
-    if labels[0] not in START_LABELS:
-        raise DataError("bad start label %r at index 0" % (labels[0],))
-    for i, (a, b) in enumerate(zip(labels, labels[1:])):
-        if b not in ALLOWED_NEXT.get(a, ()):
-            raise DataError("bad transition %s->%s at index %d" % (a, b, i + 1))
-    if labels[-1] not in FINAL_LABELS:
-        raise DataError(
-            "bad final label %r at index %d" % (labels[-1], len(labels) - 1)
-        )
-
-
-@dataclass(frozen=True)
-class BmesSequence:
-    """A character sequence with a well-formed BMES labeling."""
-
-    chars: tuple[str, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.chars) != len(self.labels):
-            raise DataError("chars and labels differ in length")
-        validate_bmes(self.labels)
-
-    def to_morphs(self) -> tuple[str, ...]:
-        return labels_to_morphs("".join(self.chars), self.labels)
-
-
 def morphs_to_labels(morphs) -> tuple[str, ...]:
     labels = []
     for m in morphs:

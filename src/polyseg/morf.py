@@ -335,11 +335,13 @@ class _Trainer:
         recursively choosing between keeping it whole and the best binary
         split; returns the committed morphs.
 
-        A candidate is scored as if its morphs were added with ``_add``,
-        measured with ``_tracked_total`` and removed with ``_remove``, but on
-        local copies of the bookkeeping: the float steps on ``_sum_clogc``
-        are the same ones in the same order, so the rounding they leave
-        behind is kept too.  Only the committed split touches the lexicon.
+        Scoring a candidate leaves the running sum ``_sum_clogc`` untouched:
+        the sum its morphs would give is computed from the current one in
+        ``_add``'s order (for a split into ``x + x`` the second add starts
+        from the raised count), and the candidate costs what
+        ``_tracked_total`` would read after those adds.  A chosen split is
+        committed as add right, recurse into left, remove right, recurse
+        into right, so the left half is searched with the right one counted.
         """
         n = len(construction)
         if n == 1:
@@ -365,11 +367,10 @@ class _Trainer:
         best_i = None
         whole_ok = room is None or whole > 0 or multichar + 1 <= room
         if whole_ok:
-            s = s - xlogx[whole] + xlogx[whole + w]
             t = self._total + w
+            added = s - xlogx[whole] + xlogx[whole + w]
             grown = lex if whole > 0 else lex + n + 1
-            best_cost = t * math.log(t) - s + alpha * grown * per_symbol
-            s = s - xlogx[whole + w] + xlogx[whole]
+            best_cost = t * math.log(t) - added + alpha * grown * per_symbol
 
         t = self._total + 2 * w
         corpus_total = t * math.log(t)
@@ -382,27 +383,19 @@ class _Trainer:
             if cl == 0:
                 grown += i + 1
                 grown_multi += i > 1
-            s = s - xlogx[cl] + xlogx[cl + w]
             if i == twin:
                 # right is left again: its add starts from the raised count
-                s = s - xlogx[cl + w] + xlogx[cl + 2 * w]
-                cost = corpus_total - s + alpha * grown * per_symbol
-                s = s - xlogx[cl + 2 * w] + xlogx[cl + w]
-                s = s - xlogx[cl + w] + xlogx[cl]
-            else:
-                if cr == 0:
-                    grown += n - i + 1
-                    grown_multi += n - i > 1
-                s = s - xlogx[cr] + xlogx[cr + w]
-                cost = corpus_total - s + alpha * grown * per_symbol
-                s = s - xlogx[cl + w] + xlogx[cl]
-                s = s - xlogx[cr + w] + xlogx[cr]
+                cr = cl + w
+            elif cr == 0:
+                grown += n - i + 1
+                grown_multi += n - i > 1
+            added = s - xlogx[cl] + xlogx[cl + w] - xlogx[cr] + xlogx[cr + w]
+            cost = corpus_total - added + alpha * grown * per_symbol
             if fallback_i is None or cost < fallback_cost:
                 fallback_cost, fallback_i = cost, i
             if (room is None or grown_multi <= room) and cost < best_cost - 1e-12:
                 best_cost = cost
                 best_i = i
-        self._sum_clogc = s
 
         if best_i is None:
             if whole_ok:
@@ -414,9 +407,7 @@ class _Trainer:
             best_i = fallback_i
 
         left, right = construction[:best_i], construction[best_i:]
-        self._add(left, weight)
         self._add(right, weight)
-        self._remove(left, weight)
         lparts = self._resegment(left, weight)
         self._remove(right, weight)
         rparts = self._resegment(right, weight)

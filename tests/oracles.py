@@ -204,8 +204,11 @@ def morf_word_lists(max_length):
 class MorfOracleTrainer(_Trainer):
     """The mutate-and-measure search: every candidate is scored by adding
     its morphs to the lexicon with ``_add``, reading ``_tracked_total`` and
-    removing them again.  ``fallbacks`` counts the levels where the cap
-    forbade every candidate and the cheapest split was taken anyway."""
+    removing them again, after which the running sum ``_sum_clogc`` is put
+    back to the value it had before the adds.  A chosen split is committed
+    as add right, recurse into left, remove right, recurse into right.
+    ``fallbacks`` counts the levels where the cap forbade every candidate
+    and the cheapest split was taken anyway."""
 
     fallbacks = 0
 
@@ -222,10 +225,12 @@ class MorfOracleTrainer(_Trainer):
         best_cost = math.inf
         best_i = None
         whole_ok = self._fits_if_added(construction)
+        s = self._sum_clogc
         if whole_ok:
             self._add(construction, weight)
             best_cost = self._tracked_total()
             self._remove(construction, weight)
+            self._sum_clogc = s
 
         fallback = []
         for i in range(1, len(construction)):
@@ -236,6 +241,7 @@ class MorfOracleTrainer(_Trainer):
             fits = self._within_cap()
             self._remove(left, weight)
             self._remove(right, weight)
+            self._sum_clogc = s
             fallback.append((cost, i))
             if fits and cost < best_cost - 1e-12:
                 best_cost = cost
@@ -249,9 +255,7 @@ class MorfOracleTrainer(_Trainer):
             best_i = min(fallback)[1]
 
         left, right = construction[:best_i], construction[best_i:]
-        self._add(left, weight)
         self._add(right, weight)
-        self._remove(left, weight)
         lparts = self._resegment(left, weight)
         self._remove(right, weight)
         rparts = self._resegment(right, weight)

@@ -234,6 +234,23 @@ class TestStats:
         tgt = _write(tmp_path / "t.txt", "x\n")
         assert run("stats", "--source", src, "--target", tgt) == 2 + 1
 
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path, capsys):
+        text = "kawi suta\nkawi\n".encode("utf-8")
+        outputs = []
+        for name, data in (("plain.txt", text), ("marked.txt", b"\xef\xbb\xbf" + text)):
+            path = tmp_path / name
+            path.write_bytes(data)
+            assert run("stats", "--source", str(path), "--target", str(path)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "V=[2, 2]" in outputs[1]
+
+    def test_invalid_utf8_is_3_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"kawi\nsu\xffta\n")
+        assert run("stats", "--source", str(path), "--target", str(path)) == 3
+        assert "%s:2: invalid UTF-8" % path in capsys.readouterr().err
+
     def test_seg_stats(self, tmp_path):
         data = _write(tmp_path / "d.tsv", "kawi\tka wi\nsu\tsu\n")
         out = tmp_path / "seg.tsv"

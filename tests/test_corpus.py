@@ -125,6 +125,42 @@ class TestReadLines:
         path.write_text(text, encoding="utf-8", newline="")
         assert read_lines(path) == lines
 
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(st.text(st.characters(blacklist_characters="\n\r",
+                                                blacklist_categories=("Cs",)),
+                                  max_size=6), min_size=1, max_size=6),
+           data=st.data())
+    def test_invalid_utf8_names_its_line(self, tmp_path_factory, lines, data):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[k].encode("utf-8")
+        at = data.draw(st.integers(0, len(line)))
+        bad = data.draw(st.sampled_from((b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80")))
+        encoded = [l.encode("utf-8") for l in lines]
+        encoded[k] = line[:at] + bad + line[at:]
+        path = tmp_path_factory.mktemp("bad") / "t.txt"
+        path.write_bytes(b"\n".join(encoded) + b"\n")
+        with pytest.raises(ParseError) as exc:
+            read_lines(path)
+        assert str(exc.value).startswith("%s:%d: invalid UTF-8 " % (path, k + 1))
+
+    def test_invalid_utf8_counts_newline_bytes(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"kawi\r\n\rsu\nta\n\xff\n")
+        with pytest.raises(ParseError, match=r":4: invalid UTF-8 \(byte 0xff: invalid start byte\)$"):
+            read_lines(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", "kawi suta\nkawi\n", "a\r\n\ufeffb"])
+    def test_one_leading_byte_order_mark_is_dropped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8", newline="")
+        marked.write_text("\ufeff" + text, encoding="utf-8", newline="")
+        assert read_lines(marked) == read_lines(plain)
+
+    def test_only_one_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("\ufeff\ufeffkawi\n\ufeffsu\n", encoding="utf-8")
+        assert read_lines(path) == ["\ufeffkawi", "\ufeffsu"]
+
     def test_errors_name_the_file_line(self, tmp_path):
         path = _write(tmp_path / "d.tsv", "kawi\tka wi\u2028\nsuta\tsu ta\nsu\n")
         with pytest.raises(ParseError, match=":3: no TAB separator$"):

@@ -17,7 +17,6 @@ from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWor
 from polyseg.crf import (
     LABELS,
     PAD,
-    BmesSequence,
     CrfModel,
     _emission_sums,
     _extended,
@@ -96,15 +95,6 @@ class TestBmes:
         labels = morphs_to_labels(("ta", "ka", "w"))
         assert labels == ("B", "E", "B", "E", "S")
         assert labels_to_morphs("takaw", labels) == ("ta", "ka", "w")
-
-    def test_validation_reports_index(self):
-        with pytest.raises(DataError) as exc:
-            BmesSequence(tuple("abc"), ("B", "M", "S"))
-        assert "index 2" in str(exc.value)
-
-    def test_sequence_concatenation_identity(self):
-        seq = BmesSequence(tuple("kawi"), ("B", "E", "B", "E"))
-        assert "".join(seq.to_morphs()) == "kawi"
 
 
 class TestLikelihood:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -105,9 +106,11 @@ class TestBaseline:
 
 class TestSearchMatchesOracle:
     """Scoring candidates by arithmetic leaves the trainer in exactly the
-    state the mutate-and-measure oracle reaches: same analyses, lexicon
-    (insertion order included), epoch costs and rounding in the running
-    sum of count*log(count)."""
+    state the mutate-and-measure oracle reaches, when both leave the
+    running sum of count*log(count) as it was after scoring a candidate
+    and commit a split in the same order: same analyses, lexicon
+    (insertion order included), epoch costs and running sum, bit for
+    bit."""
 
     @staticmethod
     def _trained(cls, word_counts, restarts, seed, **kw):
@@ -355,3 +358,33 @@ class TestModelFile:
         again = tmp_path / "again.lmvr"
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    # 50 word types of prefix + stem + suffix, counts 1..13
+    PINNED_CORPUS = {
+        p + s + x: 1 + (7 * i) % 13
+        for i, (p, s, x) in enumerate(
+            (p, s, x)
+            for p in ("", "pa")
+            for s in ("kawi", "suta", "mika", "taro", "lupe")
+            for x in ("", "n", "ta", "mi", "su")
+        )
+    }
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # for a given seed a model file stays byte-identical across changes
+        # to the trainers; a change that moves one of these digests changes
+        # the models users get and must be declared as such
+        wc = self.PINNED_CORPUS
+        base = train_baseline(wc, seed=5)
+        cap = len(set("".join(wc))) + 6
+        models = {
+            "morfessor": (base, "581a3fc695b541236d470e6a0f16d17820f14b54cb47f1c536068f51db4976fe"),
+            "lmvr": (train_lmvr(wc, max_lexicon_size=cap, seed=5),
+                     "54789cf0a014c5b485bef466ca62ff9bc623d929e57b66a63040d9b3b3fbc191"),
+            "flatcat": (train_flatcat(wc, base, seed=5),
+                        "2c3846ae9f46462b43dc3801a272f9ed7deca2a946642c77100f7401f6a501f1"),
+        }
+        for name, (model, digest) in models.items():
+            path = tmp_path / name
+            save_model(model, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
