@@ -4,7 +4,10 @@
 # well-formed sequences, so decoded morphs always concatenate back to the
 # word.  Features are windowed character substrings keyed by offset.
 
-from polyseg import SegmentationDataset, SegmentedWord, crf_decode, extract_features, train_crf
+import numpy as np
+
+from polyseg import SegmentationDataset, SegmentedWord, crf_decode, train_crf
+from polyseg.crf import LABELS
 from polyseg.corpus import SURFACE
 
 pairs = [
@@ -18,12 +21,15 @@ train = SegmentationDataset(
     tuple(SegmentedWord(s, m) for s, m in pairs), mode=SURFACE
 )
 
-print("features at position 2 of 'nekuxi' (radius 2):")
-for feat in extract_features("nekuxi", 2, delta=2):
-    print("  offset %+d: %r" % feat)
-
 model = train_crf(train, delta=2, l2=0.01, max_iters=120)
-print("likelihood per iteration:", [round(v, 3) for v in model.objective_history[:6]], "...")
+print("likelihood per iteration:", [round(float(v), 3) for v in model.objective_history[:6]], "...")
+
+# each feature is a (offset, text) window key with one weight per label
+print("%d window features; the five with the largest weights:" % len(model.feat_index))
+strongest = sorted(model.feat_index.items(), key=lambda kv: -model.weights[kv[1]].max())
+for (offset, text), k in strongest[:5]:
+    label = int(np.argmax(model.weights[k]))
+    print("  offset %+d %-6r -> %s %+.3f" % (offset, text, LABELS[label], model.weights[k, label]))
 
 for word in ("nekuxime", "tewi", "kuxiri"):
     print("%-9s -> %s" % (word, "+".join(crf_decode(model, word).morphs)))

@@ -34,7 +34,6 @@ from .corpus import (
 from .crf import (
     CrfModel,
     decode as crf_decode,
-    extract_features,
     log_likelihood_and_gradient,
     train_crf,
 )

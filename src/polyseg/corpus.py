@@ -143,7 +143,9 @@ def read_lines(path) -> list[str]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # lines end at each \n and at each \r not followed by \n
+        line = (data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
+                - data.count(b"\r\n", 0, exc.start) + 1)
         raise ParseError("%s:%d: invalid UTF-8 (byte 0x%02x: %s)"
                          % (path, line, data[exc.start], exc.reason)) from exc
     text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")

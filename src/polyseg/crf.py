@@ -58,25 +58,6 @@ def labels_to_morphs(word: str, labels) -> tuple[str, ...]:
     return tuple(morphs)
 
 
-def extract_features(word: str, i: int, delta: int = 3) -> list[tuple[int, str]]:
-    """Window features for position ``i``: every character offset in
-    [-delta, +delta] (padded outside the word) plus all substrings of
-    length 2..delta lying fully inside both the window and the word."""
-    if not 0 <= i < len(word):
-        raise DataError("position %d outside word of length %d" % (i, len(word)))
-    n = len(word)
-    feats = []
-    for o in range(-delta, delta + 1):
-        p = i + o
-        feats.append((o, word[p] if 0 <= p < n else PAD))
-    # lengths and start positions clamped to substrings inside both the
-    # window [i - delta, i + delta] and the word
-    for length in range(2, min(delta, n) + 1):
-        for a in range(max(0, i - delta), min(i + delta + 1, n) - length + 1):
-            feats.append((a - i, word[a : a + length]))
-    return feats
-
-
 @dataclass
 class CrfModel:
     """Feature and transition weights with the window radius they were
@@ -173,21 +154,22 @@ def _substrings(words: list[str], max_length: int):
         yield codes, distinct
 
 
-def _feature_slots(model: CrfModel, words: list[str], pad_offsets: list[int]) -> np.ndarray:
+def _window_slots(words: list[str], delta: int, pad_offsets, ids, fill: int) -> np.ndarray:
     """The window feature ids of every position of ``words``, which all
     have one length ``n``, as a ``(words * n, slots)`` array.
 
-    Row ``w * n + i`` holds the ids of ``extract_features(words[w], i,
-    model.delta)`` in that order: slots run over the character offsets
-    ascending, then over the substring lengths ``2..delta``, each with its
-    start offsets ascending.  A feature the model does not know, or a
-    substring that does not fit in the word, reads ``len(model.feat_index)``.
-    Only offsets that a word of length ``n`` can reach get a slot, plus
-    the ``(offset, PAD)`` features in ``pad_offsets`` (see
-    :func:`_pad_offsets`) farther out, which every position has.
+    The window features of position ``i`` are ``(o, c)`` for each offset
+    ``o`` in ``-delta..delta``, with ``c`` the character at ``i + o`` or
+    :data:`PAD` outside the word, then ``(a - i, s)`` for each substring
+    ``s`` of length ``2..delta`` starting at ``a`` that lies inside both
+    the window ``[i - delta, i + delta]`` and the word, by length and then
+    start ascending.  Row ``w * n + i`` holds their ids in that order, one
+    slot each; ``ids(r, texts)`` gives the ids of the features ``(r, s)``
+    for the ``s`` in ``texts``, and a slot whose substring does not fit in
+    the word reads ``fill``.  Only offsets that a word of length ``n`` can
+    reach get a slot, plus the offsets in ``pad_offsets`` farther out,
+    whose ``(offset, PAD)`` features every position has.
     """
-    index, delta = model.feat_index, model.delta
-    unknown = len(index)
     count, n = len(words), len(words[0])
     reach = min(delta, n - 1)
     # the start offsets of each substring length 1..min(delta, n)
@@ -196,7 +178,7 @@ def _feature_slots(model: CrfModel, words: list[str], pad_offsets: list[int]) ->
     offsets += [range(max(-delta, 1 - n), min(delta - length + 1, n - length) + 1)
                 for length in range(2, min(delta, n) + 1)]
     width = sum(map(len, offsets))
-    slots = np.full((count, n, width), unknown, dtype=np.intp)
+    slots = np.full((count, n, width), fill, dtype=np.intp)
     k = 0
     for length, (rs, (codes, distinct)) in enumerate(
             zip(offsets, _substrings(words, len(offsets))), 1):
@@ -205,12 +187,47 @@ def _feature_slots(model: CrfModel, words: list[str], pad_offsets: list[int]) ->
             lo = min(n, max(0, -r))
             hi = max(lo, min(n, n - length + 1 - r))
             if length == 1:
-                slots[:, :lo, k] = slots[:, hi:, k] = index.get((r, PAD), unknown)
+                slots[:, :lo, k] = slots[:, hi:, k] = ids(r, [PAD])[0]
             if lo < hi:
-                ids = np.array([index.get((r, s), unknown) for s in distinct], dtype=np.intp)
-                slots[:, lo:hi, k] = ids[codes[:, lo + r : hi + r]]
+                slots[:, lo:hi, k] = np.array(ids(r, distinct), dtype=np.intp)[
+                    codes[:, lo + r : hi + r]]
             k += 1
     return slots.reshape(count * n, width)
+
+
+def _feature_slots(model: CrfModel, words: list[str], pad_offsets: list[int]) -> np.ndarray:
+    """:func:`_window_slots` with the model's feature ids and window
+    radius, ``pad_offsets`` as :func:`_pad_offsets` finds them.  A feature
+    the model does not know, or a substring that does not fit in the word,
+    reads ``len(model.feat_index)``."""
+    index = model.feat_index
+    unknown = len(index)
+    return _window_slots(words, model.delta, pad_offsets,
+                         lambda r, texts: [index.get((r, s), unknown) for s in texts], unknown)
+
+
+def _number_features(words: list[str], delta: int) -> dict[tuple[int, str], int]:
+    """The window features of ``words`` (see :func:`_window_slots`), each
+    numbered by where it is first seen: word, then position, then slot."""
+    provisional: dict[tuple[int, str], int] = {}
+
+    def ids(r, texts):
+        return [provisional.setdefault((r, s), len(provisional)) for s in texts]
+
+    pads = range(-delta, delta + 1)
+    tables = [(indices, _window_slots(group, delta, pads, ids, -1))
+              for indices, group in _batches(words)]
+    # the tables' rows back in word order, each word's positions in turn
+    starts = np.cumsum([0] + [len(word) for word in words])
+    width = max((t.shape[1] for _, t in tables), default=0)
+    table = np.full((starts[-1], width), -1, dtype=np.intp)
+    for indices, t in tables:
+        rows = starts[indices][:, None] + np.arange(len(t) // len(indices))
+        table[rows.ravel(), : t.shape[1]] = t
+    seen = table[table >= 0]
+    first = np.unique(seen, return_index=True)[1]
+    keys = list(provisional)
+    return {keys[p]: k for k, p in enumerate(seen[np.sort(first)].tolist())}
 
 
 def _extended(weights: np.ndarray) -> np.ndarray:
@@ -310,14 +327,17 @@ def _length_groups(model: CrfModel, dataset: SegmentationDataset):
     return slots, groups
 
 
-def log_likelihood_and_gradient(model: CrfModel, dataset: SegmentationDataset):
+def log_likelihood_and_gradient(model: CrfModel, dataset: SegmentationDataset, table=None):
     """Regularized conditional log-likelihood and its gradient.
 
     Returns ``(ll, grad)`` with ``grad`` packed like ``model.packed()``:
     empirical minus expected feature counts, minus the l2 term.  Words of
-    one length run through the forward-backward together.
+    one length run through the forward-backward together.  ``table`` is
+    the :func:`_length_groups` table of ``model`` and ``dataset``, built
+    here when not given; it depends on the model only through its
+    features, so training builds it once per fit.
     """
-    slots, groups = _length_groups(model, dataset)
+    slots, groups = _length_groups(model, dataset) if table is None else table
     scores = _emission_sums(_extended(model.weights), slots)  # (positions, 4)
     residual = np.empty_like(scores)  # gold one-hot minus label marginals
     grad_t = np.zeros((4, 4))
@@ -362,7 +382,8 @@ def train_crf(
     """Fit the CRF by quasi-Newton ascent on the regularized likelihood.
 
     Only surface-mode data is supported: canonical analyses do not define a
-    character labeling.
+    character labeling.  The features are those of the training words,
+    numbered by :func:`_number_features`.
     """
     if dataset.mode != SURFACE:
         raise UnsupportedModeError(
@@ -376,19 +397,16 @@ def train_crf(
         raise ConfigError("max_iters must be at least 1, got %r" % (max_iters,))
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError("tol must be finite and at least 0, got %r" % (tol,))
-    feat_index: dict[tuple[int, str], int] = {}
-    for entry in dataset.entries:
-        for i in range(len(entry.surface)):
-            for f in extract_features(entry.surface, i, delta):
-                if f not in feat_index:
-                    feat_index[f] = len(feat_index)
+    feat_index = _number_features([entry.surface for entry in dataset.entries], delta)
     model = CrfModel.zeros(delta, l2, feat_index)
+    table = _length_groups(model, dataset)
 
     history: list[float] = []
 
     def objective(vec):
         model.set_packed(vec)
-        ll, grad = log_likelihood_and_gradient(model, dataset)
+        # through the module attribute, which the benchmark's trace wraps
+        ll, grad = log_likelihood_and_gradient(model, dataset, table)
         return -ll, -grad
 
     def record(intermediate_result):

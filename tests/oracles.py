@@ -26,11 +26,10 @@ from polyseg.crf import (
     PAD,
     START_LABELS,
     CrfModel,
-    extract_features,
     labels_to_morphs,
     morphs_to_labels,
 )
-from polyseg.errors import NumericError, ParseError
+from polyseg.errors import DataError, NumericError, ParseError
 from polyseg.metrics import (
     BLEU_ORDER,
     CHRF_ORDER,
@@ -265,6 +264,38 @@ class MorfOracleTrainer(_Trainer):
 # -- crf -------------------------------------------------------------------------
 
 
+def extract_features(word, i, delta=3):
+    """Window features for position ``i``: every character offset in
+    [-delta, +delta] (padded outside the word) plus all substrings of
+    length 2..delta lying fully inside both the window and the word.
+    The order in which a walk over each training position meets them is
+    the order ``crf.train_crf`` numbers the features in."""
+    if not 0 <= i < len(word):
+        raise DataError("position %d outside word of length %d" % (i, len(word)))
+    n = len(word)
+    feats = []
+    for o in range(-delta, delta + 1):
+        p = i + o
+        feats.append((o, word[p] if 0 <= p < n else PAD))
+    # lengths and start positions clamped to substrings inside both the
+    # window [i - delta, i + delta] and the word
+    for length in range(2, min(delta, n) + 1):
+        for a in range(max(0, i - delta), min(i + delta + 1, n) - length + 1):
+            feats.append((a - i, word[a : a + length]))
+    return feats
+
+
+def crf_oracle_feature_index(words, delta):
+    """The window features of ``words`` numbered in the order a walk over
+    each word's positions first meets them."""
+    index = {}
+    for word in words:
+        for i in range(len(word)):
+            for f in extract_features(word, i, delta):
+                index.setdefault(f, len(index))
+    return index
+
+
 def crf_oracle_features(word, i, delta):
     """Window features by walking the whole window: every offset, then for
     each length every start position, keeping those inside the word."""
@@ -448,11 +479,7 @@ def crf_oracle_length_groups(model, dataset):
 
 
 def random_crf_model(data, delta=2, l2=0.0, seed=0):
-    feat_index = {}
-    for entry in data.entries:
-        for i in range(len(entry.surface)):
-            for f in extract_features(entry.surface, i, delta):
-                feat_index.setdefault(f, len(feat_index))
+    feat_index = crf_oracle_feature_index([entry.surface for entry in data.entries], delta)
     model = CrfModel.zeros(delta, l2, feat_index)
     rng = np.random.default_rng(seed)
     model.set_packed(rng.normal(scale=0.5, size=model.packed().shape))

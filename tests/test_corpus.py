@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -135,18 +136,29 @@ class TestReadLines:
         line = lines[k].encode("utf-8")
         at = data.draw(st.integers(0, len(line)))
         bad = data.draw(st.sampled_from((b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80")))
+        ends = data.draw(st.lists(st.sampled_from((b"\n", b"\r\n", b"\r")),
+                                  min_size=len(lines), max_size=len(lines)))
         encoded = [l.encode("utf-8") for l in lines]
         encoded[k] = line[:at] + bad + line[at:]
         path = tmp_path_factory.mktemp("bad") / "t.txt"
-        path.write_bytes(b"\n".join(encoded) + b"\n")
+        path.write_bytes(b"".join(l + end for l, end in zip(encoded, ends)))
+        # the bad bytes lie in line k, which starts after the lines before
+        # it; a bare \r before an empty line ending in \n makes one line end
+        # of the two, so count the lines that file iteration sees there:
+        # latin-1 reads each byte as one character, and newline="" splits
+        # at \n, \r\n and \r without translating them
+        start = sum(len(l) + len(end) for l, end in zip(encoded[:k], ends[:k]))
+        with open(path, encoding="latin-1", newline="") as f:
+            want = 1 + sum(stop <= start for stop in itertools.accumulate(map(len, f)))
         with pytest.raises(ParseError) as exc:
             read_lines(path)
-        assert str(exc.value).startswith("%s:%d: invalid UTF-8 " % (path, k + 1))
+        assert str(exc.value).startswith("%s:%d: invalid UTF-8 " % (path, want))
 
     def test_invalid_utf8_counts_newline_bytes(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"kawi\r\n\rsu\nta\n\xff\n")
-        with pytest.raises(ParseError, match=r":4: invalid UTF-8 \(byte 0xff: invalid start byte\)$"):
+        # the bad byte is on the fifth line: "kawi", "", "su", "ta", then it
+        with pytest.raises(ParseError, match=r":5: invalid UTF-8 \(byte 0xff: invalid start byte\)$"):
             read_lines(path)
 
     @pytest.mark.parametrize("text", ["", "\n", "kawi suta\nkawi\n", "a\r\n\ufeffb"])

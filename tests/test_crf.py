@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import random
@@ -24,7 +25,6 @@ from polyseg.crf import (
     _logsumexp,
     _pad_offsets,
     decode,
-    extract_features,
     labels_to_morphs,
     load_model,
     log_likelihood_and_gradient,
@@ -37,6 +37,7 @@ from polyseg.crf import (
 from polyseg.errors import ConfigError, DataError, ParseError, UnsupportedModeError
 from oracles import (
     crf_oracle_decode,
+    crf_oracle_feature_index,
     crf_oracle_feature_ids,
     crf_oracle_features,
     crf_oracle_length_groups,
@@ -44,6 +45,7 @@ from oracles import (
     crf_oracle_marginals,
     crf_oracle_scores,
     crf_sequence_score,
+    extract_features,
     random_crf_model,
     valid_bmes_sequences,
 )
@@ -89,6 +91,24 @@ class TestFeatures:
             for i in range(n):
                 assert extract_features(w, i, delta) == crf_oracle_features(w, i, delta)
 
+
+    @given(words=st.lists(st.text(alphabet="ab\U0001f600\u00e9", min_size=1, max_size=9),
+                          min_size=1, max_size=8),
+           repeats=st.lists(st.integers(0, 7), max_size=4), delta=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_training_numbers_features_in_first_seen_order(self, words, repeats, delta):
+        # one-character words, mixed lengths in any order, repeated entries
+        # and characters outside the BMP, which the substring codes read as
+        # one utf-32 unit each
+        words = words + [words[k % len(words)] for k in repeats]
+        data = dataset(*[(w,) for w in words])
+        want = crf_oracle_feature_index(words, delta)
+        model = train_crf(data, delta=delta, max_iters=1)
+        assert list(model.feat_index.items()) == list(want.items())
+        assert list(crf._number_features(words, delta).items()) == list(want.items())
+
+    def test_numbering_empty_word_list(self):
+        assert crf._number_features([], 3) == {}
 
 class TestBmes:
     def test_round_trip(self):
@@ -246,6 +266,27 @@ class TestTraining:
         assert (loaded.nit, loaded.stop_message) == (None, None)
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_table_built_once_per_fit(self, monkeypatch):
+        builds, evaluations = [], []
+        real_groups, real_llgrad = crf._length_groups, crf.log_likelihood_and_gradient
+        monkeypatch.setattr(crf, "_length_groups",
+                            lambda *args: builds.append(1) or real_groups(*args))
+        once = train_crf(TOY, delta=2, l2=0.01, max_iters=10)
+        assert builds == [1]
+
+        # a fit whose likelihood rebuilds the table on every call ends
+        # bit for bit where the fit on the one table does
+        def rebuilding(model, data, table=None):
+            evaluations.append(1)
+            return real_llgrad(model, data)
+
+        monkeypatch.setattr(crf, "log_likelihood_and_gradient", rebuilding)
+        del builds[:]
+        every = train_crf(TOY, delta=2, l2=0.01, max_iters=10)
+        assert len(builds) == 1 + len(evaluations) and len(evaluations) > 10
+        assert once.objective_history == every.objective_history
+        assert once.packed().tobytes() == every.packed().tobytes()
 
     def test_window_radius_below_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -480,6 +521,18 @@ class TestModelFile:
         again = tmp_path / "again.crf"
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # a change that moves this digest changes the models users get and
+        # must be declared as such; the last word's first character lies
+        # outside the BMP
+        data = dataset(("p",), ("ka", "wi"), ("ka", "su"), ("ta", "ka", "wi"), ("p", "iwe"),
+                       ("mi", "su", "ta", "ka", "wi", "su"), ("wi",), ("su", "ta"),
+                       ("\U0001f600", "ka"))
+        path = tmp_path / "m.crf"
+        save_model(train_crf(data, delta=3, l2=0.01, max_iters=20), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "20fd2c144bb0992f73535d68dc8dc27e34dfddcc1b9ce940be45ed192392e0d6"
 
     def test_file_cut_before_transitions_rejected(self, tmp_path):
         # a trained file cut at a line boundary inside its feature rows
