@@ -214,6 +214,7 @@ def _number_features(words: list[str], delta: int) -> dict[tuple[int, str], int]
     def ids(r, texts):
         return [provisional.setdefault((r, s), len(provisional)) for s in texts]
 
+    # every offset, so each row holds all its position's window features
     pads = range(-delta, delta + 1)
     tables = [(indices, _window_slots(group, delta, pads, ids, -1))
               for indices, group in _batches(words)]
