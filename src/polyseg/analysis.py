@@ -8,6 +8,8 @@ CSV for downstream plotting.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 from .errors import AlignmentError, ConfigError, DataError
@@ -95,18 +97,21 @@ def bin_richness(records: list[RichnessRecord], bins: int = 10) -> list[Richness
     return out
 
 
+def _csv(header, rows) -> str:
+    """CSV text, quoting only the fields that need it; lines end in ``\n``."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
 def richness_csv(records: list[RichnessRecord]) -> str:
-    lines = ["idx,richness,score"]
-    for r in records:
-        lines.append("%d,%s,%s" % (r.index, repr(r.morphs_per_token), repr(r.score)))
-    return "\n".join(lines) + "\n"
+    return _csv(("idx", "richness", "score"),
+                ((r.index, repr(r.morphs_per_token), repr(r.score)) for r in records))
 
 
 def richness_bins_csv(bins: list[RichnessBin]) -> str:
-    lines = ["bin_lo,bin_hi,count,mean_score"]
-    for b in bins:
-        lines.append("%s,%s,%d,%s" % (repr(b.lo), repr(b.hi), b.count, repr(b.mean_score)))
-    return "\n".join(lines) + "\n"
+    return _csv(("bin_lo", "bin_hi", "count", "mean_score"),
+                ((repr(b.lo), repr(b.hi), b.count, repr(b.mean_score)) for b in bins))
 
 
 def unk_report(segmented_corpus, vocabulary: set[str], system: str = "system") -> UnkReport:
@@ -128,7 +133,5 @@ def unk_report(segmented_corpus, vocabulary: set[str], system: str = "system") -
 
 
 def unk_csv(reports: list[UnkReport]) -> str:
-    lines = ["system,total,unk,rate"]
-    for r in reports:
-        lines.append("%s,%d,%d,%s" % (r.system, r.total_tokens, r.unk_tokens, repr(r.unk_rate)))
-    return "\n".join(lines) + "\n"
+    return _csv(("system", "total", "unk", "rate"),
+                ((r.system, r.total_tokens, r.unk_tokens, repr(r.unk_rate)) for r in reports))

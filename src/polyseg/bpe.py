@@ -1,9 +1,9 @@
 """Byte-pair-encoding subword model: frequency-based merge learning and
 rank-ordered merge application.
 
-Words are initialized as character symbols with an end-of-word marker
-appended to the final character symbol, so every encoded word carries its
-boundary and decoding is the exact inverse of encoding.
+Words are initialized as character symbols with the family's end-of-word
+marker ``</w>`` appended to the final one, so every encoded word carries
+its boundary and decoding is the exact inverse of encoding.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from functools import cached_property
 from . import modelfile
 from .errors import ConfigError, DataError, FormatError
 
-DEFAULT_MARKER = "</w>"
+MARKER = "</w>"
+_marker = {MARKER: MARKER}.__getitem__  # the header's marker field must be MARKER
 
 
 @dataclass
@@ -32,7 +33,6 @@ class BpeModel:
 
     merges: list[tuple[str, str]]
     vocab: set[str]
-    boundary_marker: str = DEFAULT_MARKER
     target_vocab_size: int = 0
 
     def is_unknown(self, piece: str) -> bool:
@@ -49,11 +49,11 @@ class BpeModel:
         return ranks
 
 
-def _word_symbols(word: str, marker: str) -> tuple[str, ...]:
-    if marker in word:
-        raise DataError("word %r contains the boundary marker %r" % (word, marker))
+def _word_symbols(word: str) -> tuple[str, ...]:
+    if MARKER in word:
+        raise DataError("word %r contains the boundary marker %r" % (word, MARKER))
     chars = list(word)
-    chars[-1] = chars[-1] + marker
+    chars[-1] = chars[-1] + MARKER
     return tuple(chars)
 
 
@@ -71,11 +71,7 @@ def _merge_word(syms: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]
     return tuple(out)
 
 
-def train_bpe(
-    word_counts: dict[str, int],
-    target_vocab_size: int,
-    marker: str = DEFAULT_MARKER,
-) -> BpeModel:
+def train_bpe(word_counts: dict[str, int], target_vocab_size: int) -> BpeModel:
     """Learn merges until the vocabulary reaches ``target_vocab_size``.
 
     The most frequent adjacent symbol pair (weighted by word frequency) is
@@ -93,7 +89,7 @@ def train_bpe(
     for word, freq in word_counts.items():
         if not word:
             raise DataError("empty word in counts")
-        syms = _word_symbols(word, marker)
+        syms = _word_symbols(word)
         agg[syms] = agg.get(syms, 0) + freq
     # words are tuples of symbols and the sets of word indexes below are
     # dicts of ints: the cyclic garbage collector does not track either, so
@@ -183,12 +179,7 @@ def train_bpe(
                 del pair_counts[pair]
         touched.clear()
 
-    return BpeModel(
-        merges=merges,
-        vocab=vocab,
-        boundary_marker=marker,
-        target_vocab_size=target_vocab_size,
-    )
+    return BpeModel(merges=merges, vocab=vocab, target_vocab_size=target_vocab_size)
 
 
 def encode(model: BpeModel, word: str) -> list[str]:
@@ -206,7 +197,7 @@ def encode(model: BpeModel, word: str) -> list[str]:
     """
     if not word:
         raise DataError("cannot encode an empty word")
-    syms = _word_symbols(word, model.boundary_marker)
+    syms = _word_symbols(word)
     pair_ranks = model.pair_ranks
     first = 0  # the lowest rank replay could still apply
     while len(syms) > 1:
@@ -230,15 +221,15 @@ def segment_words(model: BpeModel, words) -> list[list[str]]:
     return [encode(model, word) for word in words]
 
 
-def decode(pieces: list[str], marker: str = DEFAULT_MARKER) -> str:
+def decode(pieces: list[str]) -> str:
     """Reassemble a word from its pieces; inverse of :func:`encode`."""
     if not pieces:
         raise DataError("cannot decode an empty piece list")
     joined = "".join(pieces)
-    idx = joined.find(marker)
-    if idx >= 0 and idx != len(joined) - len(marker):
+    idx = joined.find(MARKER)
+    if idx >= 0 and idx != len(joined) - len(MARKER):
         raise FormatError(
-            "boundary marker %r at position %d, expected only at the end" % (marker, idx)
+            "boundary marker %r at position %d, expected only at the end" % (MARKER, idx)
         )
     return joined[: idx] if idx >= 0 else joined
 
@@ -246,18 +237,18 @@ def decode(pieces: list[str], marker: str = DEFAULT_MARKER) -> str:
 def save_model(model: BpeModel, path) -> None:
     """Write the model as text: a header line, then merge pairs in order."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("bpe v1 %d %s\n" % (model.target_vocab_size, model.boundary_marker))
+        f.write("bpe v1 %d %s\n" % (model.target_vocab_size, MARKER))
         for a, b in model.merges:
             f.write("%s\t%s\n" % (a, b))
 
 
 def load_model(path) -> BpeModel:
-    (target, marker), sections = modelfile.read(
-        path, "bpe", (int, str), {"merges": (modelfile.text, modelfile.text)})
+    (target, _), sections = modelfile.read(
+        path, "bpe", (int, _marker), {"merges": (modelfile.text, modelfile.text)})
     merges = list(zip(*sections["merges"].columns))
     # The file format stores merges only; vocab is rebuilt from them.
     # Alphabet symbols that never merged are not recoverable from the file.
     vocab = set()
     for a, b in merges:
         vocab.update((a, b, a + b))
-    return BpeModel(merges=merges, vocab=vocab, boundary_marker=marker, target_vocab_size=target)
+    return BpeModel(merges=merges, vocab=vocab, target_vocab_size=target)

@@ -25,10 +25,11 @@ from .errors import (
 DEFAULT_SEED = 1917
 EOW = "eow"  # end-of-word marker on each word's final piece (bpe family)
 CONT = "cont"  # continuation marker on each word's non-final pieces
-DEFAULT_MARKERS = {EOW: bpe.DEFAULT_MARKER, CONT: "@@"}
+MARKERS = {EOW: bpe.MARKER, CONT: "@@"}
 # model family (the first header word) -> its module: load_model, save_model
 # and segment_words(model, words)
 SEGMENTERS = {"bpe": bpe, "morf": morf, "crf": crf}
+STYLES = {"bpe": EOW, "morf": CONT, "crf": CONT}  # model family -> marker style
 
 
 # -- segmented-text rendering ------------------------------------------------
@@ -47,18 +48,18 @@ def render_segmented(pieces_per_token, style: str, marker: str) -> str:
 
 def desegment_line(line: str, style: str, marker: str, lineno: int = 1) -> str:
     """Invert :func:`render_segmented`; raises FormatError with line/column
-    on stray or missing markers."""
+    on stray or missing markers.  A piece ending in the marker is marked."""
     words = []
     current = ""
     col = 1
     for piece in line.split(" "):
-        idx = piece.find(marker)
-        if idx >= 0 and idx != len(piece) - len(marker):
+        marked = piece.endswith(marker)
+        body = piece[: -len(marker)] if marked else piece
+        if marker in body:
             raise FormatError(
                 "line %d, column %d: marker inside piece %r" % (lineno, col, piece)
             )
-        marked = piece.endswith(marker)
-        current += piece[: -len(marker)] if marked else piece
+        current += body
         # a marked piece ends its word under EOW and continues it under CONT
         if marked == (style == EOW):
             words.append(current)
@@ -121,8 +122,8 @@ def _cmd_seg_stats(args) -> int:
 
 
 def _reject_marker(path, lines, marker: str) -> None:
-    """bpe cannot encode a token that holds its boundary marker; name the
-    first one by ``path:line``."""
+    """A token that holds its family's marker would not desegment back to
+    itself; name the first one by ``path:line``."""
     for lineno, line in enumerate(lines, 1):
         if marker in line:
             word = next(tok for tok in line.split() if marker in tok)
@@ -144,7 +145,7 @@ def _word_counts(path, marker: str | None = None) -> Counter:
 
 def _cmd_train(args) -> int:
     if args.method == "bpe":
-        model = bpe.train_bpe(_word_counts(args.input, bpe.DEFAULT_MARKER), args.vocab_size)
+        model = bpe.train_bpe(_word_counts(args.input, bpe.MARKER), args.vocab_size)
         bpe.save_model(model, args.model)
         print("trained bpe: vocab size %d, %d merges -> %s"
               % (len(model.vocab), len(model.merges), args.model))
@@ -179,6 +180,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _family(path) -> str:
+    """The family of the model file at ``path``, from its header alone."""
+    family = modelfile.family(path)
+    if family not in SEGMENTERS:
+        raise ParseError("%s:1: unknown model family %r" % (path, family))
+    return family
+
+
 def _segmenter(path):
     """``(segment_words, style, marker)`` for the model file at ``path``.
 
@@ -186,23 +195,16 @@ def _segmenter(path):
     looks ``segment_words`` up on the family's module at call time, so a
     wrapper installed there sees every call.
     """
-    family = modelfile.family(path)
-    module = SEGMENTERS.get(family)
-    if module is None:
-        raise ParseError("%s:1: unknown model family %r" % (path, family))
+    family = _family(path)
+    module, style = SEGMENTERS[family], STYLES[family]
     model = module.load_model(path)
-    if module is bpe:
-        style, marker = EOW, model.boundary_marker
-    else:
-        style, marker = CONT, DEFAULT_MARKERS[CONT]
-    return (lambda words: module.segment_words(model, words)), style, marker
+    return (lambda words: module.segment_words(model, words)), style, MARKERS[style]
 
 
 def _cmd_segment(args) -> int:
     segment_words, style, marker = _segmenter(args.model)
     raw = corpus.read_lines(args.input)
-    if style == EOW:  # bpe
-        _reject_marker(args.input, raw, marker)
+    _reject_marker(args.input, raw, marker)
     lines = [line.split() for line in raw]
     # every family's decoder is a pure function of (model, word), so each
     # distinct word is segmented once, in first-seen order; text repeats
@@ -219,12 +221,12 @@ def _cmd_segment(args) -> int:
 
 def _cmd_desegment(args) -> int:
     if args.model:
-        _, style, marker = _segmenter(args.model)
+        style = STYLES[_family(args.model)]
     elif args.style:
         style = args.style
-        marker = DEFAULT_MARKERS[style] if args.marker is None else args.marker
     else:
         raise ConfigError("desegment needs --style or --model")
+    marker = MARKERS[style]
     out = [desegment_line(line, style, marker, lineno=i)
            for i, line in enumerate(corpus.read_lines(args.input), 1)]
     _emit(args.output, "".join(line + "\n" for line in out))
@@ -289,6 +291,8 @@ def _cmd_analyze(args) -> int:
         if args.vocab is None:
             raise ConfigError("analyze unk needs --vocab")
         vocab = set(corpus.read_lines(args.vocab))
+        if not vocab:
+            raise ParseError("%s:1: empty piece vocabulary" % (args.vocab,))
         segmented = [[[piece] for piece in line.split()]
                      for line in corpus.read_lines(args.input)]
         report = analysis.unk_report(segmented, vocab, system=args.system)
@@ -356,9 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("desegment", help="undo segmentation markers")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.add_argument("--model", help="read the marker convention from this model file")
+    p.add_argument("--model", help="take the marker style from this model file's family")
     p.add_argument("--style", choices=(EOW, CONT))
-    p.add_argument("--marker")
     p.set_defaults(func=_cmd_desegment)
 
     p = sub.add_parser("eval-seg", parents=[table], help="segmentation quality against gold")

@@ -15,8 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from polyseg import crf, modelfile, morf
-from polyseg.bpe import DEFAULT_MARKER
+from polyseg import bpe, crf, modelfile, morf
 from polyseg.corpus import SURFACE, SegmentedWord, read_lines
 from polyseg.crf import (
     ALLOWED_NEXT,
@@ -52,13 +51,13 @@ _L = {lab: i for i, lab in enumerate(LABELS)}
 # -- bpe -----------------------------------------------------------------------
 
 
-def bpe_oracle_merges(word_counts, target_vocab_size, marker=DEFAULT_MARKER):
+def bpe_oracle_merges(word_counts, target_vocab_size):
     """Re-derive the merge sequence: recount every adjacent pair from
     scratch each round and apply the winner by list scanning."""
     words = []
     for w, c in word_counts.items():
         syms = list(w)
-        syms[-1] += marker
+        syms[-1] += bpe.MARKER
         words.append((syms, c))
     vocab = {s for syms, _ in words for s in syms}
     merges = []
@@ -82,11 +81,11 @@ def bpe_oracle_merges(word_counts, target_vocab_size, marker=DEFAULT_MARKER):
     return merges
 
 
-def bpe_oracle_encode(merges, word, marker=DEFAULT_MARKER):
+def bpe_oracle_encode(merges, word):
     """Encode by replaying every merge in order over the word's symbols,
     each one left to right and non-overlapping."""
     syms = list(word)
-    syms[-1] += marker
+    syms[-1] += bpe.MARKER
     for a, b in merges:
         out = []
         i = 0
@@ -945,10 +944,10 @@ def crf_oracle_load_model(path):
 
 
 def bpe_oracle_load_model(path):
-    """The merges and marker of a bpe model file, read row by row."""
-    (target, marker), rows, _ = modelfile_oracle_read(
-        path, "bpe", (int, str), {"merges": (str, str)})
-    return target, marker, [(a, b) for _, (a, b) in rows["merges"]]
+    """The target size and merges of a bpe model file, read row by row."""
+    (target, _), rows, _ = modelfile_oracle_read(
+        path, "bpe", (int, bpe._marker), {"merges": (str, str)})
+    return target, [(a, b) for _, (a, b) in rows["merges"]]
 
 
 def morf_oracle_load_model(path):

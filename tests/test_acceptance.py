@@ -98,7 +98,7 @@ def test_c03_bpe_oracle_suite():
     rng = random.Random(2024)
     for _ in range(50):
         wc = random_bpe_corpus(rng, max_types=20)
-        alphabet = {s for w in wc for s in w[:-1]} | {w[-1] + bpe.DEFAULT_MARKER for w in wc}
+        alphabet = {s for w in wc for s in w[:-1]} | {w[-1] + bpe.MARKER for w in wc}
         target = len(alphabet) + rng.randint(0, 25)
         model = bpe.train_bpe(wc, target)
         assert model.merges == bpe_oracle_merges(wc, target)
@@ -112,7 +112,7 @@ def test_c03_bpe_oracle_suite():
             if ch.isspace() or "⟨" in ch:
                 continue
             word += ch
-        if bpe.DEFAULT_MARKER in word:
+        if bpe.MARKER in word:
             continue
         assert bpe.decode(bpe.encode(model, word)) == word
     elapsed = time.perf_counter() - start

@@ -115,6 +115,7 @@ def test_cli_loads_models_through_the_module_attribute(tmp_path, monkeypatch, mo
     assert polyseg.cli.main(["segment", "--model", str(path), "--input", str(text),
                              "--output", str(segmented)]) == 0
     assert calls == [str(path)]
+    # desegment reads only the family from the header, and loads nothing
     assert polyseg.cli.main(["desegment", "--model", str(path), "--input", str(segmented),
                              "--output", str(tmp_path / "restored.txt")]) == 0
-    assert calls == [str(path)] * 2
+    assert calls == [str(path)]

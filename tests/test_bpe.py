@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyseg.bpe import (
-    DEFAULT_MARKER,
+    MARKER,
     BpeModel,
     decode,
     encode,
@@ -28,7 +28,7 @@ class TestTraining:
     def test_zero_budget_gives_characters(self):
         model = train_bpe({"ab": 1}, target_vocab_size=2)
         assert model.merges == []
-        assert encode(model, "ab") == ["a", "b" + DEFAULT_MARKER]
+        assert encode(model, "ab") == ["a", "b" + MARKER]
 
     def test_target_below_alphabet_rejected(self):
         with pytest.raises(ConfigError):
@@ -78,7 +78,7 @@ class TestTraining:
             total = 0
             for w, c in wc.items():
                 syms = list(w)
-                syms[-1] += DEFAULT_MARKER
+                syms[-1] += MARKER
                 for pair in model.merges[:k]:
                     i = 0
                     while i < len(syms) - 1:
@@ -92,11 +92,11 @@ class TestTraining:
     def test_vocab_counts_alphabet_and_merges(self):
         wc = {"aaab": 2, "aab": 1}
         model = train_bpe(wc, 3)
-        assert model.vocab == {"a", "b" + DEFAULT_MARKER, "aa"}
+        assert model.vocab == {"a", "b" + MARKER, "aa"}
 
 
 def _initial_symbols(word_counts):
-    return {c for w in word_counts for c in w[:-1]} | {w[-1] + DEFAULT_MARKER for w in word_counts}
+    return {c for w in word_counts for c in w[:-1]} | {w[-1] + MARKER for w in word_counts}
 
 
 # words over tiny alphabets, runs of one symbol and repeated pairs, so that
@@ -157,22 +157,22 @@ class TestTrainingMatchesOracle:
 class TestEncodeDecode:
     def test_merge_replay_by_hand(self):
         model = train_bpe({"aaab": 2, "aab": 1}, target_vocab_size=3)
-        assert encode(model, "aaab") == ["aa", "a", "b" + DEFAULT_MARKER]
+        assert encode(model, "aaab") == ["aa", "a", "b" + MARKER]
 
     def test_unknown_character_flagged(self):
         model = train_bpe({"ab": 1}, target_vocab_size=2)
         pieces = encode(model, "az")
-        assert pieces == ["a", "z" + DEFAULT_MARKER]
+        assert pieces == ["a", "z" + MARKER]
         assert model.is_unknown(pieces[1])
         assert not model.is_unknown(pieces[0])
 
     def test_decode_examples(self):
-        assert decode(["aa", "a", "b" + DEFAULT_MARKER]) == "aaab"
-        assert decode(["a" + DEFAULT_MARKER]) == "a"
+        assert decode(["aa", "a", "b" + MARKER]) == "aaab"
+        assert decode(["a" + MARKER]) == "a"
 
     def test_decode_rejects_internal_marker(self):
         with pytest.raises(FormatError):
-            decode(["a" + DEFAULT_MARKER, "b"])
+            decode(["a" + MARKER, "b"])
 
     def test_training_words_round_trip(self):
         wc = random_bpe_corpus(random.Random(7))
@@ -258,7 +258,6 @@ class TestModelFile:
         assert text.splitlines()[0] == "bpe v1 8 </w>"
         loaded = load_model(path)
         assert loaded.merges == model.merges
-        assert loaded.boundary_marker == model.boundary_marker
         for w in ("aaab", "aab", "abab", "bbbb"):
             assert encode(loaded, w) == encode(model, w)
         again = tmp_path / "again.bpe"

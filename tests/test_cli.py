@@ -1,3 +1,5 @@
+import contextlib
+import io
 import time
 
 import pytest
@@ -368,6 +370,22 @@ class TestAnalyze:
         assert lines[0] == "system,total,unk,rate"
         assert lines[1].startswith("demo,4,1,")
 
+    def test_unk_csv_quotes_a_system_name_with_a_comma(self, tmp_path):
+        vocab = _write(tmp_path / "v.txt", "ka\nwi\n")
+        segged = _write(tmp_path / "s.txt", "ka xx\n")
+        out = tmp_path / "unk.csv"
+        assert run("analyze", "unk", "--vocab", vocab, "--input", segged,
+                   "--system", "bpe,30k", "--out", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == 'system,total,unk,rate\n"bpe,30k",2,1,0.5\n'
+
+    def test_empty_vocab_file_is_3_at_line_1(self, tmp_path, capsys):
+        vocab = _write(tmp_path / "v.txt", "")
+        segged = _write(tmp_path / "s.txt", "ka wi\n")
+        assert run("analyze", "unk", "--vocab", vocab, "--input", segged) == 3
+        err = capsys.readouterr().err
+        assert "%s:1: empty piece vocabulary" % (vocab,) in err
+        assert "Traceback" not in err
+
     def test_richness_csv(self, tmp_path, corpus_file):
         model = str(tmp_path / "m.morf")
         assert run("train", "--method", "morfessor", "--input", corpus_file,
@@ -655,6 +673,7 @@ class TestMalformedModelFiles:
                      id="non-finite-crf-weight"),
         pytest.param("bpe v1 thirty </w>\nk\ta\n", 1, id="non-numeric-bpe-header"),
         pytest.param("bpe v1 30 \nk\ta\n", 1, id="empty-header-field"),
+        pytest.param("bpe v1 30 @@\nk\ta\n", 1, id="foreign-bpe-marker"),
         pytest.param("", 1, id="empty-file"),
         pytest.param("lzw v1 30\n", 1, id="unknown-family"),
         pytest.param("crf v1 0 0.01\n0:k\tB\t0.5\ntransitions:\n", 1, id="crf-delta-zero"),
@@ -689,6 +708,31 @@ class TestMalformedModelFiles:
         err = capsys.readouterr().err
         assert "%s:%d:" % (model, line) in err
         assert "Traceback" not in err
+
+    def test_desegment_reads_only_the_family(self, tmp_path, capsys):
+        # cut short in its feature rows: segment rejects it, desegment
+        # needs no more than the header's first word
+        model = _write(tmp_path / "cut.crf", "crf v1 2 0.01\n0:k\tB\t0.5\n1:a\tE\t0.1\n")
+        text = _write(tmp_path / "text.txt", "kawi suta\n")
+        assert run("segment", "--model", model, "--input", text) == 3
+        assert "%s:1:" % (model,) in capsys.readouterr().err
+        segmented = _write(tmp_path / "segmented.txt", "ka@@ wi su@@ ta\n")
+        restored = tmp_path / "restored.txt"
+        assert run("desegment", "--model", model, "--input", segmented,
+                   "--output", str(restored)) == 0
+        assert restored.read_text(encoding="utf-8") == "kawi suta\n"
+
+    @pytest.mark.parametrize("content", [b"", None], ids=["empty", "directory"])
+    def test_desegment_with_an_unusable_model_is_3(self, tmp_path, corpus_file, capsys,
+                                                   content):
+        model = tmp_path / "bad"
+        if content is None:
+            model.mkdir()
+        else:
+            model.write_bytes(content)
+        assert run("desegment", "--model", str(model), "--input", corpus_file) == 3
+        err = capsys.readouterr().err
+        assert str(model) in err and "Traceback" not in err
 
 
 class TestCrfWindow:
@@ -754,6 +798,71 @@ class TestDamagedModelFiles:
         # the loader leaves every flatcat word a legal category path whose
         # cost stays finite, so decoding never fails
         assert rc in (0, 3)
+
+
+# tokens over this alphabet hold every character of both families' markers
+HOSTILE = "ka@</w>"
+
+
+@pytest.fixture(scope="module")
+def hostile_models(tmp_path_factory):
+    """A directory holding one model per family trained on words with
+    ``@``, ``<``, ``/`` and ``>`` in them, but no marker."""
+    d = tmp_path_factory.mktemp("hostile")
+    corpus = _write(d / "corpus.txt", "ka@wi k<a/w> ka@wi wa>k\nk@a ka</ wa@ ka@wi\n"
+                                      "k<a/w> wa>k ka</ k@a\n")
+    gold = _write(d / "gold.tsv", "ka@wi\tka@ wi\nk<a/w>\tk<a /w>\nwa>k\twa >k\n"
+                                  "k@a\tk@a\nka</\tka </\n")
+    for method, data, extra in (
+        ("bpe", corpus, ("--vocab-size", "30")),
+        ("morfessor", corpus, ()),
+        ("flatcat", corpus, ()),
+        ("crf", gold, ("--delta", "2", "--max-iters", "30")),
+    ):
+        assert run("train", "--method", method, "--input", data,
+                   "--model", str(d / method), *extra) == 0
+    return d
+
+
+def _hostile_lines(marker):
+    """Up to three single-space lines of ``HOSTILE`` tokens without ``marker``."""
+    token = st.text(HOSTILE, min_size=1, max_size=6).filter(lambda tok: marker not in tok)
+    return st.lists(st.lists(token, max_size=4).map(" ".join), min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("method,marker", [
+    ("bpe", "</w>"), ("morfessor", "@@"), ("flatcat", "@@"), ("crf", "@@"),
+])
+class TestMarkerRoundTrip:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_desegment_restores_what_segment_wrote(self, hostile_models, method, marker,
+                                                   data):
+        d = hostile_models
+        text = "".join(line + "\n" for line in data.draw(_hostile_lines(marker)))
+        source = _write(d / (method + ".txt"), text)
+        segmented, restored = d / (method + ".seg"), d / (method + ".out")
+        assert run("segment", "--model", str(d / method), "--input", source,
+                   "--output", str(segmented)) == 0
+        assert run("desegment", "--model", str(d / method), "--input", str(segmented),
+                   "--output", str(restored)) == 0
+        assert restored.read_bytes() == text.encode("utf-8")
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_a_token_holding_the_marker_is_3_at_its_line(self, hostile_models, method,
+                                                         marker, data):
+        d = hostile_models
+        lines = data.draw(_hostile_lines(marker))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        ends = st.text(HOSTILE, max_size=3)
+        before, after = data.draw(st.tuples(ends, ends))
+        lines[i] = " ".join(filter(None, (lines[i], before + marker + after)))
+        source = _write(d / (method + ".bad"), "".join(line + "\n" for line in lines))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run("segment", "--model", str(d / method), "--input", source) == 3
+        assert "%s:%d:" % (source, i + 1) in err.getvalue()
 
 
 class TestSummaryLines:

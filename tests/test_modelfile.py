@@ -48,7 +48,7 @@ def _morf_view(model):
 
 
 def _bpe_view(model):
-    return model.target_vocab_size, model.boundary_marker, model.merges
+    return model.target_vocab_size, model.merges
 
 
 LOADERS = {
