@@ -14,6 +14,7 @@ from collections import Counter
 
 from . import analysis, bpe, corpus, crf, metrics, modelfile, morf
 from .errors import (
+    AlignmentError,
     ConfigError,
     DataError,
     FormatError,
@@ -35,8 +36,9 @@ STYLES = {"bpe": EOW, "morf": CONT, "crf": CONT}  # model family -> marker style
 # -- segmented-text rendering ------------------------------------------------
 
 
-def render_segmented(pieces_per_token, style: str, marker: str) -> str:
+def render_segmented(pieces_per_token, style: str) -> str:
     """One line of segmented text from per-token piece lists."""
+    marker = MARKERS[style]
     out = []
     for pieces in pieces_per_token:
         if style == EOW:
@@ -46,9 +48,10 @@ def render_segmented(pieces_per_token, style: str, marker: str) -> str:
     return " ".join(out)
 
 
-def desegment_line(line: str, style: str, marker: str, lineno: int = 1) -> str:
-    """Invert :func:`render_segmented`; raises FormatError with line/column
-    on stray or missing markers.  A piece ending in the marker is marked."""
+def desegment_line(line: str, style: str) -> str:
+    """Invert :func:`render_segmented`; raises FormatError with the column
+    of a stray or missing marker.  A piece ending in the marker is marked."""
+    marker = MARKERS[style]
     words = []
     current = ""
     col = 1
@@ -56,9 +59,7 @@ def desegment_line(line: str, style: str, marker: str, lineno: int = 1) -> str:
         marked = piece.endswith(marker)
         body = piece[: -len(marker)] if marked else piece
         if marker in body:
-            raise FormatError(
-                "line %d, column %d: marker inside piece %r" % (lineno, col, piece)
-            )
+            raise FormatError("column %d: marker inside piece %r" % (col, piece))
         current += body
         # a marked piece ends its word under EOW and continues it under CONT
         if marked == (style == EOW):
@@ -66,10 +67,7 @@ def desegment_line(line: str, style: str, marker: str, lineno: int = 1) -> str:
             current = ""
         col += len(piece) + 1
     if current:
-        raise FormatError(
-            "line %d, column %d: unterminated word %r at end of line"
-            % (lineno, col - 1, current)
-        )
+        raise FormatError("column %d: unterminated word %r at end of line" % (col - 1, current))
     return " ".join(words)
 
 
@@ -189,7 +187,7 @@ def _family(path) -> str:
 
 
 def _segmenter(path):
-    """``(segment_words, style, marker)`` for the model file at ``path``.
+    """``(segment_words, style)`` for the model file at ``path``.
 
     ``segment_words`` maps a list of words to the list of their pieces; it
     looks ``segment_words`` up on the family's module at call time, so a
@@ -198,23 +196,22 @@ def _segmenter(path):
     family = _family(path)
     module, style = SEGMENTERS[family], STYLES[family]
     model = module.load_model(path)
-    return (lambda words: module.segment_words(model, words)), style, MARKERS[style]
+    return (lambda words: module.segment_words(model, words)), style
 
 
 def _cmd_segment(args) -> int:
-    segment_words, style, marker = _segmenter(args.model)
+    segment_words, style = _segmenter(args.model)
     raw = corpus.read_lines(args.input)
-    _reject_marker(args.input, raw, marker)
+    _reject_marker(args.input, raw, MARKERS[style])
     lines = [line.split() for line in raw]
     # every family's decoder is a pure function of (model, word), so each
     # distinct word is segmented once, in first-seen order; text repeats
     # words, Zipf-like
     distinct = list(dict.fromkeys(tok for tokens in lines for tok in tokens))
     pieces = dict(zip(distinct, segment_words(distinct)))
-    out = [render_segmented([pieces[tok] for tok in tokens], style, marker)
-           for tokens in lines]
+    out = [render_segmented([pieces[tok] for tok in tokens], style) for tokens in lines]
     _emit(args.output, "".join(line + "\n" for line in out))
-    print("segmented %d lines (%s style, marker %r)" % (len(out), style, marker),
+    print("segmented %d lines (%s style, marker %r)" % (len(out), style, MARKERS[style]),
           file=sys.stderr)
     return 0
 
@@ -226,9 +223,12 @@ def _cmd_desegment(args) -> int:
         style = args.style
     else:
         raise ConfigError("desegment needs --style or --model")
-    marker = MARKERS[style]
-    out = [desegment_line(line, style, marker, lineno=i)
-           for i, line in enumerate(corpus.read_lines(args.input), 1)]
+    out = []
+    for i, line in enumerate(corpus.read_lines(args.input), 1):
+        try:
+            out.append(desegment_line(line, style))
+        except FormatError as exc:
+            raise FormatError("%s:%d: %s" % (args.input, i, exc)) from exc
     _emit(args.output, "".join(line + "\n" for line in out))
     print("desegmented %d lines" % (len(out),), file=sys.stderr)
     return 0
@@ -237,6 +237,11 @@ def _cmd_desegment(args) -> int:
 def _cmd_eval_seg(args) -> int:
     pred = corpus.load_segmentation(args.pred, mode=args.pred_mode)
     gold = corpus.load_segmentation(args.gold, mode=args.gold_mode)
+    corpus.check_line_counts(args.pred, pred.entries, args.gold, gold.entries)
+    for i, (p, g) in enumerate(zip(pred.entries, gold.entries), 1):
+        if p.surface != g.surface:
+            raise AlignmentError("surface mismatch: %s:%d has %r, %s:%d has %r"
+                                 % (args.pred, i, p.surface, args.gold, i, g.surface))
     scorer = {"boundary": metrics.boundary_f1, "emma": metrics.emma_f1}[args.metric]
     score = scorer(pred, gold)
     name = args.metric + "-f1"
@@ -249,8 +254,9 @@ def _cmd_eval_seg(args) -> int:
 
 
 def _cmd_eval_mt(args) -> int:
-    report = metrics.metric_report(
-        args.metric, corpus.read_lines(args.hyp), corpus.read_lines(args.ref))
+    hyps, refs = corpus.read_lines(args.hyp), corpus.read_lines(args.ref)
+    corpus.check_line_counts(args.hyp, hyps, args.ref, refs)
+    report = metrics.metric_report(args.metric, hyps, refs)
     _emit(args.out, _table(args, ("metric", "score", "signature"),
                            (report.metric, "%.4f" % report.score, report.signature)))
     print("%s = %.4f (%s)" % (report.metric, report.score, report.signature))
@@ -258,9 +264,9 @@ def _cmd_eval_mt(args) -> int:
 
 
 def _cmd_signif(args) -> int:
-    sys_a = corpus.read_lines(args.sys_a)
-    sys_b = corpus.read_lines(args.sys_b)
-    refs = corpus.read_lines(args.ref)
+    sys_a, sys_b, refs = map(corpus.read_lines, (args.sys_a, args.sys_b, args.ref))
+    corpus.check_line_counts(args.sys_a, sys_a, args.ref, refs)
+    corpus.check_line_counts(args.sys_b, sys_b, args.ref, refs)
     report_a, report_b = metrics.metric_reports(args.metric, [sys_a, sys_b], refs)
     p = metrics.randomization_p(report_a, report_b, trials=args.trials, seed=args.seed)
     _emit(args.out, _table(
@@ -278,9 +284,11 @@ def _cmd_analyze(args) -> int:
         if args.probe_model is None or args.scores is None:
             raise ConfigError("analyze richness needs --probe-model and --scores")
         model = morf.load_model(args.probe_model)
-        sentences = [line.split() for line in corpus.read_lines(args.input)]
+        lines, score_lines = corpus.read_lines(args.input), corpus.read_lines(args.scores)
+        corpus.check_line_counts(args.scores, score_lines, args.input, lines)
+        sentences = [line.split() for line in lines]
         scores = [modelfile.field(args.scores, i, modelfile.finite, text)
-                  for i, text in enumerate(corpus.read_lines(args.scores), 1)]
+                  for i, text in enumerate(score_lines, 1)]
         records = analysis.richness_table(model, sentences, scores, source=args.input)
         _emit(args.out, analysis.richness_csv(records))
         if args.bins_out:

@@ -152,15 +152,22 @@ def read_lines(path) -> list[str]:
     return text.removesuffix("\n").split("\n") if text else []
 
 
+def check_line_counts(path_a, lines_a, path_b, lines_b) -> None:
+    """Raise AlignmentError naming both files when the lines read from
+    ``path_a`` and ``path_b`` differ in number."""
+    if len(lines_a) != len(lines_b):
+        raise AlignmentError("line count mismatch: %s has %d lines, %s has %d"
+                             % (path_a, len(lines_a), path_b, len(lines_b)))
+
+
 def load_parallel(source_path, target_path) -> ParallelCorpus:
-    """Load a line-aligned parallel corpus from two plain-text files."""
+    """Load a line-aligned parallel corpus from two plain-text files; files
+    without lines raise ParseError."""
     src_lines = read_lines(source_path)
     tgt_lines = read_lines(target_path)
-    if len(src_lines) != len(tgt_lines):
-        raise AlignmentError(
-            "line count mismatch: %s has %d lines, %s has %d"
-            % (source_path, len(src_lines), target_path, len(tgt_lines))
-        )
+    check_line_counts(source_path, src_lines, target_path, tgt_lines)
+    if not src_lines:
+        raise ParseError("%s:1: empty corpus" % (source_path,))
     pairs = []
     for i, (src, tgt) in enumerate(zip(src_lines, tgt_lines), start=1):
         if not src.split():
@@ -286,9 +293,7 @@ def _fmt(x: float, places: int, *, trunc: bool = False) -> str:
 STATS_HEADER = ("S", "N", "V", "V1", "V/N", "V1/N", "OOV", "pctOOV")
 
 
-def stats_table(
-    stats: CorpusStats, side_names: tuple[str, str] = ("source", "target"), sep: str = "\t"
-) -> str:
+def stats_table(stats: CorpusStats, sep: str = "\t") -> str:
     """Render corpus statistics as a delimited table, one row per side.
 
     Ratio columns use 3 decimal places, half-up; pctOOV is truncated at 3
@@ -296,7 +301,7 @@ def stats_table(
     tables this layout follows.
     """
     lines = [sep.join(("side",) + STATS_HEADER)]
-    for i, name in enumerate(side_names):
+    for i, name in enumerate(("source", "target")):
         row = [
             name,
             str(stats.s),

@@ -380,6 +380,7 @@ def metric_report(metric: str, hyps: list[str], refs: list[str]) -> ScoreReport:
 # -- paired approximate randomization ------------------------------------------
 
 _TRIAL_BLOCK = 1000  # flip patterns drawn and scored at a time
+SIGNIFICANCE = 0.05  # the largest p-value marked significant
 
 
 def randomization_p(
@@ -453,6 +454,6 @@ def paired_randomization_test(
     return randomization_p(report_a, report_b, trials, seed)
 
 
-def significance_mark(p_value: float, threshold: float = 0.05) -> str:
-    """Two-way marking: at or below the threshold counts as significant."""
-    return "significant" if p_value <= threshold else "not-significant"
+def significance_mark(p_value: float) -> str:
+    """Two-way marking: at or below SIGNIFICANCE counts as significant."""
+    return "significant" if p_value <= SIGNIFICANCE else "not-significant"

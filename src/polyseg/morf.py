@@ -582,43 +582,28 @@ def _lattice(words: list[str], tables, unseen, strict: bool = True) -> list:
     path.  With ``strict`` a known morph cannot take a category that gives
     it no mass, and words left without a path are decoded again without.
 
-    From each start, the previous categories are tried in the order they
-    reached it: by the first start that gave them a finite cost, then by
-    index.  Ties keep the first start, then the first previous category;
-    the final category is the cheaper of STM and SUF, STM on a tie.
+    Ties keep the first start, then the lowest previous category index
+    (CATEGORIES order, with the word start as index 4); the final category
+    is the cheaper of STM and SUF, STM on a tie.
     """
     ids, emit, limit, steps = tables
     count, n = len(words), len(words[0])
-    # reach[w, pos, k]: the cost of the k-th category to reach pos, slot_cat
-    # that category; pos 0 has only category 4, whose steps are the starts
-    reach = np.full((count, n + 1, 4), math.inf)
-    reach[:, 0, 0] = 0.0
-    slot_cat = np.full((count, n + 1, 4), 4, dtype=np.int8)
+    # best[w, pos, c]: the cheapest path to pos whose last morph has
+    # category c; category 4 is the word start, reached only at pos 0
+    best = np.full((count, n + 1, 5), math.inf)
+    best[:, 0, 4] = 0.0
     back = np.zeros((count, n + 1, 4), dtype=np.intp)  # start * 5 + previous category
     for end, span in enumerate(_span_ids(words, ids, limit), 1):
-        a = end - span.shape[1]
         e = np.broadcast_to(unseen[end:0:-1, None], (count, end, 4)).copy()
         known = emit[span]
         keep = (span < len(ids))[..., None] if strict else known != math.inf
-        np.copyto(e[:, a:], known, where=keep)
-        # the emission is added before the minimum over previous categories
-        cand = np.full((count, end, 4), math.inf)
-        via = np.zeros((count, end, 4), dtype=np.int8)
-        y = np.empty_like(cand)
-        for k in range(4):
-            np.add(reach[:, :end, k, None], steps[slot_cat[:, :end, k]], out=y)
-            better = np.add(y, e, out=y) < cand
-            np.copyto(cand, y, where=better)
-            via[better] = k
-        start = np.argmin(cand, axis=1)
-        best = cand.min(axis=1)
-        via = np.take_along_axis(via, start[:, None], axis=1)[:, 0]
-        back[:, end] = start * 5 + slot_cat[np.arange(count)[:, None], start, via]
-        reached = cand < math.inf
-        first = np.where(reached.any(axis=1), reached.argmax(axis=1), end)
-        slot_cat[:, end] = order = np.argsort(first * 4 + np.arange(4), axis=1)
-        reach[:, end] = np.take_along_axis(best, order, axis=1)
-    final = best[:, 1:3]  # STM, SUF
+        np.copyto(e[:, end - span.shape[1] :], known, where=keep)
+        cand = best[:, :end, :, None] + steps
+        cand += e[:, :, None, :]  # the emission is added last, as the oracle does
+        cand = cand.reshape(count, end * 5, 4)
+        back[:, end] = np.argmin(cand, axis=1)
+        best[:, end, :4] = np.take_along_axis(cand, back[:, end, None], axis=1)[:, 0]
+    final = best[:, n, 1:3]  # STM, SUF
     out = []
     for word, cost, cat, ptrs in zip(words, final.min(axis=1).tolist(),
                                      (1 + np.argmin(final, axis=1)).tolist(),

@@ -628,7 +628,8 @@ def _flatcat_oracle_lattice(model, word, strict):
                 else:
                     cand = math.inf
                     prev_cat = None
-                    for pc, pcost in best[start].items():
+                    for pc in CATEGORIES:
+                        pcost = best[start].get(pc, math.inf)
                         tlog = cm.trans_logp(pc, cat)
                         if tlog == _NEG_INF:
                             continue

@@ -50,7 +50,7 @@ def test_segment_word_looks_decoder_up_at_call_time(tmp_path, monkeypatch, modul
     mod = getattr(polyseg, module)
     path = tmp_path / module
     mod.save_model(TRAIN[module](), path)
-    segment_words, _, _ = polyseg.cli._segmenter(path)
+    segment_words, _ = polyseg.cli._segmenter(path)
     calls = []
     real = getattr(mod, attr)
     monkeypatch.setattr(mod, attr, lambda model, arg: calls.append(arg) or real(model, arg))

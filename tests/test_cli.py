@@ -115,9 +115,9 @@ class TestSegmentCache:
         d, _ = trained_models
         model = str(d / method)
         text = _write(tmp_path / "text.txt", "kawi suta kawi\nkawi\n\nwisu suta kawi tawi\n")
-        segment_words, style, marker = cli._segmenter(model)
+        segment_words, style = cli._segmenter(model)
         expected = "".join(
-            render_segmented(segment_words(line.split()), style, marker) + "\n"
+            render_segmented(segment_words(line.split()), style) + "\n"
             for line in open(text, encoding="utf-8").read().splitlines())
 
         module, attr = decoder
@@ -187,25 +187,24 @@ class TestSegmenterTable:
 
 class TestDesegmentHelpers:
     def test_eow_rendering(self):
-        line = render_segmented([["ka", "wi</w>"], ["su</w>"]], "eow", "</w>")
+        line = render_segmented([["ka", "wi</w>"], ["su</w>"]], "eow")
         assert line == "ka wi</w> su</w>"
-        assert desegment_line(line, "eow", "</w>") == "kawi su"
+        assert desegment_line(line, "eow") == "kawi su"
 
     def test_cont_rendering(self):
-        line = render_segmented([["ka", "wi"], ["su"]], "cont", "@@")
+        line = render_segmented([["ka", "wi"], ["su"]], "cont")
         assert line == "ka@@ wi su"
-        assert desegment_line(line, "cont", "@@") == "kawi su"
+        assert desegment_line(line, "cont") == "kawi su"
 
     def test_stray_marker_reports_position(self):
-        with pytest.raises(FormatError) as exc:
-            desegment_line("ka</w>wi su</w>", "eow", "</w>", lineno=3)
-        assert "line 3" in str(exc.value)
+        with pytest.raises(FormatError, match="^column 8: marker inside piece 'ka</w>wi'$"):
+            desegment_line("su</w> ka</w>wi su</w>", "eow")
 
     def test_dangling_word_rejected(self):
         with pytest.raises(FormatError):
-            desegment_line("ka wi</w> su", "eow", "</w>")
+            desegment_line("ka wi</w> su", "eow")
         with pytest.raises(FormatError):
-            desegment_line("ka@@", "cont", "@@")
+            desegment_line("ka@@", "cont")
 
 
 class TestStats:
@@ -660,6 +659,63 @@ class TestExitCodes:
         assert run(*(a.format(bad=bad, d=d, t=tmp_path) for a in command)) == 3
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+
+class TestInputErrorsNameTheirFiles:
+    """Misaligned inputs and bad segmented text exit 3 naming each file
+    involved, with the line where it can be told."""
+
+    def test_eval_seg_surface_mismatch(self, tmp_path, capsys):
+        pred = _write(tmp_path / "p.tsv", "kawi\tka wi\nsuto\tsu to\n")
+        gold = _write(tmp_path / "g.tsv", "kawi\tka wi\nsuta\tsu ta\n")
+        assert run("eval-seg", "--pred", pred, "--gold", gold) == 3
+        assert capsys.readouterr().err == (
+            "polyseg: surface mismatch: %s:2 has 'suto', %s:2 has 'suta'\n" % (pred, gold))
+
+    def test_eval_mt_line_counts(self, tmp_path, capsys):
+        hyp = _write(tmp_path / "h.txt", "ka wi\n")
+        ref = _write(tmp_path / "r.txt", "ka wi\nsu ta\n")
+        assert run("eval-mt", "--hyp", hyp, "--ref", ref, "--metric", "bleu") == 3
+        assert capsys.readouterr().err == (
+            "polyseg: line count mismatch: %s has 1 lines, %s has 2\n" % (hyp, ref))
+
+    @pytest.mark.parametrize("short", ("--sys-a", "--sys-b"))
+    def test_signif_names_the_short_system(self, tmp_path, capsys, short):
+        full = _write(tmp_path / "full.txt", "ka wi\nsu ta\n")
+        cut = _write(tmp_path / "cut.txt", "ka wi\n")
+        systems = {"--sys-a": full, "--sys-b": full, short: cut}
+        assert run("signif", "--sys-a", systems["--sys-a"], "--sys-b", systems["--sys-b"],
+                   "--ref", full, "--metric", "chrf") == 3
+        assert capsys.readouterr().err == (
+            "polyseg: line count mismatch: %s has 1 lines, %s has 2\n" % (cut, full))
+
+    def test_richness_with_an_empty_scores_file(self, trained_models, tmp_path, capsys):
+        d, _ = trained_models
+        text = _write(tmp_path / "text.txt", "kawi suta\nwisu\nkawi\n")
+        scores = _write(tmp_path / "scores.txt", "")
+        assert run("analyze", "richness", "--probe-model", str(d / "morfessor"),
+                   "--input", text, "--scores", scores) == 3
+        assert capsys.readouterr().err == (
+            "polyseg: line count mismatch: %s has 0 lines, %s has 3\n" % (scores, text))
+
+    @pytest.mark.parametrize("text,message", [
+        ("kawi\nka@@\n", "2: column 5: unterminated word 'ka' at end of line"),
+        ("ka@@ wi\nka@@wi su\n", "2: column 1: marker inside piece 'ka@@wi'"),
+    ])
+    def test_desegment_names_file_and_line(self, tmp_path, capsys, text, message):
+        path = _write(tmp_path / "seg.txt", text)
+        assert run("desegment", "--style", "cont", "--input", path) == 3
+        assert capsys.readouterr().err == "polyseg: %s:%s\n" % (path, message)
+
+    @pytest.mark.parametrize("sides", ("evaluated", "reference"))
+    def test_stats_on_an_empty_corpus(self, tmp_path, corpus_file, capsys, sides):
+        empty = _write(tmp_path / "empty.txt", "")
+        argv = ["--source", empty, "--target", empty]
+        if sides == "reference":
+            argv = ["--source", corpus_file, "--target", corpus_file,
+                    "--train-source", empty, "--train-target", empty]
+        assert run("stats", *argv) == 3
+        assert capsys.readouterr().err == "polyseg: %s:1: empty corpus\n" % (empty,)
 
 
 class TestMalformedModelFiles:

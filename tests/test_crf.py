@@ -502,7 +502,7 @@ def test_bench_words_segment_like_the_oracle(tmp_path):
             for tok in line.split():
                 if tok not in pieces:
                     pieces[tok] = list(crf_oracle_decode(loaded, tok).morphs)
-            want.append(render_segmented([pieces[tok] for tok in line.split()], "cont", "@@"))
+            want.append(render_segmented([pieces[tok] for tok in line.split()], "cont"))
         assert out.read_bytes() == "".join(line + "\n" for line in want).encode("utf-8")
 
 

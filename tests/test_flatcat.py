@@ -320,17 +320,17 @@ class TestArraysMatchOracles:
         assert want is not None
         assert _decode(model, "ab") == want
 
-    def test_previous_category_ties_go_to_the_first_one_to_reach_the_position(self):
-        # after "b|ba" the stem reached position 3 (from the start) before
-        # the prefix (from position 1), and both reach the final "b" at the
-        # same cost: the stem wins, where CATEGORIES order would pick PRE
+    def test_category_ties_go_to_the_lowest_category_index(self):
+        # "b|ba" reaches position 3 with "ba" as a stem and as a prefix,
+        # and each reaches the final stem "b" at the same cost: the prefix
+        # wins, being first in CATEGORIES order
         cm = CategoryModel(start={"STM": -1.0},
                            trans={"PRE": {"STM": -1.0}, "STM": {"PRE": 0.0, "STM": 0.0}},
                            emit={"PRE": {"ba": 0.0}, "STM": {"b": 0.0, "ba": -1.0}})
         model = _flatcat_model(cm)
-        want = (["b", "ba", "b"], ["STM", "STM", "STM"])
+        want = (["b", "ba", "b"], ["STM", "PRE", "STM"])
         assert flatcat_oracle_segment(model, "bbab") == want
-        assert _decode(model, "bbab") == want
+        assert viterbi_segment_with_categories(model, "bbab") == want
 
 
 # every substring of "ab" is known as a prefix only, so no strict path of
