@@ -11,15 +11,15 @@ score on a 0-100 scale.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .corpus import SURFACE, SegmentationDataset
-from .errors import AlignmentError, ConfigError, UnsupportedModeError
+from .errors import AlignmentError, ConfigError, DataError, UnsupportedModeError
 
 BLEU_ORDER = 4
 CHRF_ORDER = 6
@@ -54,6 +54,8 @@ class ScoreReport:
 
 
 def _check_aligned(pred: SegmentationDataset, gold: SegmentationDataset) -> None:
+    if not pred.entries and not gold.entries:
+        raise DataError("empty dataset")
     if len(pred.entries) != len(gold.entries):
         raise AlignmentError(
             "datasets differ in length: %d vs %d" % (len(pred.entries), len(gold.entries))
@@ -101,31 +103,69 @@ def boundary_f1(pred: SegmentationDataset, gold: SegmentationDataset) -> SegScor
     )
 
 
+def _type_counts(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The word and type of every (word, morph type) that occurs in
+    ``entries``, sorted by word then type, with its count in the word, and
+    the number of types."""
+    types: dict = {}
+    codes = np.array([types.setdefault(m, len(types)) for e in entries for m in e.morphs],
+                     dtype=np.int64)
+    lengths = np.array([len(e.morphs) for e in entries], dtype=np.int64)
+    words = np.repeat(np.arange(len(entries)), lengths)
+    keys, counts = np.unique(words * len(types) + codes, return_counts=True)
+    return keys // len(types), keys % len(types), counts, len(types)
+
+
+def _matched_tokens(pred_entries, gold_entries) -> float:
+    """The largest total co-occurrence weight of a one-to-one matching of
+    predicted to gold morph types, where a pair's weight sums over words the
+    smaller of its two counts in the word.
+
+    The matching is a minimum-cost full matching of the predicted types on
+    the sparse graph of co-occurring pairs: a pair of weight ``w`` costs
+    ``W + 1 - w`` (``W`` the largest weight), and each predicted type has a
+    private dummy column of cost ``W + 1``, its way of staying unmatched."""
+    p_word, p_type, p_count, n_p = _type_counts(pred_entries)
+    g_word, g_type, g_count, n_g = _type_counts(gold_entries)
+    # word i's gold types are rows g_start[i]:g_start[i + 1] of the g_ arrays
+    g_start = np.searchsorted(g_word, np.arange(len(gold_entries) + 1))
+    # pair each predicted row with every gold row of its word; the pair
+    # arrays are the largest here, so they are built in place and g_row is
+    # freed before the sort
+    reps = np.diff(g_start)[p_word]
+    g_row = np.repeat(g_start[p_word] - np.cumsum(reps) + reps, reps)
+    g_row += np.arange(len(g_row))
+    keys = np.repeat(p_type * n_g, reps)
+    keys += g_type[g_row]
+    counts = np.repeat(p_count, reps)
+    np.minimum(counts, g_count[g_row], out=counts)
+    del g_row
+    pairs = np.unique(keys)
+    weight = np.bincount(np.searchsorted(pairs, keys), weights=counts)
+    top = weight.max()
+    rows = np.concatenate([pairs // n_g, np.arange(n_p)])
+    cols = np.concatenate([pairs % n_g, n_g + np.arange(n_p)])
+    cost = np.concatenate([top + 1 - weight, np.full(n_p, top + 1)])
+    graph = csr_matrix((cost, (rows, cols)), shape=(n_p, n_g + n_p))
+    match = min_weight_full_bipartite_matching(graph)[1]
+    real = match < n_g
+    at = np.searchsorted(pairs, np.flatnonzero(real) * n_g + match[real])
+    return float(weight[at].sum())
+
+
 def emma_f1(pred: SegmentationDataset, gold: SegmentationDataset) -> SegScore:
-    """Morph-matching F1: predicted and gold morph types are put in an
-    optimal one-to-one correspondence (maximum-weight bipartite matching on
-    per-word co-occurrence counts) before computing precision and recall
-    over morph tokens.  Works for surface and canonical data."""
+    """Morph-matching F1 (EMMA, Spiegler & Monson, 2010): predicted and gold
+    morph types are put in an optimal one-to-one correspondence
+    (maximum-weight bipartite matching on per-word co-occurrence counts)
+    before computing precision and recall over morph tokens.  Works for
+    surface and canonical data."""
     _check_aligned(pred, gold)
-    co = Counter()
-    n_pred = n_gold = exact = 0
-    for p, g in zip(pred.entries, gold.entries):
-        pc, gc = Counter(p.morphs), Counter(g.morphs)
-        n_pred += len(p.morphs)
-        n_gold += len(g.morphs)
-        exact += p.morphs == g.morphs
-        for pm, pn in pc.items():
-            for gm, gn in gc.items():
-                co[(pm, gm)] += min(pn, gn)
-    pred_types = {t: i for i, t in enumerate(sorted({pm for pm, _ in co}))}
-    gold_types = {t: i for i, t in enumerate(sorted({gm for _, gm in co}))}
-    weight = np.zeros((len(pred_types), len(gold_types)))
-    for (pm, gm), w in co.items():
-        weight[pred_types[pm], gold_types[gm]] = w
-    rows, cols = linear_sum_assignment(-weight)
-    matched = float(weight[rows, cols].sum())
-    precision = matched / n_pred if n_pred else 0.0
-    recall = matched / n_gold if n_gold else 0.0
+    matched = _matched_tokens(pred.entries, gold.entries)
+    n_pred = sum(len(p.morphs) for p in pred.entries)
+    n_gold = sum(len(g.morphs) for g in gold.entries)
+    exact = sum(p.morphs == g.morphs for p, g in zip(pred.entries, gold.entries))
+    precision = matched / n_pred
+    recall = matched / n_gold
     return SegScore(
         precision=precision,
         recall=recall,

@@ -13,10 +13,11 @@ from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 from polyseg import bpe, crf, modelfile, morf
-from polyseg.corpus import SURFACE, SegmentedWord, read_lines
+from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWord, read_lines
 from polyseg.crf import (
     ALLOWED_NEXT,
     ALLOWED_PAIRS,
@@ -32,6 +33,7 @@ from polyseg.errors import DataError, NumericError, ParseError
 from polyseg.metrics import (
     BLEU_ORDER,
     CHRF_ORDER,
+    SegScore,
     bleu_score_from_stats,
     chrf_score_from_stats,
 )
@@ -685,14 +687,21 @@ def flatcat_oracle_lattice_tables(cm):
 # -- emma ------------------------------------------------------------------------
 
 
-def emma_oracle_matching(pred_entries, gold_entries):
-    """Maximum-weight one-to-one matching by permutation enumeration."""
+def _emma_oracle_weights(pred_entries, gold_entries):
+    """(pred morph, gold morph) -> the sum over words of the smaller of the
+    two morphs' counts in the word, for each pair that co-occurs."""
     co = Counter()
     for p, g in zip(pred_entries, gold_entries):
         pc, gc = Counter(p), Counter(g)
         for pm, pn in pc.items():
             for gm, gn in gc.items():
                 co[(pm, gm)] += min(pn, gn)
+    return co
+
+
+def emma_oracle_matching(pred_entries, gold_entries):
+    """Maximum-weight one-to-one matching by permutation enumeration."""
+    co = _emma_oracle_weights(pred_entries, gold_entries)
     pred_types = sorted({pm for pm, _ in co})
     gold_types = sorted({gm for _, gm in co})
     small, large, flip = (
@@ -707,6 +716,27 @@ def emma_oracle_matching(pred_entries, gold_entries):
             total += co[(l, s)] if flip else co[(s, l)]
         best = max(best, total)
     return best
+
+
+def emma_oracle_dense(pred, gold):
+    """``metrics.emma_f1`` from Counter loops and a dense (pred types x
+    gold types) weight matrix solved with ``linear_sum_assignment``."""
+    co = _emma_oracle_weights([p.morphs for p in pred.entries], [g.morphs for g in gold.entries])
+    n_pred = sum(len(p.morphs) for p in pred.entries)
+    n_gold = sum(len(g.morphs) for g in gold.entries)
+    exact = sum(p.morphs == g.morphs for p, g in zip(pred.entries, gold.entries))
+    pred_types = {t: i for i, t in enumerate(sorted({pm for pm, _ in co}))}
+    gold_types = {t: i for i, t in enumerate(sorted({gm for _, gm in co}))}
+    weight = np.zeros((len(pred_types), len(gold_types)))
+    for (pm, gm), w in co.items():
+        weight[pred_types[pm], gold_types[gm]] = w
+    rows, cols = linear_sum_assignment(-weight)
+    matched = float(weight[rows, cols].sum())
+    precision = matched / n_pred if n_pred else 0.0
+    recall = matched / n_gold if n_gold else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return SegScore(precision=precision, recall=recall, f1=f1,
+                    accuracy=exact / len(pred.entries))
 
 
 def random_emma_instance(rng):
@@ -728,6 +758,35 @@ def random_emma_instance(rng):
             and len({m for ms in golds for m in ms}) <= 6
         ):
             return surfaces, preds, golds
+
+
+@st.composite
+def emma_datasets(draw, max_words=6):
+    """Aligned (pred, gold) segmentation datasets over a two-letter
+    alphabet, so morphs repeat within and across words and either side can
+    have more than 6 types; in some draws the gold side is canonical, its
+    morphs free strings that need not spell the surface."""
+    morph = st.text("ab", min_size=1, max_size=3)
+    preds = draw(st.lists(st.lists(morph, min_size=1, max_size=5),
+                          min_size=1, max_size=max_words))
+    surfaces = ["".join(ms) for ms in preds]
+    mode = draw(st.sampled_from((SURFACE, CANONICAL)))
+    golds = []
+    for word in surfaces:
+        if mode == CANONICAL:
+            golds.append(draw(st.lists(st.text("ab2", min_size=1, max_size=3),
+                                       min_size=1, max_size=5)))
+        else:
+            cuts = sorted(draw(st.sets(st.integers(1, len(word) - 1), max_size=4))
+                          if len(word) > 1 else ())
+            golds.append([word[a:b] for a, b in zip([0, *cuts], [*cuts, len(word)])])
+
+    def dataset(analyses, mode):
+        return SegmentationDataset(
+            tuple(SegmentedWord(w, tuple(ms), mode=mode) for w, ms in zip(surfaces, analyses)),
+            mode=mode)
+
+    return dataset(preds, SURFACE), dataset(golds, mode)
 
 
 # -- MT metrics ------------------------------------------------------------------

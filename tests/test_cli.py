@@ -281,6 +281,21 @@ class TestEval:
             assert lines[0].startswith("metric\t")
             assert lines[1].startswith(name)
 
+    def test_eval_seg_emma_report_bytes(self, tmp_path, capsys):
+        # repeated morphs in a word (ka ka, su su, wi wi) and types left
+        # unmatched on both sides (suta, kata; kawi, miw, i): 7 of 10
+        # predicted and 11 gold tokens matched
+        pred = _write(tmp_path / "p.tsv", "kakawi\tka ka wi\nsusuta\tsu suta\nmiwi\tmi wi\n"
+                                          "kata\tkata\nwiwi\twi wi\n")
+        gold = _write(tmp_path / "g.tsv", "kakawi\tka kawi\nsusuta\tsu su ta\nmiwi\tmiw i\n"
+                                          "kata\tka ta\nwiwi\twi wi\n")
+        out = tmp_path / "r.tsv"
+        assert run("eval-seg", "--pred", pred, "--gold", gold, "--metric", "emma",
+                   "--out", str(out)) == 0
+        assert out.read_bytes() == (b"metric\tprecision\trecall\tf1\taccuracy\n"
+                                    b"emma-f1\t0.7000\t0.6364\t0.6667\t0.2000\n")
+        assert capsys.readouterr() == ("emma-f1: f1=0.6667 accuracy=0.2000\n", "")
+
     def test_crf_canonical_training_exits_3(self, tmp_path):
         data = _write(tmp_path / "c.tsv", "kawi\tkaw i2\n")
         model = str(tmp_path / "m.crf")

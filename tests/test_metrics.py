@@ -1,13 +1,17 @@
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWord
-from polyseg.errors import AlignmentError, UnsupportedModeError
+from polyseg.errors import AlignmentError, DataError, UnsupportedModeError
 from oracles import (
+    emma_datasets,
+    emma_oracle_dense,
     emma_oracle_matching,
     mt_corpus,
     mt_lines,
@@ -71,6 +75,31 @@ class TestBoundaryF1:
             boundary_f1(surf, canon)
 
 
+@pytest.mark.parametrize("scorer", (boundary_f1, emma_f1))
+def test_empty_datasets_rejected(scorer):
+    empty = seg_dataset([])
+    with pytest.raises(DataError, match="empty dataset"):
+        scorer(empty, empty)
+
+
+def _paper_scale_instance(n_words=12000, seed=12):
+    """Agglutinative words (a stem and up to three suffixes) with their
+    gold morphs, and predictions cut at random positions: a few thousand
+    gold types and many more predicted ones."""
+    rng = random.Random(seed)
+    letters = "aeikmnostuw"
+    stems = ["".join(rng.choice(letters) for _ in range(rng.randint(3, 7))) for _ in range(2500)]
+    suffixes = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 3))) for _ in range(60)]
+    pred, gold = [], []
+    for _ in range(n_words):
+        morphs = [rng.choice(stems)] + rng.sample(suffixes, rng.randint(0, 3))
+        word = "".join(morphs)
+        cuts = sorted(rng.sample(range(1, len(word)), min(len(word) - 1, rng.randint(0, 4))))
+        gold.append((word, morphs))
+        pred.append((word, [word[a:b] for a, b in zip([0, *cuts], [*cuts, len(word)])]))
+    return seg_dataset(pred), seg_dataset(gold)
+
+
 class TestEmmaF1:
     def test_identity_saturates(self):
         ds = seg_dataset([("kawi", ("ka", "wi")), ("kasu", ("ka", "su"))])
@@ -99,6 +128,32 @@ class TestEmmaF1:
         gold = seg_dataset([("kawi", ("kaw", "i2"))], mode=CANONICAL)
         score = emma_f1(pred, gold)
         assert 0.0 <= score.f1 <= 1.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=emma_datasets())
+    @example(data=(seg_dataset([("aab", ("a", "a", "b"))]), seg_dataset([("aab", ("a", "ab"))])))
+    @example(data=(seg_dataset([("ab", ("a", "b")), ("ba", ("ba",))]),
+                   seg_dataset([("ab", ("ab2",)), ("ba", ("b", "a"))], mode=CANONICAL)))
+    def test_equals_dense_oracle(self, data):
+        pred, gold = data
+        assert emma_f1(pred, gold) == emma_oracle_dense(pred, gold)
+
+    def test_paper_scale_is_fast_and_sparse(self):
+        pred, gold = _paper_scale_instance()
+        assert len({m for e in pred.entries for m in e.morphs}) > 5000
+        assert len({m for e in gold.entries for m in e.morphs}) > 2000
+        start = time.perf_counter()
+        score = emma_f1(pred, gold)
+        elapsed = time.perf_counter() - start
+        assert 0.0 < score.f1 < 1.0
+        assert elapsed < 5.0, "emma_f1 took %.2fs at 12k words" % elapsed
+        tracemalloc.start()
+        try:
+            assert emma_f1(pred, gold) == score
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, "emma_f1 peaked at %.0f MB at 12k words" % (peak / 1e6)
 
 
 class Test13aTokenizer:
