@@ -8,10 +8,9 @@ CSV for downstream plotting.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
+from .corpus import table
 from .errors import AlignmentError, ConfigError, DataError
 from . import morf
 
@@ -97,21 +96,14 @@ def bin_richness(records: list[RichnessRecord], bins: int = 10) -> list[Richness
     return out
 
 
-def _csv(header, rows) -> str:
-    """CSV text, quoting only the fields that need it; lines end in ``\n``."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([header, *rows])
-    return out.getvalue()
-
-
 def richness_csv(records: list[RichnessRecord]) -> str:
-    return _csv(("idx", "richness", "score"),
-                ((r.index, repr(r.morphs_per_token), repr(r.score)) for r in records))
+    return table(("idx", "richness", "score"),
+                 ((r.index, repr(r.morphs_per_token), repr(r.score)) for r in records), ",")
 
 
 def richness_bins_csv(bins: list[RichnessBin]) -> str:
-    return _csv(("bin_lo", "bin_hi", "count", "mean_score"),
-                ((repr(b.lo), repr(b.hi), b.count, repr(b.mean_score)) for b in bins))
+    return table(("bin_lo", "bin_hi", "count", "mean_score"),
+                 ((repr(b.lo), repr(b.hi), b.count, repr(b.mean_score)) for b in bins), ",")
 
 
 def unk_report(segmented_corpus, vocabulary: set[str], system: str = "system") -> UnkReport:
@@ -133,5 +125,6 @@ def unk_report(segmented_corpus, vocabulary: set[str], system: str = "system") -
 
 
 def unk_csv(reports: list[UnkReport]) -> str:
-    return _csv(("system", "total", "unk", "rate"),
-                ((r.system, r.total_tokens, r.unk_tokens, repr(r.unk_rate)) for r in reports))
+    return table(("system", "total", "unk", "rate"),
+                 ((r.system, r.total_tokens, r.unk_tokens, repr(r.unk_rate)) for r in reports),
+                 ",")

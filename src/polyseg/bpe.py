@@ -57,18 +57,16 @@ def _word_symbols(word: str) -> tuple[str, ...]:
     return tuple(chars)
 
 
-def _merge_word(syms: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
-    a, b = pair
-    out = []
-    i = 0
-    while i < len(syms):
-        if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b:
-            out.append(a + b)
-            i += 2
-        else:
-            out.append(syms[i])
-            i += 1
-    return tuple(out)
+def _find_pair(syms: list[str], a: str, b: str, i: int) -> int:
+    """The first index at or after ``i`` where ``syms`` holds ``a``
+    followed by ``b``, or -1.  Merging each find and searching again one
+    past it merges the pair's occurrences left to right."""
+    end = len(syms) - 1
+    while i < end:
+        if syms[i] == a and syms[i + 1] == b:
+            return i
+        i += 1
+    return -1
 
 
 def train_bpe(word_counts: dict[str, int], target_vocab_size: int) -> BpeModel:
@@ -144,17 +142,9 @@ def train_bpe(word_counts: dict[str, int], target_vocab_size: int) -> BpeModel:
         touched.add(best)  # its count ends at 0 and is dropped below
         for idx in pair_where.pop(best):
             syms, freq = list(words[idx]), freqs[idx]
-            i = 0
-            while True:
-                # the next a with a symbol after it; a stale word has none
-                # followed by b and keeps its tuple
-                try:
-                    i = syms.index(a, i, len(syms) - 1)
-                except ValueError:
-                    break
-                if syms[i + 1] != b:
-                    i += 1
-                    continue
+            # a stale word holds no a followed by b and keeps its tuple
+            i = _find_pair(syms, a, b, 0)
+            while i >= 0:
                 # merge the occurrence: the pair goes, and each neighbour
                 # pair now holds ab.  The left neighbour is read after the
                 # word's earlier merges, so a back-to-back occurrence has
@@ -168,7 +158,7 @@ def train_bpe(word_counts: dict[str, int], target_vocab_size: int) -> BpeModel:
                 if i + 1 < len(syms):
                     y = syms[i + 1]
                     move((b, y), (ab, y), idx, freq)
-                i += 1
+                i = _find_pair(syms, a, b, i + 1)
             if len(syms) < len(words[idx]):
                 words[idx] = tuple(syms)
         for pair in touched:
@@ -197,7 +187,7 @@ def encode(model: BpeModel, word: str) -> list[str]:
     """
     if not word:
         raise DataError("cannot encode an empty word")
-    syms = _word_symbols(word)
+    syms = list(_word_symbols(word))
     pair_ranks = model.pair_ranks
     first = 0  # the lowest rank replay could still apply
     while len(syms) > 1:
@@ -211,9 +201,15 @@ def encode(model: BpeModel, word: str) -> list[str]:
                 rank = r
         if rank is None:
             break
-        syms = _merge_word(syms, model.merges[rank])
+        a, b = model.merges[rank]
+        ab = a + b
+        i = _find_pair(syms, a, b, 0)
+        while i >= 0:
+            syms[i] = ab
+            del syms[i + 1]
+            i = _find_pair(syms, a, b, i + 1)
         first = rank + 1
-    return list(syms)
+    return syms
 
 
 def segment_words(model: BpeModel, words) -> list[list[str]]:

@@ -84,12 +84,6 @@ def _sep(args) -> str:
     return "," if args.format == "csv" else "\t"
 
 
-def _table(args, header, row) -> str:
-    """A report of one header line and one row in the ``--format`` layout."""
-    sep = _sep(args)
-    return sep.join(header) + "\n" + sep.join(row) + "\n"
-
-
 # -- subcommand implementations -----------------------------------------------
 
 
@@ -137,7 +131,7 @@ def _word_counts(path, marker: str | None = None) -> Counter:
     for line in lines:
         counts.update(line.split())
     if not counts:
-        raise ParseError("%s: no tokens found" % (path,))
+        raise ParseError("%s:1: no tokens found" % (path,))
     return counts
 
 
@@ -148,7 +142,7 @@ def _cmd_train(args) -> int:
         print("trained bpe: vocab size %d, %d merges -> %s"
               % (len(model.vocab), len(model.merges), args.model))
     elif args.method == "crf":
-        data = corpus.load_segmentation(args.input, mode=args.mode)
+        data = corpus.load_segmentation(args.input)
         model = crf.train_crf(
             data,
             delta=args.delta,
@@ -245,10 +239,10 @@ def _cmd_eval_seg(args) -> int:
     scorer = {"boundary": metrics.boundary_f1, "emma": metrics.emma_f1}[args.metric]
     score = scorer(pred, gold)
     name = args.metric + "-f1"
-    _emit(args.out, _table(
-        args, ("metric", "precision", "recall", "f1", "accuracy"),
-        (name, "%.4f" % score.precision, "%.4f" % score.recall,
-         "%.4f" % score.f1, "%.4f" % score.accuracy)))
+    _emit(args.out, corpus.table(
+        ("metric", "precision", "recall", "f1", "accuracy"),
+        [(name, "%.4f" % score.precision, "%.4f" % score.recall,
+          "%.4f" % score.f1, "%.4f" % score.accuracy)], _sep(args)))
     print("%s: f1=%.4f accuracy=%.4f" % (name, score.f1, score.accuracy))
     return 0
 
@@ -257,8 +251,9 @@ def _cmd_eval_mt(args) -> int:
     hyps, refs = corpus.read_lines(args.hyp), corpus.read_lines(args.ref)
     corpus.check_line_counts(args.hyp, hyps, args.ref, refs)
     report = metrics.metric_report(args.metric, hyps, refs)
-    _emit(args.out, _table(args, ("metric", "score", "signature"),
-                           (report.metric, "%.4f" % report.score, report.signature)))
+    _emit(args.out, corpus.table(("metric", "score", "signature"),
+                                 [(report.metric, "%.4f" % report.score, report.signature)],
+                                 _sep(args)))
     print("%s = %.4f (%s)" % (report.metric, report.score, report.signature))
     return 0
 
@@ -269,12 +264,12 @@ def _cmd_signif(args) -> int:
     corpus.check_line_counts(args.sys_b, sys_b, args.ref, refs)
     report_a, report_b = metrics.metric_reports(args.metric, [sys_a, sys_b], refs)
     p = metrics.randomization_p(report_a, report_b, trials=args.trials, seed=args.seed)
-    _emit(args.out, _table(
-        args, ("metric", "score_a", "score_b", "delta", "p_value", "trials",
-               "seed", "classification", "signature"),
-        (args.metric, "%.4f" % report_a.score, "%.4f" % report_b.score,
-         "%.4f" % (report_a.score - report_b.score), repr(p), str(args.trials),
-         str(args.seed), metrics.significance_mark(p), report_a.signature)))
+    _emit(args.out, corpus.table(
+        ("metric", "score_a", "score_b", "delta", "p_value", "trials",
+         "seed", "classification", "signature"),
+        [(args.metric, "%.4f" % report_a.score, "%.4f" % report_b.score,
+          "%.4f" % (report_a.score - report_b.score), repr(p), args.trials,
+          args.seed, metrics.significance_mark(p), report_a.signature)], _sep(args)))
     print("p=%s (%s)" % (repr(p), metrics.significance_mark(p)))
     return 0
 
@@ -340,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train")
     p.set_defaults(func=_cmd_seg_stats)
 
-    p = sub.add_parser("train", help="train a segmentation model")
+    # full option names only: a mistyped `--mode` would otherwise be read as --model
+    p = sub.add_parser("train", allow_abbrev=False, help="train a segmentation model")
     p.add_argument("--method", required=True,
                    choices=("bpe", "morfessor", "lmvr", "flatcat", "crf"))
     p.add_argument("--input", required=True)
@@ -355,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=float, default=0.01)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--mode", choices=corpus.MODES, default=corpus.SURFACE)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_train)
 

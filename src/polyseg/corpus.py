@@ -7,6 +7,8 @@ line-aligned across the two sides; segmentation datasets are UTF-8 TSV with
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 from collections import Counter
@@ -68,9 +70,10 @@ class SegmentedWord:
             raise DataError("bad surface form: %r" % (self.surface,))
         if not self.morphs:
             raise DataError("no morphs for %r" % (self.surface,))
-        if not all(self.morphs) or any(map(_WHITESPACE.search, self.morphs)):
+        joined = "".join(self.morphs)
+        if not all(self.morphs) or _WHITESPACE.search(joined):
             raise DataError("empty or whitespace morph in %r" % (self.surface,))
-        if self.mode == SURFACE and "".join(self.morphs) != self.surface:
+        if self.mode == SURFACE and joined != self.surface:
             raise DataError(
                 "morphs %s do not concatenate to surface %r"
                 % (list(self.morphs), self.surface)
@@ -290,6 +293,15 @@ def _fmt(x: float, places: int, *, trunc: bool = False) -> str:
     return "%.*f" % (places, val)
 
 
+def table(header, rows, sep: str) -> str:
+    """``header`` and ``rows`` as lines of ``sep``-delimited fields, quoting
+    only the fields that need it; lines end in ``\n``.  Every TSV and CSV
+    report is written by this function."""
+    out = io.StringIO()
+    csv.writer(out, delimiter=sep, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
 STATS_HEADER = ("S", "N", "V", "V1", "V/N", "V1/N", "OOV", "pctOOV")
 
 
@@ -300,21 +312,14 @@ def stats_table(stats: CorpusStats, sep: str = "\t") -> str:
     decimal places, matching the reporting convention of the statistics
     tables this layout follows.
     """
-    lines = [sep.join(("side",) + STATS_HEADER)]
-    for i, name in enumerate(("source", "target")):
-        row = [
-            name,
-            str(stats.s),
-            str(stats.n[i]),
-            str(stats.v[i]),
-            str(stats.v1[i]),
-            _fmt(stats.v_over_n[i], 3),
-            _fmt(stats.v1_over_n[i], 3),
-            str(stats.oov[i]) if stats.oov is not None else "-",
-            _fmt(stats.pct_oov[i], 3, trunc=True) if stats.pct_oov is not None else "-",
-        ]
-        lines.append(sep.join(row))
-    return "\n".join(lines) + "\n"
+    rows = [
+        (name, stats.s, stats.n[i], stats.v[i], stats.v1[i],
+         _fmt(stats.v_over_n[i], 3), _fmt(stats.v1_over_n[i], 3),
+         stats.oov[i] if stats.oov is not None else "-",
+         _fmt(stats.pct_oov[i], 3, trunc=True) if stats.pct_oov is not None else "-")
+        for i, name in enumerate(("source", "target"))
+    ]
+    return table(("side",) + STATS_HEADER, rows, sep)
 
 
 SEG_STATS_HEADER = (
@@ -331,14 +336,7 @@ SEG_STATS_HEADER = (
 
 def seg_stats_table(stats: SegDatasetStats, sep: str = "\t") -> str:
     """Render segmentation-dataset statistics as a single-row table."""
-    row = [
-        str(stats.words),
-        str(stats.seg_words),
-        str(stats.morphs),
-        str(stats.uni_morphs),
-        _fmt(stats.seg_per_word, 2),
-        _fmt(stats.morphs_per_word, 2),
-        str(stats.max_morphs),
-        str(stats.oov_morphs) if stats.oov_morphs is not None else "-",
-    ]
-    return sep.join(SEG_STATS_HEADER) + "\n" + sep.join(row) + "\n"
+    row = (stats.words, stats.seg_words, stats.morphs, stats.uni_morphs,
+           _fmt(stats.seg_per_word, 2), _fmt(stats.morphs_per_word, 2), stats.max_morphs,
+           stats.oov_morphs if stats.oov_morphs is not None else "-")
+    return table(SEG_STATS_HEADER, [row], sep)

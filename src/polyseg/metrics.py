@@ -76,8 +76,17 @@ def _boundaries(morphs) -> set[int]:
     return cuts
 
 
-def _f1(p: float, r: float) -> float:
-    return 2 * p * r / (p + r) if p + r > 0 else 0.0
+def _seg_score(matched: float, n_pred: int, n_gold: int, pred: SegmentationDataset,
+               gold: SegmentationDataset) -> SegScore:
+    """Micro precision and recall of ``matched`` units out of ``n_pred``
+    predicted and ``n_gold`` gold ones, their F1, and the share of words
+    ``pred`` segments exactly as ``gold``.  A side with no units scores 1
+    when the other has none either, else 0."""
+    precision = matched / n_pred if n_pred else (1.0 if n_gold == 0 else 0.0)
+    recall = matched / n_gold if n_gold else (1.0 if n_pred == 0 else 0.0)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    exact = sum(p.morphs == g.morphs for p, g in zip(pred.entries, gold.entries))
+    return SegScore(precision, recall, f1, exact / len(pred.entries))
 
 
 def boundary_f1(pred: SegmentationDataset, gold: SegmentationDataset) -> SegScore:
@@ -86,21 +95,13 @@ def boundary_f1(pred: SegmentationDataset, gold: SegmentationDataset) -> SegScor
     if pred.mode != SURFACE or gold.mode != SURFACE:
         raise UnsupportedModeError("boundary F1 requires surface-mode data")
     _check_aligned(pred, gold)
-    match = n_pred = n_gold = exact = 0
+    match = n_pred = n_gold = 0
     for p, g in zip(pred.entries, gold.entries):
         pb, gb = _boundaries(p.morphs), _boundaries(g.morphs)
         match += len(pb & gb)
         n_pred += len(pb)
         n_gold += len(gb)
-        exact += p.morphs == g.morphs
-    precision = match / n_pred if n_pred else (1.0 if n_gold == 0 else 0.0)
-    recall = match / n_gold if n_gold else (1.0 if n_pred == 0 else 0.0)
-    return SegScore(
-        precision=precision,
-        recall=recall,
-        f1=_f1(precision, recall),
-        accuracy=exact / len(pred.entries),
-    )
+    return _seg_score(match, n_pred, n_gold, pred, gold)
 
 
 def _type_counts(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -160,18 +161,9 @@ def emma_f1(pred: SegmentationDataset, gold: SegmentationDataset) -> SegScore:
     before computing precision and recall over morph tokens.  Works for
     surface and canonical data."""
     _check_aligned(pred, gold)
-    matched = _matched_tokens(pred.entries, gold.entries)
     n_pred = sum(len(p.morphs) for p in pred.entries)
     n_gold = sum(len(g.morphs) for g in gold.entries)
-    exact = sum(p.morphs == g.morphs for p, g in zip(pred.entries, gold.entries))
-    precision = matched / n_pred
-    recall = matched / n_gold
-    return SegScore(
-        precision=precision,
-        recall=recall,
-        f1=_f1(precision, recall),
-        accuracy=exact / len(pred.entries),
-    )
+    return _seg_score(_matched_tokens(pred.entries, gold.entries), n_pred, n_gold, pred, gold)
 
 
 # -- 13a tokenization ----------------------------------------------------------

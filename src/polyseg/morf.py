@@ -183,7 +183,10 @@ def check_alpha(alpha: float, variant: str = BASELINE) -> None:
 
 
 class _Trainer:
-    """Greedy recursive-split trainer with incremental cost bookkeeping."""
+    """Greedy recursive-split trainer with incremental cost bookkeeping.
+
+    ``dampening`` weighs each word by 1 (``"types"``, the baseline) or by
+    its count (``"tokens"``, lmvr)."""
 
     def __init__(self, word_counts, alpha, dampening, cap, seed, epsilon, init, max_epochs):
         if not word_counts:
@@ -196,8 +199,6 @@ class _Trainer:
         check_alpha(alpha)
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ConfigError("epsilon must be finite and at least 0, got %r" % (epsilon,))
-        if dampening not in ("types", "tokens"):
-            raise ConfigError("unknown dampening %r" % (dampening,))
         self.word_counts = dict(word_counts)
         self.alpha = alpha
         self.dampening = dampening
@@ -510,7 +511,6 @@ def train_lmvr(
     epsilon: float = 0.1,
     init: str = "random",
     max_epochs: int = 30,
-    dampening: str = "tokens",
     restarts: int = 1,
 ) -> MorfModel:
     """Train the lexicon-restricted variant.
@@ -522,7 +522,7 @@ def train_lmvr(
     """
     best = _train_restarts(
         lambda s: _Trainer(
-            word_counts, alpha, dampening, max_lexicon_size, s, epsilon, init, max_epochs
+            word_counts, alpha, "tokens", max_lexicon_size, s, epsilon, init, max_epochs
         ),
         seed,
         restarts,

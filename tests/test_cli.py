@@ -296,11 +296,20 @@ class TestEval:
                                     b"emma-f1\t0.7000\t0.6364\t0.6667\t0.2000\n")
         assert capsys.readouterr() == ("emma-f1: f1=0.6667 accuracy=0.2000\n", "")
 
-    def test_crf_canonical_training_exits_3(self, tmp_path):
+    def test_crf_canonical_training_exits_3(self, tmp_path, capsys):
+        # crf trains on surface segmentations only, so a canonical analysis
+        # fails the concatenation check at its line
         data = _write(tmp_path / "c.tsv", "kawi\tkaw i2\n")
         model = str(tmp_path / "m.crf")
-        assert run("train", "--method", "crf", "--input", data, "--model", model,
-                   "--mode", "canonical") == 3
+        assert run("train", "--method", "crf", "--input", data, "--model", model) == 3
+        assert "%s:1: morphs ['kaw', 'i2'] do not concatenate" % (data,) in capsys.readouterr().err
+
+    def test_train_mode_is_an_unknown_argument(self, tmp_path):
+        data = _write(tmp_path / "c.tsv", "kawi\tka wi\n")
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--method", "crf", "--input", data, "--model",
+                str(tmp_path / "m.crf"), "--mode", "surface")
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("metric", ("bleu", "chrf"))
     def test_eval_mt_breaks_lines_only_at_newlines(self, tmp_path, capsys, metric):
@@ -452,6 +461,14 @@ class TestExitCodes:
     def test_stray_marker_is_3(self, tmp_path):
         bad = _write(tmp_path / "bad.txt", "ka</w>wi\n")
         assert run("desegment", "--style", "eow", "--input", bad) == 3
+
+    @pytest.mark.parametrize("method", ["bpe", "morfessor"])
+    def test_training_text_without_tokens_is_3_at_line_1(self, tmp_path, capsys, method):
+        blank = _write(tmp_path / "blank.txt", "\n  \n")
+        model = tmp_path / "m"
+        assert run("train", "--method", method, "--input", blank, "--model", str(model)) == 3
+        assert capsys.readouterr().err == "polyseg: %s:1: no tokens found\n" % (blank,)
+        assert not model.exists()
 
     def test_bpe_marker_in_training_token_is_3(self, tmp_path, capsys):
         bad = _write(tmp_path / "bad.txt", "kawi suta\nwisu ab</w>c kawi\n")
@@ -1024,3 +1041,71 @@ class TestSummaryLines:
         out = tmp_path / "report"
         assert run(*(a.format(d=d) for a in argv), "--out", str(out)) == 0
         assert out.read_text(encoding="utf-8") == table
+
+
+class TestReportBytes:
+    """Every TSV and CSV report, pinned byte for byte on inputs that fill
+    each column with a value of its own."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        files = {
+            "src": "a b a\nb c\nd a e\n", "tgt": "x y\nz z\ny w v\n",
+            "train_src": "a b\n", "train_tgt": "x z\n",
+            "pred": "kawi\tka wi\nsuta\tsuta\nwisu\tw i su\nkasu\tk a s u\n",
+            "gold": "kawi\tka wi\nsuta\tsu ta\nwisu\twi su\nkasu\tkas u\n",
+            "train_seg": "kawi\tka wi\nsuta\tsu ta\nwisu\twi su\n",
+            "hyp": "ka wi su ta\nmi pe ka wi\nsu su ta\n",
+            "ref": "ka wi su ta\nmi pe ka ka\nsu ta ta\n",
+            "sys_b": "ka wi su\nmi ka wi\nta su ta\n",
+            "corpus": "kawi suta kawi\nwisu kawi\nsuta wisu kawi\n",
+            "probe": "kawi suta\nzz\nkawi zz wisu\n",
+            "scores": "1.5\n20.0\n7.25\n",
+            "vocab": "ka\nwi\nsu\n",
+        }
+        return {name: _write(tmp_path / name, text) for name, text in files.items()}
+
+    @pytest.mark.parametrize("argv,report", [
+        (("stats", "--source", "{src}", "--target", "{tgt}",
+          "--train-source", "{train_src}", "--train-target", "{train_tgt}"),
+         b"side\tS\tN\tV\tV1\tV/N\tV1/N\tOOV\tpctOOV\n"
+         b"source\t3\t8\t5\t3\t0.625\t0.375\t3\t0.600\n"
+         b"target\t3\t7\t5\t3\t0.714\t0.429\t3\t0.600\n"),
+        (("stats", "--source", "{src}", "--target", "{tgt}", "--format", "csv"),
+         b"side,S,N,V,V1,V/N,V1/N,OOV,pctOOV\n"
+         b"source,3,8,5,3,0.625,0.375,-,-\n"
+         b"target,3,7,5,3,0.714,0.429,-,-\n"),
+        (("seg-stats", "--data", "{pred}", "--train", "{train_seg}"),
+         b"Words\tSegWords\tMorphs\tUniMorphs\tSeg/W\tMorphs/W\tMaxMorphs\tOOV-M\n"
+         b"4\t3\t10\t10\t0.75\t2.50\t4\t7\n"),
+        (("eval-seg", "--pred", "{pred}", "--gold", "{gold}", "--metric", "boundary"),
+         b"metric\tprecision\trecall\tf1\taccuracy\n"
+         b"boundary-f1\t0.5000\t0.7500\t0.6000\t0.2500\n"),
+        (("eval-mt", "--hyp", "{hyp}", "--ref", "{ref}", "--metric", "bleu"),
+         b"metric\tscore\tsignature\n"
+         b"bleu\t65.5025\tBLEU+case.mixed+numrefs.1+smooth.exp+tok.13a\n"),
+        (("signif", "--sys-a", "{hyp}", "--sys-b", "{sys_b}", "--ref", "{ref}",
+          "--metric", "chrf", "--trials", "200", "--seed", "5"),
+         b"metric\tscore_a\tscore_b\tdelta\tp_value\ttrials\tseed\tclassification\tsignature\n"
+         b"chrf\t70.3565\t41.1581\t29.1984\t0.5\t200\t5\tnot-significant\t"
+         b"chrF2+numchars.6+space.false\n"),
+        (("analyze", "unk", "--vocab", "{vocab}", "--input", "{hyp}", "--system", "bpe"),
+         b"system,total,unk,rate\nbpe,11,4,0.36363636363636365\n"),
+    ])
+    def test_report(self, inputs, tmp_path, argv, report):
+        out = tmp_path / "report"
+        assert run(*(a.format(**inputs) for a in argv), "--out", str(out)) == 0
+        assert out.read_bytes() == report
+
+    def test_richness_and_bins(self, inputs, tmp_path):
+        model = str(tmp_path / "m.morf")
+        assert run("train", "--method", "morfessor", "--input", inputs["corpus"],
+                   "--model", model) == 0
+        out, bins_out = tmp_path / "rich.csv", tmp_path / "bins.csv"
+        assert run("analyze", "richness", "--probe-model", model, "--input", inputs["probe"],
+                   "--scores", inputs["scores"], "--bins", "2", "--out", str(out),
+                   "--bins-out", str(bins_out)) == 0
+        assert out.read_bytes() == (b"idx,richness,score\n"
+                                    b"1,1.0,20.0\n2,1.6666666666666667,7.25\n0,2.0,1.5\n")
+        assert bins_out.read_bytes() == (b"bin_lo,bin_hi,count,mean_score\n"
+                                         b"1.0,1.5,1,20.0\n1.5,2.0,2,4.375\n")

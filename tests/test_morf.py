@@ -305,10 +305,10 @@ class TestLmvr:
         assert len(alphabet) + multichar <= cap
 
     def test_unbounded_type_training_matches_baseline(self):
-        base = train_baseline(FOUR_WORDS, seed=8, restarts=3)
-        lmvr = train_lmvr(
-            FOUR_WORDS, max_lexicon_size=None, seed=8, dampening="types", restarts=3
-        )
+        # with every count 1, lmvr's token weights are the baseline's type weights
+        once = {w: 1 for w in FOUR_WORDS}
+        base = train_baseline(once, seed=8, restarts=3)
+        lmvr = train_lmvr(once, max_lexicon_size=None, seed=8, restarts=3)
         assert lmvr.lexicon == base.lexicon
         assert lmvr.analyses == base.analyses
 
