@@ -9,6 +9,7 @@ invocations on identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections import Counter
 
@@ -314,29 +315,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyseg",
         description="subword/morphological segmentation and MT evaluation toolkit",
+        allow_abbrev=False,
     )
+    # full option names only, on every parser: a misspelt or removed option
+    # would otherwise land on a longer one (`--mode` on --model)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, **kwargs):
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
     # every report goes to --out or stdout; tables come as tsv or csv
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out")
     table = argparse.ArgumentParser(add_help=False, parents=[out])
     table.add_argument("--format", choices=("tsv", "csv"), default="tsv")
 
-    p = sub.add_parser("stats", parents=[table], help="parallel-corpus statistics")
+    p = command("stats", parents=[table], help="parallel-corpus statistics")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--train-source")
     p.add_argument("--train-target")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("seg-stats", parents=[table], help="segmentation-dataset statistics")
+    p = command("seg-stats", parents=[table], help="segmentation-dataset statistics")
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=corpus.MODES, default=corpus.SURFACE)
     p.add_argument("--train")
     p.set_defaults(func=_cmd_seg_stats)
 
-    # full option names only: a mistyped `--mode` would otherwise be read as --model
-    p = sub.add_parser("train", allow_abbrev=False, help="train a segmentation model")
+    p = command("train", help="train a segmentation model")
     p.add_argument("--method", required=True,
                    choices=("bpe", "morfessor", "lmvr", "flatcat", "crf"))
     p.add_argument("--input", required=True)
@@ -354,20 +361,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("segment", help="segment a text file with a trained model")
+    p = command("segment", help="segment a text file with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_segment)
 
-    p = sub.add_parser("desegment", help="undo segmentation markers")
+    p = command("desegment", help="undo segmentation markers")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--model", help="take the marker style from this model file's family")
     p.add_argument("--style", choices=(EOW, CONT))
     p.set_defaults(func=_cmd_desegment)
 
-    p = sub.add_parser("eval-seg", parents=[table], help="segmentation quality against gold")
+    p = command("eval-seg", parents=[table], help="segmentation quality against gold")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--metric", choices=("boundary", "emma"), default="emma")
@@ -375,13 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold-mode", choices=corpus.MODES, default=corpus.SURFACE)
     p.set_defaults(func=_cmd_eval_seg)
 
-    p = sub.add_parser("eval-mt", parents=[table], help="translation quality against references")
+    p = command("eval-mt", parents=[table], help="translation quality against references")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--metric", choices=("bleu", "chrf"), required=True)
     p.set_defaults(func=_cmd_eval_mt)
 
-    p = sub.add_parser("signif", parents=[table], help="paired randomization significance test")
+    p = command("signif", parents=[table], help="paired randomization significance test")
     p.add_argument("--sys-a", required=True)
     p.add_argument("--sys-b", required=True)
     p.add_argument("--ref", required=True)
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_signif)
 
-    p = sub.add_parser("analyze", parents=[out], help="richness and UNK diagnostics")
+    p = command("analyze", parents=[out], help="richness and UNK diagnostics")
     p.add_argument("what", choices=("richness", "unk"))
     p.add_argument("--probe-model")
     p.add_argument("--input", required=True)
@@ -421,6 +428,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print("polyseg: %s" % (exc,), file=sys.stderr)
         return 3
+
+
+# import-time objects live as long as the process, so full collections need not rescan them
+gc.freeze()
 
 
 if __name__ == "__main__":

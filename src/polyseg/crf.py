@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import modelfile
 from .corpus import SURFACE, SegmentationDataset, SegmentedWord
@@ -36,6 +35,10 @@ ALLOWED_PAIRS = tuple(
 )
 
 PAD = "⟨pad⟩"  # ⟨pad⟩
+
+# the largest window radius training takes: numbering the features gives
+# every character position 2 * delta + 1 pad slots
+MAX_DELTA = 64
 
 
 def morphs_to_labels(morphs) -> tuple[str, ...]:
@@ -71,7 +74,7 @@ class CrfModel:
     weights: np.ndarray  # (F, 4)
     trans: np.ndarray  # (4, 4), -inf on forbidden pairs
     objective_history: list[float] = field(default_factory=list)
-    # how L-BFGS ended (scipy's ``nit`` and ``message``); None on a model
+    # how L-BFGS ended (iterations taken and stop message); None on a model
     # loaded from a file, which does not store them
     nit: int | None = None
     stop_message: str | None = None
@@ -373,6 +376,65 @@ def log_likelihood_and_gradient(model: CrfModel, dataset: SegmentationDataset, t
     return ll, grad
 
 
+# L-BFGS: curvature pairs kept, the Armijo constant, and how many times
+# a step may be halved before the line search gives up
+_PAIRS = 10
+_ARMIJO = 1e-4
+_HALVINGS = 60
+CONVERGED = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+ITERATION_LIMIT = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+NO_DECREASE = "ABNORMAL: LINE SEARCH FOUND NO DECREASE"
+
+
+def _lbfgs(fun, x: np.ndarray, max_iters: int, tol: float):
+    """Minimise ``fun`` from ``x`` by limited-memory BFGS.
+
+    ``fun(x)`` returns ``(f, grad)``.  The direction comes from the
+    two-loop recursion over the last ``_PAIRS`` curvature pairs, each kept
+    only when ``s . y > 0``; a backtracking search halves the step until
+    the Armijo condition holds, from ``1 / |d|`` on the first iteration
+    and 1 after.  It stops when ``max |grad| <= tol``, which is tested
+    before the iteration cap, so it wins when both hold.  Every reduction
+    is an elementwise product summed by numpy, not a BLAS call, so the
+    result does not depend on the BLAS thread count.  Returns ``(x,
+    values, message)``: the final point, ``f`` after each iteration, and
+    why it stopped.
+    """
+    f, g = fun(x)
+    values: list[float] = []
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s.y)
+    while not np.abs(g).max() <= tol:  # a NaN gradient never passes
+        if len(values) == max_iters:
+            return x, values, ITERATION_LIMIT
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s * d).sum())
+            d -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            d *= (s * y).sum() / (y * y).sum()
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * (y * d).sum()) * s
+        slope = (g * d).sum()
+        step = 1.0 if values else 1.0 / math.sqrt((d * d).sum())
+        for _ in range(_HALVINGS):
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            if f_new <= f + _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            return x, values, NO_DECREASE
+        s, y = x_new - x, g_new - g
+        sy = (s * y).sum()
+        if sy > 0:  # the newest _PAIRS pairs
+            pairs = pairs[1 - _PAIRS :] + [(s, y, 1.0 / sy)]
+        x, f, g = x_new, f_new, g_new
+        values.append(f)
+    return x, values, CONVERGED
+
+
 def train_crf(
     dataset: SegmentationDataset,
     delta: int = 3,
@@ -380,7 +442,8 @@ def train_crf(
     max_iters: int = 200,
     tol: float = 1e-5,
 ) -> CrfModel:
-    """Fit the CRF by quasi-Newton ascent on the regularized likelihood.
+    """Fit the CRF by quasi-Newton ascent (:func:`_lbfgs`) on the
+    regularized likelihood.
 
     Only surface-mode data is supported: canonical analyses do not define a
     character labeling.  The features are those of the training words,
@@ -390,8 +453,9 @@ def train_crf(
         raise UnsupportedModeError(
             "CRF training requires surface-mode data, got %r" % (dataset.mode,)
         )
-    if delta < 1:
-        raise ConfigError("window radius delta must be at least 1, got %d" % (delta,))
+    if not 1 <= delta <= MAX_DELTA:
+        raise ConfigError("window radius delta must be between 1 and %d, got %d"
+                          % (MAX_DELTA, delta))
     if not (math.isfinite(l2) and l2 >= 0):
         raise ConfigError("l2 weight must be finite and at least 0, got %r" % (l2,))
     if max_iters < 1:
@@ -402,29 +466,17 @@ def train_crf(
     model = CrfModel.zeros(delta, l2, feat_index)
     table = _length_groups(model, dataset)
 
-    history: list[float] = []
-
     def objective(vec):
         model.set_packed(vec)
         # through the module attribute, which the benchmark's trace wraps
         ll, grad = log_likelihood_and_gradient(model, dataset, table)
         return -ll, -grad
 
-    def record(intermediate_result):
-        history.append(-intermediate_result.fun)
-
-    result = minimize(
-        objective,
-        model.packed(),
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={"maxiter": max_iters, "gtol": tol, "ftol": 0.0},
-    )
-    model.set_packed(result.x)
-    model.objective_history = history
-    model.nit = int(result.nit)
-    model.stop_message = str(result.message)
+    x, values, message = _lbfgs(objective, model.packed(), max_iters, tol)
+    model.set_packed(x)
+    model.objective_history = [-v for v in values]
+    model.nit = len(values)
+    model.stop_message = message
     return model
 
 

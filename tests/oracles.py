@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, minimize
 from scipy.special import logsumexp
 
 from polyseg import bpe, crf, modelfile, morf
@@ -477,6 +477,30 @@ def crf_oracle_length_groups(model, dataset):
     width = max([1, *map(len, rows)])
     slots = np.array([ids + [unknown] * (width - len(ids)) for ids in rows], dtype=np.intp)
     return slots.reshape(start, width), groups
+
+
+def crf_oracle_train_scipy(dataset, delta=3, l2=0.01, max_iters=200, tol=1e-5):
+    """``crf.train_crf`` on scipy's L-BFGS-B in place of ``crf._lbfgs``:
+    the same features, table and objective, the likelihood reached through
+    ``crf.log_likelihood_and_gradient``.  Its ``stop_message`` is scipy's."""
+    feat_index = crf._number_features([entry.surface for entry in dataset.entries], delta)
+    model = CrfModel.zeros(delta, l2, feat_index)
+    table = crf._length_groups(model, dataset)
+
+    def objective(vec):
+        model.set_packed(vec)
+        ll, grad = crf.log_likelihood_and_gradient(model, dataset, table)
+        return -ll, -grad
+
+    history = []
+    result = minimize(objective, model.packed(), jac=True, method="L-BFGS-B",
+                      callback=lambda intermediate_result: history.append(-intermediate_result.fun),
+                      options={"maxiter": max_iters, "gtol": tol, "ftol": 0.0})
+    model.set_packed(result.x)
+    model.objective_history = history
+    model.nit = int(result.nit)
+    model.stop_message = str(result.message)
+    return model
 
 
 def random_crf_model(data, delta=2, l2=0.0, seed=0):

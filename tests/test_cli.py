@@ -1,6 +1,11 @@
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -562,6 +567,25 @@ class TestExitCodes:
         assert run("train", "--method", "crf", "--input", str(d / "gold.tsv"),
                    "--model", str(tmp_path / "m.crf"), "--delta", "0") == 2
 
+    def test_crf_delta_above_the_bound_is_2_at_once(self, trained_models, tmp_path, capsys):
+        # rejected before the features get 2 * delta + 1 slots per position
+        d, _ = trained_models
+        model = tmp_path / "m.crf"
+        start = time.perf_counter()
+        assert run("train", "--method", "crf", "--input", str(d / "gold.tsv"),
+                   "--model", str(model), "--delta", "1000000") == 2
+        assert time.perf_counter() - start < 1.0
+        assert "between 1 and %d" % (crf.MAX_DELTA,) in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_abbreviated_option_is_2(self, trained_models, tmp_path):
+        # `--inp` would otherwise be read as --input
+        d, _ = trained_models
+        text = _write(tmp_path / "text.txt", "kawi\n")
+        with pytest.raises(SystemExit) as exc:
+            run("segment", "--model", str(d / "crf"), "--inp", text)
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("l2", ("nan", "inf", "-inf", "-1", "-1e-300"))
     def test_crf_bad_l2_is_2(self, tmp_path, capsys, l2):
         data = _write(tmp_path / "g.tsv", "kawi\tka wi\nsuta\tsu ta\n")
@@ -858,6 +882,37 @@ def trained_models(tmp_path_factory):
                    "--model", str(model), *extra) == 0
         texts[method] = model.read_text(encoding="utf-8")
     return d, texts
+
+
+# runs CLI commands in one fresh process and prints, after the import and
+# after each command, whether scipy.optimize has been loaded
+_IMPORT_PROBE = """
+import json, sys
+import polyseg.cli
+loaded = ["scipy.optimize" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert polyseg.cli.main(argv) == 0, argv
+    loaded.append("scipy.optimize" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_loads_scipy_optimize(trained_models, tmp_path):
+    d, _ = trained_models
+    text = _write(tmp_path / "text.txt", "kawi suta\nwisu\n")
+    model = str(tmp_path / "m.crf")
+    commands = [
+        ["train", "--method", "crf", "--input", str(d / "gold.tsv"), "--model", model,
+         "--max-iters", "5"],
+        ["segment", "--model", model, "--input", text, "--output", str(tmp_path / "seg")],
+        ["eval-mt", "--metric", "bleu", "--hyp", text, "--ref", text,
+         "--out", str(tmp_path / "bleu.tsv")],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+                          env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert json.loads(done.stdout.splitlines()[-1]) == [False] * 4
 
 
 class TestDamagedModelFiles:

@@ -1,7 +1,10 @@
 import hashlib
 import importlib.util
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -14,7 +17,13 @@ from scipy.special import logsumexp
 
 from polyseg import crf
 from polyseg.cli import main, render_segmented
-from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWord
+from polyseg.corpus import (
+    CANONICAL,
+    SURFACE,
+    SegmentationDataset,
+    SegmentedWord,
+    load_segmentation,
+)
 from polyseg.crf import (
     LABELS,
     PAD,
@@ -44,6 +53,7 @@ from oracles import (
     crf_oracle_llgrad,
     crf_oracle_marginals,
     crf_oracle_scores,
+    crf_oracle_train_scipy,
     crf_sequence_score,
     extract_features,
     random_crf_model,
@@ -266,6 +276,29 @@ class TestTraining:
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_gradient_test_wins_over_the_cap(self):
+        # a cap of exactly the iterations convergence takes: both stopping
+        # rules hold on the last iteration, and the gradient test is reported
+        converged = train_crf(TOY, delta=2, l2=0.01, max_iters=200)
+        at_cap = train_crf(TOY, delta=2, l2=0.01, max_iters=converged.nit)
+        assert at_cap.nit == converged.nit
+        assert "CONVERGENCE" in at_cap.stop_message
+        assert at_cap.packed().tobytes() == converged.packed().tobytes()
+
+    @pytest.mark.parametrize("step_value", [1.0, float("nan")])
+    def test_line_search_without_decrease_stops(self, step_value):
+        # every trial point is worse than the start (or not a number): the
+        # start comes back after _HALVINGS likelihood calls past the first
+        calls = []
+
+        def fun(x):
+            calls.append(1)
+            return (step_value if x.any() else 0.0), np.ones_like(x)
+
+        x, values, message = crf._lbfgs(fun, np.zeros(3), max_iters=5, tol=1e-5)
+        assert (x.tolist(), values, message) == ([0.0] * 3, [], crf.NO_DECREASE)
+        assert len(calls) == 1 + crf._HALVINGS
+
     def test_table_built_once_per_fit(self, monkeypatch):
         builds, evaluations = [], []
         real_groups, real_llgrad = crf._length_groups, crf.log_likelihood_and_gradient
@@ -481,6 +514,68 @@ class TestFastPathMatchesOracle:
 GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 
+@pytest.fixture(scope="module")
+def bench_gold(tmp_path_factory):
+    """The crf-sup benchmark's 150 seed-1001 training words."""
+    root = tmp_path_factory.mktemp("crf_sup")
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.gen_crf_sup(str(root), 1001)
+    return root / "train.tsv"
+
+
+class TestLbfgsAgainstScipy:
+    """``crf._lbfgs`` against scipy's L-BFGS-B on one objective.  The two
+    take different line searches and sum in different orders, so they are
+    not bitwise equal."""
+
+    @pytest.fixture(params=["toy", "bench"])
+    def fit(self, request, bench_gold):
+        if request.param == "toy":
+            return TOY, 2
+        return load_segmentation(str(bench_gold)), 3
+
+    def test_same_likelihood_calls_at_the_cap(self, fit, monkeypatch):
+        data, delta = fit
+        calls = []
+        real = crf.log_likelihood_and_gradient
+        monkeypatch.setattr(crf, "log_likelihood_and_gradient",
+                            lambda *args: calls.append(1) or real(*args))
+        counts = []
+        for train in (train_crf, crf_oracle_train_scipy):
+            del calls[:]
+            model = train(data, delta=delta, l2=0.01, max_iters=8)
+            assert model.nit == 8
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 8
+
+    def test_same_optimum(self, fit):
+        data, delta = fit
+        ours = train_crf(data, delta=delta, l2=0.01, max_iters=200)
+        theirs = crf_oracle_train_scipy(data, delta=delta, l2=0.01, max_iters=200)
+        for model in (ours, theirs):
+            assert "CONVERGENCE" in model.stop_message
+        assert ours.objective_history[-1] == pytest.approx(theirs.objective_history[-1],
+                                                           rel=1e-6)
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(bench_gold, tmp_path):
+    # the thread count reaches BLAS only through the environment of a
+    # fresh process
+    src = str(Path(crf.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        model = tmp_path / ("threads%s.crf" % threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "polyseg.cli", "train", "--method", "crf",
+                        "--max-iters", "8", "--input", str(bench_gold), "--model", str(model)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        digests.add(hashlib.sha256(model.read_bytes()).hexdigest())
+    assert len(digests) == 1
+
+
 def test_bench_words_segment_like_the_oracle(tmp_path):
     # the crf-sup benchmark's inputs for one seed, trained as the
     # benchmark trains; the CLI output must be the per-word oracle's
@@ -531,7 +626,7 @@ class TestModelFile:
         path = tmp_path / "m.crf"
         save_model(train_crf(data, delta=3, l2=0.01, max_iters=20), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "20fd2c144bb0992f73535d68dc8dc27e34dfddcc1b9ce940be45ed192392e0d6"
+            "8447da7eac4c1fd08fdb07a65b50d75e1f08764bb25d785b2ac81d9bde8e2c00"
 
     def test_file_cut_before_transitions_rejected(self, tmp_path):
         # a trained file cut at a line boundary inside its feature rows
