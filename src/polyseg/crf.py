@@ -36,9 +36,15 @@ ALLOWED_PAIRS = tuple(
 
 PAD = "⟨pad⟩"  # ⟨pad⟩
 
-# the largest window radius training takes: numbering the features gives
-# every character position 2 * delta + 1 pad slots
+# the largest window radius of any model, trained, loaded or built: its
+# slot table gives every character position 2 * delta + 1 offset slots
 MAX_DELTA = 64
+
+
+def _check_delta(delta: int) -> None:
+    if not 1 <= delta <= MAX_DELTA:
+        raise ConfigError("window radius delta must be between 1 and %d, got %d"
+                          % (MAX_DELTA, delta))
 
 
 def morphs_to_labels(morphs) -> tuple[str, ...]:
@@ -78,6 +84,9 @@ class CrfModel:
     # loaded from a file, which does not store them
     nit: int | None = None
     stop_message: str | None = None
+
+    def __post_init__(self) -> None:
+        _check_delta(self.delta)
 
     @classmethod
     def zeros(cls, delta: int, l2: float, feat_index) -> "CrfModel":
@@ -126,13 +135,6 @@ def _batches(words: list[str]):
             yield indices, [words[i] for i in indices]
 
 
-def _pad_offsets(model: CrfModel) -> list[int]:
-    """The offsets ``o`` of the ``(o, PAD)`` features the model knows,
-    ascending; found among the model's features, so a huge window radius
-    costs nothing here."""
-    return sorted(o for o, content in model.feat_index if content == PAD)
-
-
 def _substrings(words: list[str], max_length: int):
     """Integer codes of the substrings of ``words``, which all have one
     length ``n``.  Yields ``(codes, distinct)`` for each length
@@ -157,7 +159,7 @@ def _substrings(words: list[str], max_length: int):
         yield codes, distinct
 
 
-def _window_slots(words: list[str], delta: int, pad_offsets, ids, fill: int) -> np.ndarray:
+def _window_slots(words: list[str], delta: int, ids, fill: int) -> np.ndarray:
     """The window feature ids of every position of ``words``, which all
     have one length ``n``, as a ``(words * n, slots)`` array.
 
@@ -169,15 +171,12 @@ def _window_slots(words: list[str], delta: int, pad_offsets, ids, fill: int) -> 
     start ascending.  Row ``w * n + i`` holds their ids in that order, one
     slot each; ``ids(r, texts)`` gives the ids of the features ``(r, s)``
     for the ``s`` in ``texts``, and a slot whose substring does not fit in
-    the word reads ``fill``.  Only offsets that a word of length ``n`` can
-    reach get a slot, plus the offsets in ``pad_offsets`` farther out,
-    whose ``(offset, PAD)`` features every position has.
+    the word reads ``fill``.  The layout depends only on ``delta`` and
+    ``n``, so a feature outside the window has no slot.
     """
     count, n = len(words), len(words[0])
-    reach = min(delta, n - 1)
     # the start offsets of each substring length 1..min(delta, n)
-    offsets = [[o for o in pad_offsets if o < -reach] + list(range(-reach, reach + 1))
-               + [o for o in pad_offsets if o > reach]]
+    offsets = [range(-delta, delta + 1)]
     offsets += [range(max(-delta, 1 - n), min(delta - length + 1, n - length) + 1)
                 for length in range(2, min(delta, n) + 1)]
     width = sum(map(len, offsets))
@@ -198,14 +197,13 @@ def _window_slots(words: list[str], delta: int, pad_offsets, ids, fill: int) -> 
     return slots.reshape(count * n, width)
 
 
-def _feature_slots(model: CrfModel, words: list[str], pad_offsets: list[int]) -> np.ndarray:
+def _feature_slots(model: CrfModel, words: list[str]) -> np.ndarray:
     """:func:`_window_slots` with the model's feature ids and window
-    radius, ``pad_offsets`` as :func:`_pad_offsets` finds them.  A feature
-    the model does not know, or a substring that does not fit in the word,
-    reads ``len(model.feat_index)``."""
+    radius.  A feature the model does not know, or a substring that does
+    not fit in the word, reads ``len(model.feat_index)``."""
     index = model.feat_index
     unknown = len(index)
-    return _window_slots(words, model.delta, pad_offsets,
+    return _window_slots(words, model.delta,
                          lambda r, texts: [index.get((r, s), unknown) for s in texts], unknown)
 
 
@@ -217,9 +215,7 @@ def _number_features(words: list[str], delta: int) -> dict[tuple[int, str], int]
     def ids(r, texts):
         return [provisional.setdefault((r, s), len(provisional)) for s in texts]
 
-    # every offset, so each row holds all its position's window features
-    pads = range(-delta, delta + 1)
-    tables = [(indices, _window_slots(group, delta, pads, ids, -1))
+    tables = [(indices, _window_slots(group, delta, ids, -1))
               for indices, group in _batches(words)]
     # the tables' rows back in word order, each word's positions in turn
     starts = np.cumsum([0] + [len(word) for word in words])
@@ -247,11 +243,6 @@ def _emission_sums(extended: np.ndarray, slots: np.ndarray) -> np.ndarray:
     for k in range(1, slots.shape[1]):
         scores += extended[slots[:, k]]
     return scores
-
-
-def _emission_scores(model: CrfModel, word: str) -> np.ndarray:
-    slots = _feature_slots(model, [word], _pad_offsets(model))
-    return _emission_sums(_extended(model.weights), slots)
 
 
 _START_MASK = np.array([0.0 if l in START_LABELS else -np.inf for l in LABELS])
@@ -296,9 +287,8 @@ def transition_counts(scores, trans, alpha, beta, log_z) -> np.ndarray:
 
 def marginals(model: CrfModel, word: str):
     """Per-position label marginals and the sequence partition value."""
-    alpha, beta, log_z = forward_backward(
-        _emission_scores(model, word)[None], _START_MASK, model.trans, _FINAL_MASK
-    )
+    scores = _emission_sums(_extended(model.weights), _feature_slots(model, [word]))
+    alpha, beta, log_z = forward_backward(scores[None], _START_MASK, model.trans, _FINAL_MASK)
     return np.exp(alpha[0] + beta[0] - log_z[0]), log_z[0]
 
 
@@ -313,8 +303,7 @@ def _length_groups(model: CrfModel, dataset: SegmentationDataset):
     """
     entries = sorted(dataset.entries, key=lambda entry: len(entry.surface))
     words = [entry.surface for entry in entries]
-    pads = _pad_offsets(model)
-    tables = [_feature_slots(model, group, pads) for _, group in _batches(words)]
+    tables = [_feature_slots(model, group) for _, group in _batches(words)]
     gold = np.array([_L[l] for entry in entries for l in morphs_to_labels(entry.morphs)],
                     dtype=np.intp)
     groups = []
@@ -453,9 +442,7 @@ def train_crf(
         raise UnsupportedModeError(
             "CRF training requires surface-mode data, got %r" % (dataset.mode,)
         )
-    if not 1 <= delta <= MAX_DELTA:
-        raise ConfigError("window radius delta must be between 1 and %d, got %d"
-                          % (MAX_DELTA, delta))
+    _check_delta(delta)  # before any feature is numbered
     if not (math.isfinite(l2) and l2 >= 0):
         raise ConfigError("l2 weight must be finite and at least 0, got %r" % (l2,))
     if max_iters < 1:
@@ -510,10 +497,9 @@ def segment_words(model: CrfModel, words) -> list[tuple[str, ...]]:
     B < E < M < S wins.  Words of one length are decoded together."""
     words = list(words)
     extended = _extended(model.weights)
-    pads = _pad_offsets(model)
     out: list = [None] * len(words)
     for indices, group in _batches(words):
-        scores = _emission_sums(extended, _feature_slots(model, group, pads))
+        scores = _emission_sums(extended, _feature_slots(model, group))
         labels = _viterbi(scores.reshape(len(group), -1, 4), model.trans)
         for k, word, row in zip(indices, group, labels.tolist()):
             out[k] = labels_to_morphs(word, [LABELS[j] for j in row])
@@ -549,8 +535,8 @@ def _feature_key(text: str) -> tuple[int, str]:
 
 def _delta(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise ValueError("window radius below 1")
+    if not 1 <= value <= MAX_DELTA:
+        raise ValueError("window radius outside 1..MAX_DELTA")
     return value
 
 

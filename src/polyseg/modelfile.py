@@ -93,9 +93,10 @@ def unique(path, lines, keys, what: str) -> None:
 def family(path) -> str:
     """The family name that opens the header of the model file at ``path``;
     only the header line is read, as bytes, so an undecodable file reaches
-    its loader, which names it."""
+    its loader, which names it.  A leading byte-order mark is dropped, as
+    :func:`~polyseg.corpus.read_lines` drops it."""
     with open(path, "rb") as f:
-        head = f.readline()
+        head = f.readline().removeprefix(b"\xef\xbb\xbf")
     if not head:
         raise ParseError("%s:1: empty model file" % (path,))
     return head.rstrip(b"\r\n").split(b" ", 1)[0].decode("utf-8", "replace")

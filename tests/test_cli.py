@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -848,18 +850,17 @@ class TestMalformedModelFiles:
 
 
 class TestCrfWindow:
-    def test_wide_window_segments_quickly(self, tmp_path):
-        # the window is clamped to the word: the cost no longer grows with
-        # delta squared per character
+    @pytest.mark.parametrize("delta", [crf.MAX_DELTA + 1, 20000])
+    def test_window_above_the_bound_exits_3_quickly(self, tmp_path, capsys, delta):
+        # the loader refuses the header before any slot table is built
         model = _write(tmp_path / "wide.crf",
-                       "crf v1 20000 0.01\n0:k\tB\t0.5\n-20000:\u27e8pad\u27e9\tS\t0.1\n"
-                       "transitions:\n")
+                       "crf v1 %d 0.01\n0:k\tB\t0.5\ntransitions:\n" % (delta,))
         text = _write(tmp_path / "kawi.txt", "kawi\n")
-        out = tmp_path / "out.txt"
         start = time.perf_counter()
-        assert run("segment", "--model", model, "--input", text, "--output", str(out)) == 0
+        assert run("segment", "--model", model, "--input", text,
+                   "--output", str(tmp_path / "out.txt")) == 3
         assert time.perf_counter() - start < 1.0
-        assert out.read_text(encoding="utf-8").replace("@@ ", "") == "kawi\n"
+        assert "%s:1: bad field '%d'" % (model, delta) in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -920,27 +921,71 @@ class TestDamagedModelFiles:
     @given(data=st.data())
     def test_segment_never_raises(self, trained_models, data):
         d, texts = trained_models
-        text = texts[data.draw(st.sampled_from(sorted(texts)))]
-        how = data.draw(st.sampled_from(("truncate", "delete", "replace")))
+        method = data.draw(st.sampled_from(sorted(texts)))
+        text = texts[method]
+        hows = ("truncate", "delete", "replace") + (("pad",) if method == "crf" else ())
+        how = data.draw(st.sampled_from(hows))
         if how == "truncate":
             text = text[: data.draw(st.integers(0, len(text) - 1))]
         else:
             lines = text.splitlines()
-            i = data.draw(st.integers(0, len(lines) - 1))
+            if how == "pad":
+                # move a pad row to an offset in or out of the window
+                delta = int(lines[0].split(" ")[2])
+                i = data.draw(st.sampled_from(
+                    [k for k, line in enumerate(lines) if ":%s\t" % (crf.PAD,) in line]))
+                offset = data.draw(st.integers(-3 * delta, 3 * delta))
+                lines[i] = "%d:%s" % (offset, lines[i].split(":", 1)[1])
+            else:
+                i = data.draw(st.integers(0, len(lines) - 1))
             if how == "delete":
                 del lines[i]
-            else:
+            elif how == "replace":
                 sep = " " if i == 0 else "\t"
                 fields = lines[i].split(sep)
                 fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.text())
                 lines[i] = sep.join(fields)
             text = "".join(line + "\n" for line in lines)
         model = _write(d / "damaged", text)
+        output = d / "segmented.txt"
         rc = run("segment", "--model", model, "--input", str(d / "corpus.txt"),
-                 "--output", str(d / "segmented.txt"))
+                 "--output", str(output))
         # the loader leaves every flatcat word a legal category path whose
         # cost stays finite, so decoding never fails
         assert rc in (0, 3)
+        if rc == 0 and modelfile.family(model) == "crf":
+            loaded = crf.load_model(model)
+            want = [render_segmented([crf_oracle_decode(loaded, tok).morphs
+                                      for tok in line.split()], "cont")
+                    for line in (d / "corpus.txt").read_text(encoding="utf-8").splitlines()]
+            assert output.read_text(encoding="utf-8") == "".join(l + "\n" for l in want)
+
+
+@pytest.mark.parametrize("method", ["bpe", "morfessor", "lmvr", "flatcat", "crf"])
+def test_model_with_a_byte_order_mark_reads_as_without(trained_models, tmp_path, method):
+    d, texts = trained_models
+    outputs = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        model = _write(tmp_path / name, bom + texts[method])
+        seg, back = tmp_path / (name + ".seg"), tmp_path / (name + ".txt")
+        assert run("segment", "--model", model, "--input", str(d / "corpus.txt"),
+                   "--output", str(seg)) == 0
+        assert run("desegment", "--model", model, "--input", str(seg),
+                   "--output", str(back)) == 0
+        outputs.append((seg.read_bytes(), back.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_every_option_is_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    missing = [(name, option) for name, sub in commands.items()
+               for action in sub._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"
+               # a whole option, so --mode is not found inside --model
+               and not re.search(re.escape(option) + r"(?![\w-])", readme)]
+    assert missing == []
 
 
 # tokens over this alphabet hold every character of both families' markers

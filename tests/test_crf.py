@@ -32,7 +32,6 @@ from polyseg.crf import (
     _extended,
     _feature_slots,
     _logsumexp,
-    _pad_offsets,
     decode,
     labels_to_morphs,
     load_model,
@@ -382,14 +381,17 @@ class TestDecode:
 PROBES = st.lists(st.text(alphabet="abkz", min_size=1, max_size=14), max_size=8)
 
 
-def _model_knowing(words, delta, keep, seed, grid=False):
+def _model_knowing(words, delta, keep, seed, grid=False, outside=False):
     """A model that knows a random share ``keep`` of the window features
     of ``words``, with random weights and transitions; on a coarse grid
-    when ``grid``, so that equal scores are common."""
+    when ``grid``, so that equal scores are common.  When ``outside``, it
+    also holds ``(o, PAD)`` rows at offsets outside the window."""
     rng = random.Random(seed)
     feats = sorted({f for w in words for i in range(len(w))
                     for f in extract_features(w, i, delta)})
     kept = [f for f in feats if rng.random() < keep]
+    if outside:
+        kept += [(o, PAD) for o in (-20000, -delta - 1, delta + 1, 3 * delta)]
     model = CrfModel.zeros(delta, 0.0, {f: k for k, f in enumerate(kept)})
     size = model.packed().size
     if grid:
@@ -406,16 +408,15 @@ class TestFastPathMatchesOracle:
     @given(train=st.lists(st.text(alphabet="abk", min_size=1, max_size=14), min_size=1,
                           max_size=6),
            probes=PROBES, delta=st.integers(1, 5), keep=st.sampled_from((1.0, 0.6)),
-           seed=st.integers(0, 2**32 - 1))
+           outside=st.booleans(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_slots_and_emission_scores(self, train, probes, delta, keep, seed):
-        model = _model_knowing(train, delta, keep, seed)
+    def test_slots_and_emission_scores(self, train, probes, delta, keep, outside, seed):
+        model = _model_knowing(train, delta, keep, seed, outside=outside)
         unknown = len(model.feat_index)
-        pads = _pad_offsets(model)
         words = train + probes
         for n in sorted(set(map(len, words))):
             group = [w for w in words if len(w) == n]
-            slots = _feature_slots(model, group, pads)
+            slots = _feature_slots(model, group)
             scores = _emission_sums(_extended(model.weights), slots)
             for k, word in enumerate(group):
                 rows = slots[k * n : (k + 1) * n].tolist()
@@ -479,19 +480,15 @@ class TestFastPathMatchesOracle:
             assert {len(w) for w in group} == {n}
             assert 1 <= len(group) <= max(1, chunk // n)
 
-    def test_huge_window_radius(self):
-        # words no longer than 12 characters see the same known features at
-        # radius 12 and at radius 10**9, whose window the oracle could not walk
-        small = random_crf_model(TOY, delta=12, seed=13)
-        huge = CrfModel.zeros(10**9, 0.0, small.feat_index)
-        huge.set_packed(small.packed())
+    def test_widest_window_decodes_as_the_oracle(self):
+        model = random_crf_model(TOY, delta=crf.MAX_DELTA, seed=13)
         rng = random.Random(14)
+        # short words, and one whose middle positions have their whole
+        # window inside the word
         words = ["".join(rng.choice("kawisu") for _ in range(rng.randint(1, 12)))
-                 for _ in range(40)]
-        start = time.perf_counter()
-        got = segment_words(huge, words)
-        assert time.perf_counter() - start < 1.0
-        assert got == [crf_oracle_decode(small, w).morphs for w in words]
+                 for _ in range(30)] + ["kawisu" * 25]
+        assert segment_words(model, words) == [crf_oracle_decode(model, w).morphs
+                                               for w in words]
 
     def test_empty_word_rejected(self):
         model = random_crf_model(TOY, delta=2, seed=5)
@@ -643,3 +640,43 @@ class TestModelFile:
                         encoding="utf-8")
         with pytest.raises(ParseError, match=r"m\.crf:4: transition B->S"):
             load_model(path)
+
+
+class TestWindowBound:
+    @pytest.mark.parametrize("delta", [0, crf.MAX_DELTA + 1, 10**9])
+    def test_a_model_outside_the_bound_is_refused(self, delta, monkeypatch):
+        def no_slots(*args):
+            raise AssertionError("a slot table was built")
+
+        monkeypatch.setattr(crf, "_window_slots", no_slots)
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="between 1 and %d" % (crf.MAX_DELTA,)):
+            CrfModel.zeros(delta, 0.0, {(0, "k"): 0})
+        assert time.perf_counter() - start < 1.0
+
+
+# a delta-3 model with rows no window reads: a (-20000, PAD) row, a
+# character four to the right and a substring four to the left
+OUT_OF_WINDOW = ("crf v1 3 0.01\n0:k\tB\t0.5\n-20000:%s\tS\t5.0\n"
+                 "4:i\tB\t3.0\n-4:ka\tM\t2.0\ntransitions:\n" % PAD)
+
+
+class TestOutOfWindowRows:
+    def test_segment_words_matches_the_oracle(self, tmp_path):
+        path = tmp_path / "m.crf"
+        path.write_text(OUT_OF_WINDOW, encoding="utf-8")
+        model = load_model(path)
+        words = ["kawi", "k", "ka"]
+        assert segment_words(model, words) == [crf_oracle_decode(model, w).morphs
+                                               for w in words]
+        assert segment_words(model, ["kawi"]) == [("ka", "wi")]
+
+    def test_segment_prints_the_oracle_pieces(self, tmp_path):
+        model = tmp_path / "m.crf"
+        model.write_text(OUT_OF_WINDOW, encoding="utf-8")
+        text = tmp_path / "kawi.txt"
+        text.write_text("kawi\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert main(["segment", "--model", str(model), "--input", str(text),
+                     "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "ka@@ wi\n"
