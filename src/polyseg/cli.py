@@ -233,12 +233,16 @@ def _cmd_eval_seg(args) -> int:
     pred = corpus.load_segmentation(args.pred, mode=args.pred_mode)
     gold = corpus.load_segmentation(args.gold, mode=args.gold_mode)
     corpus.check_line_counts(args.pred, pred.entries, args.gold, gold.entries)
-    for i, (p, g) in enumerate(zip(pred.entries, gold.entries), 1):
-        if p.surface != g.surface:
-            raise AlignmentError("surface mismatch: %s:%d has %r, %s:%d has %r"
-                                 % (args.pred, i, p.surface, args.gold, i, g.surface))
     scorer = {"boundary": metrics.boundary_f1, "emma": metrics.emma_f1}[args.metric]
-    score = scorer(pred, gold)
+    try:
+        score = scorer(pred, gold)  # compares the surfaces before scoring
+    except AlignmentError as exc:
+        if exc.index is None:
+            raise
+        i = exc.index
+        raise AlignmentError("surface mismatch: %s:%d has %r, %s:%d has %r"
+                             % (args.pred, i + 1, pred.entries[i].surface,
+                                args.gold, i + 1, gold.entries[i].surface)) from exc
     name = args.metric + "-f1"
     _emit(args.out, corpus.table(
         ("metric", "precision", "recall", "f1", "accuracy"),

@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 from .errors import AlignmentError, DataError, ParseError
 
@@ -51,33 +52,39 @@ class ParallelCorpus:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class SegmentedWord:
-    """A surface form with its ordered morph sequence.
-
-    In surface mode the morphs concatenate back to the surface form exactly;
-    canonical analyses are exempt from that check.
-    """
-
+class _SegmentedWordFields(NamedTuple):
     surface: str
     morphs: tuple[str, ...]
     mode: str = SURFACE
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise DataError("unknown segmentation mode: %r" % (self.mode,))
-        if not self.surface or _WHITESPACE.search(self.surface):
-            raise DataError("bad surface form: %r" % (self.surface,))
-        if not self.morphs:
-            raise DataError("no morphs for %r" % (self.surface,))
-        joined = "".join(self.morphs)
-        if not all(self.morphs) or _WHITESPACE.search(joined):
-            raise DataError("empty or whitespace morph in %r" % (self.surface,))
-        if self.mode == SURFACE and joined != self.surface:
+
+class SegmentedWord(_SegmentedWordFields):
+    """A surface form with its ordered morph sequence.
+
+    In surface mode the morphs concatenate back to the surface form exactly;
+    canonical analyses are exempt from that check.  The constructor checks
+    its fields; ``_make`` and ``_replace`` build a row without checking it,
+    for callers that have checked the fields already.  A row is the tuple
+    ``(surface, morphs, mode)`` and compares equal to it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, surface: str, morphs: tuple[str, ...], mode: str = SURFACE):
+        if mode not in MODES:
+            raise DataError("unknown segmentation mode: %r" % (mode,))
+        if not surface or _WHITESPACE.search(surface):
+            raise DataError("bad surface form: %r" % (surface,))
+        if not morphs:
+            raise DataError("no morphs for %r" % (surface,))
+        joined = "".join(morphs)
+        if not all(morphs) or _WHITESPACE.search(joined):
+            raise DataError("empty or whitespace morph in %r" % (surface,))
+        if mode == SURFACE and joined != surface:
             raise DataError(
-                "morphs %s do not concatenate to surface %r"
-                % (list(self.morphs), self.surface)
+                "morphs %s do not concatenate to surface %r" % (list(morphs), surface)
             )
+        return super().__new__(cls, surface, morphs, mode)
 
 
 @dataclass(frozen=True)
@@ -183,24 +190,37 @@ def load_parallel(source_path, target_path) -> ParallelCorpus:
 
 def load_segmentation(path, mode: str = SURFACE) -> SegmentationDataset:
     """Load a TSV segmentation dataset (``surface<TAB>morph1 morph2 ...``);
-    a file without entries raises ParseError."""
+    a file without entries raises ParseError.
+
+    A line is the surface, a TAB and the whitespace-separated morphs, which
+    must pass the :class:`SegmentedWord` checks.  Each line is checked once
+    with string operations: the morphs from ``str.split`` are non-empty and
+    hold no whitespace, so in surface mode their concatenation being the
+    surface is the whole check.  A line that fails is diagnosed in order:
+    empty line, no TAB, then the constructor's own message.
+    """
     if mode not in MODES:
         raise DataError("unknown segmentation mode: %r" % (mode,))
     lines = read_lines(path)
     if not lines:
         raise ParseError("%s:1: no segmentation entries" % (path,))
+    surface_mode = mode == SURFACE
+    make = SegmentedWord._make
     entries = []
     for i, line in enumerate(lines, start=1):
-        if not line.strip():
-            raise ParseError("%s:%d: empty line" % (path, i))
-        if "\t" not in line:
-            raise ParseError("%s:%d: no TAB separator" % (path, i))
-        surface, morph_field = line.split("\t", 1)
+        surface, tab, morph_field = line.partition("\t")
         morphs = tuple(morph_field.split())
-        try:
-            entries.append(SegmentedWord(surface, morphs, mode=mode))
-        except DataError as exc:
-            raise DataError("%s:%d: %s" % (path, i, exc)) from exc
+        if not (tab and morphs and ("".join(morphs) == surface if surface_mode
+                                    else surface and not _WHITESPACE.search(surface))):
+            if not line.strip():
+                raise ParseError("%s:%d: empty line" % (path, i))
+            if not tab:
+                raise ParseError("%s:%d: no TAB separator" % (path, i))
+            try:
+                SegmentedWord(surface, morphs, mode)
+            except DataError as exc:
+                raise DataError("%s:%d: %s" % (path, i, exc)) from exc
+        entries.append(make((surface, morphs, mode)))
     return SegmentationDataset(tuple(entries), mode=mode)
 
 
@@ -258,17 +278,17 @@ def seg_stats(
     words = len(dataset.entries)
     seg_words = sum(1 for e in dataset.entries if len(e.morphs) > 1)
     morphs = sum(len(e.morphs) for e in dataset.entries)
-    uni = len(dataset.morph_types())
+    types = dataset.morph_types()
     max_morphs = max(len(e.morphs) for e in dataset.entries)
     oovm = None
     if reference_train is not None:
         train_types = reference_train.morph_types()
-        oovm = sum(1 for m in dataset.morph_types() if m not in train_types)
+        oovm = sum(1 for m in types if m not in train_types)
     return SegDatasetStats(
         words=words,
         seg_words=seg_words,
         morphs=morphs,
-        uni_morphs=uni,
+        uni_morphs=len(types),
         seg_per_word=seg_words / words,
         morphs_per_word=morphs / words,
         max_morphs=max_morphs,

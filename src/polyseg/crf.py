@@ -533,13 +533,6 @@ def _feature_key(text: str) -> tuple[int, str]:
     return int(offset), content
 
 
-def _delta(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_DELTA:
-        raise ValueError("window radius outside 1..MAX_DELTA")
-    return value
-
-
 def _l2(text: str) -> float:
     value = modelfile.finite(text)
     if value < 0:
@@ -552,10 +545,14 @@ _labels = modelfile.each(_L.__getitem__)
 
 def load_model(path) -> CrfModel:
     (delta, l2), sections = modelfile.read(
-        path, "crf", (_delta, _l2),
+        path, "crf", (int, _l2),
         {"features": (modelfile.once(_feature_key), _labels, modelfile.finites),
          "transitions": (_labels, _labels, modelfile.finites)},
     )
+    try:
+        _check_delta(delta)
+    except ConfigError as exc:
+        raise ParseError("%s:1: %s" % (path, exc)) from None
     features, transitions = sections["features"], sections["transitions"]
     keys, labels, weights = features.columns
     # aliases such as 3:x and +3:x parse to one key, so to one weight row

@@ -10,7 +10,14 @@ class PolysegError(Exception):
 
 
 class AlignmentError(PolysegError):
-    """Two line- or entry-aligned inputs disagree in length or content."""
+    """Two line- or entry-aligned inputs disagree in length or content.
+
+    ``index`` is the 0-based position of the first entry whose content
+    differs, or None when the inputs differ in length."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ParseError(PolysegError):

@@ -63,7 +63,7 @@ def _check_aligned(pred: SegmentationDataset, gold: SegmentationDataset) -> None
     for i, (p, g) in enumerate(zip(pred.entries, gold.entries)):
         if p.surface != g.surface:
             raise AlignmentError(
-                "surface mismatch at index %d: %r vs %r" % (i, p.surface, g.surface)
+                "surface mismatch at index %d: %r vs %r" % (i, p.surface, g.surface), index=i
             )
 
 
@@ -92,9 +92,9 @@ def _seg_score(matched: float, n_pred: int, n_gold: int, pred: SegmentationDatas
 def boundary_f1(pred: SegmentationDataset, gold: SegmentationDataset) -> SegScore:
     """Precision/recall/F1 over internal boundary positions, micro-averaged,
     plus exact-match word accuracy."""
+    _check_aligned(pred, gold)
     if pred.mode != SURFACE or gold.mode != SURFACE:
         raise UnsupportedModeError("boundary F1 requires surface-mode data")
-    _check_aligned(pred, gold)
     match = n_pred = n_gold = 0
     for p, g in zip(pred.entries, gold.entries):
         pb, gb = _boundaries(p.morphs), _boundaries(g.morphs)

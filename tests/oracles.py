@@ -50,6 +50,32 @@ from polyseg.morf import (
 _L = {lab: i for i, lab in enumerate(LABELS)}
 
 
+# -- segmentation datasets -----------------------------------------------------
+
+
+def segmentation_oracle_load(path, mode=SURFACE):
+    """Load a TSV segmentation dataset line by line, building every entry
+    through the validating :class:`SegmentedWord` constructor."""
+    if mode not in (SURFACE, CANONICAL):
+        raise DataError("unknown segmentation mode: %r" % (mode,))
+    lines = read_lines(path)
+    if not lines:
+        raise ParseError("%s:1: no segmentation entries" % (path,))
+    entries = []
+    for i, line in enumerate(lines, start=1):
+        if not line.strip():
+            raise ParseError("%s:%d: empty line" % (path, i))
+        if "\t" not in line:
+            raise ParseError("%s:%d: no TAB separator" % (path, i))
+        surface, morph_field = line.split("\t", 1)
+        morphs = tuple(morph_field.split())
+        try:
+            entries.append(SegmentedWord(surface, morphs, mode=mode))
+        except DataError as exc:
+            raise DataError("%s:%d: %s" % (path, i, exc)) from exc
+    return SegmentationDataset(tuple(entries), mode=mode)
+
+
 # -- bpe -----------------------------------------------------------------------
 
 
@@ -1005,10 +1031,13 @@ def crf_oracle_load_model(path):
     """Load a crf model file row by row, one field at a time."""
     label = _L.__getitem__
     (delta, l2), rows, opened = modelfile_oracle_read(
-        path, "crf", (crf._delta, crf._l2),
+        path, "crf", (int, crf._l2),
         {"features": (crf._feature_key, label, modelfile.finite),
          "transitions": (label, label, modelfile.finite)},
     )
+    if not 1 <= delta <= crf.MAX_DELTA:
+        raise ParseError("%s:1: window radius delta must be between 1 and %d, got %d"
+                         % (path, crf.MAX_DELTA, delta))
     modelfile_oracle_unique(path, rows["features"], 2, "feature row")
     modelfile_oracle_unique(path, rows["transitions"], 2, "transition")
     feat_index = {}

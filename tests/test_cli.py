@@ -860,7 +860,54 @@ class TestCrfWindow:
         assert run("segment", "--model", model, "--input", text,
                    "--output", str(tmp_path / "out.txt")) == 3
         assert time.perf_counter() - start < 1.0
-        assert "%s:1: bad field '%d'" % (model, delta) in capsys.readouterr().err
+        assert ("%s:1: window radius delta must be between 1 and %d, got %d"
+                % (model, crf.MAX_DELTA, delta)) in capsys.readouterr().err
+
+
+@st.composite
+def hostile_tsv_bytes(draw):
+    """The bytes of a segmentation TSV that may break any line rule: good
+    lines, text with whitespace and TABs where they do not belong, and raw
+    bytes (invalid UTF-8 among them), ended by LF, CRLF or CR, after an
+    optional byte-order mark."""
+    morphs = st.lists(st.text("kaw", min_size=1, max_size=3), min_size=1, max_size=3)
+    line = st.one_of(
+        morphs.map(lambda ms: "".join(ms) + "\t" + " ".join(ms)).map(str.encode),
+        st.text("kaw\t \u00a0\u0085\u2028\u200b", max_size=8).map(str.encode),
+        st.binary(max_size=4),
+    )
+    lines = draw(st.lists(st.tuples(line, st.sampled_from((b"\n", b"\r\n", b"\r"))),
+                          max_size=4))
+    return draw(st.sampled_from((b"", b"\xef\xbb\xbf"))) + b"".join(a + b for a, b in lines)
+
+
+class TestHostileSegmentationFiles:
+    """Every command that reads a segmentation TSV exits 0 or 3 on any
+    bytes, and a refused file is named with the line at fault."""
+
+    @pytest.mark.parametrize("argv", [
+        ("seg-stats", "--data", "{tsv}", "--out", "{out}"),
+        ("eval-seg", "--metric", "boundary", "--pred", "{tsv}", "--gold", "{gold}",
+         "--out", "{out}"),
+        ("eval-seg", "--metric", "emma", "--pred", "{tsv}", "--gold", "{gold}",
+         "--out", "{out}"),
+        ("train", "--method", "crf", "--input", "{tsv}", "--model", "{out}",
+         "--max-iters", "1"),
+    ], ids=("seg-stats", "eval-seg-boundary", "eval-seg-emma", "train-crf"))
+    @settings(max_examples=25, deadline=None)
+    @given(content=hostile_tsv_bytes())
+    def test_exits_0_or_3_naming_the_line(self, tmp_path_factory, argv, content):
+        d = tmp_path_factory.mktemp("hostile_tsv")
+        files = {"tsv": str(d / "data.tsv"), "gold": str(d / "gold.tsv"), "out": str(d / "out")}
+        for name in ("tsv", "gold"):
+            Path(files[name]).write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run(*(arg.format(**files) for arg in argv))
+        assert rc in (0, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc == 3:
+            assert re.search(re.escape(files["tsv"]) + r":\d+: ", err.getvalue())
 
 
 @pytest.fixture(scope="module")

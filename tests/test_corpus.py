@@ -9,6 +9,7 @@ from polyseg import bpe, crf, morf
 from polyseg.corpus import (
     SURFACE,
     CANONICAL,
+    MODES,
     _WHITESPACE,
     ParallelCorpus,
     SegmentationDataset,
@@ -24,7 +25,8 @@ from polyseg.corpus import (
     stats_table,
     truncate,
 )
-from polyseg.errors import AlignmentError, DataError, ParseError
+from polyseg.errors import AlignmentError, DataError, ParseError, PolysegError
+from oracles import segmentation_oracle_load
 
 
 def _write(path, text):
@@ -56,6 +58,30 @@ class TestLoadParallel:
         assert str(exc.value) == "%s:2: empty line" % (src,)
 
 
+# U+00A0, U+0085, U+2028 and U+001C are whitespace to str.split, U+200B is
+# not; "\r" ends a line in the file
+TSV_CHARS = "kaw\t \r\u00a0\u0085\u2028\u001c\u200b"
+
+
+@st.composite
+def tsv_texts(draw):
+    """The text of a segmentation TSV: lines that load in surface mode,
+    lines with a free surface, two-TAB lines, blank lines and noise, after
+    an optional byte-order mark."""
+    morphs = st.lists(st.text("kaw\u200b", min_size=1, max_size=3), min_size=1, max_size=3)
+    noise = st.text(TSV_CHARS, max_size=8)
+    line = st.one_of(
+        morphs.map(lambda ms: "".join(ms) + "\t" + " ".join(ms)),
+        st.builds(lambda s, ms: s + "\t" + " ".join(ms), st.text("kaw", max_size=4), morphs),
+        st.builds(lambda s, ms: s + "\t" + " ".join(ms), st.text(TSV_CHARS, max_size=4), morphs),
+        st.builds(lambda ms, x: "".join(ms) + "\t" + x + "\t" + " ".join(ms), morphs, noise),
+        st.just(""),
+        noise,
+    )
+    text = "\n".join(draw(st.lists(line, max_size=4))) + draw(st.sampled_from(("", "\n")))
+    return draw(st.sampled_from(("", "\ufeff"))) + text
+
+
 class TestLoadSegmentation:
     def test_surface_entry(self, tmp_path):
         path = _write(tmp_path / "d.tsv", "kawi\tka wi\n")
@@ -79,6 +105,28 @@ class TestLoadSegmentation:
         with pytest.raises(ParseError) as exc:
             load_segmentation(path)
         assert "TAB" in str(exc.value)
+
+    def test_an_entry_is_the_tuple_of_its_fields(self, tmp_path):
+        path = _write(tmp_path / "d.tsv", "kawi\tka wi\n")
+        entry = load_segmentation(path).entries[0]
+        assert type(entry) is SegmentedWord
+        assert entry == ("kawi", ("ka", "wi"), SURFACE)
+        assert hash(entry) == hash(("kawi", ("ka", "wi"), SURFACE))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=tsv_texts(), mode=st.sampled_from(MODES))
+    def test_loads_or_fails_as_the_oracle_does(self, tmp_path_factory, text, mode):
+        path = tmp_path_factory.mktemp("tsv") / "d.tsv"
+        path.write_text(text, encoding="utf-8", newline="")
+        outcomes = []
+        for load in (load_segmentation, segmentation_oracle_load):
+            try:
+                outcomes.append(load(path, mode=mode))
+            except PolysegError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], SegmentationDataset):
+            assert all(type(e) is SegmentedWord for e in outcomes[0].entries)
 
 
 WHITESPACE = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]

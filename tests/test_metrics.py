@@ -67,6 +67,13 @@ class TestBoundaryF1:
         with pytest.raises(AlignmentError) as exc:
             boundary_f1(pred, gold)
         assert "index 1" in str(exc.value)
+        assert exc.value.index == 1
+
+    def test_alignment_is_checked_before_the_mode(self):
+        surf = seg_dataset([("ab", ("a", "b"))])
+        canon = seg_dataset([("ac", ("aX", "c"))], mode=CANONICAL)
+        with pytest.raises(AlignmentError, match="index 0"):
+            boundary_f1(surf, canon)
 
     def test_canonical_mode_rejected(self):
         surf = seg_dataset([("ab", ("a", "b"))])
