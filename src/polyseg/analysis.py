@@ -15,6 +15,14 @@ from .errors import AlignmentError, ConfigError, DataError
 from . import morf
 
 
+MAX_BINS = 10_000  # the most bins bin_richness makes; it holds one list per bin
+
+
+def check_bins(bins: int) -> None:
+    if not 1 <= bins <= MAX_BINS:
+        raise ConfigError("bins must be between 1 and %d, got %d" % (MAX_BINS, bins))
+
+
 @dataclass(frozen=True)
 class RichnessRecord:
     index: int
@@ -69,10 +77,9 @@ def richness_table(
 def bin_richness(records: list[RichnessRecord], bins: int = 10) -> list[RichnessBin]:
     """Equal-width bins over the observed richness range with per-bin mean
     score; a degenerate range collapses to a single bin."""
+    check_bins(bins)
     if not records:
         return []
-    if bins < 1:
-        raise ConfigError("bins must be positive")
     lo = min(r.morphs_per_token for r in records)
     hi = max(r.morphs_per_token for r in records)
     if hi == lo:

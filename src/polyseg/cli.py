@@ -158,8 +158,6 @@ def _cmd_train(args) -> int:
         opts = dict(alpha=args.alpha, seed=args.seed, epsilon=args.epsilon,
                     init=args.init, restarts=args.restarts)
         cap = ""
-        if args.method == "flatcat":
-            morf.check_alpha(args.alpha, morf.FLATCAT)  # before the baseline trains
         if args.method == "lmvr":
             model = morf.train_lmvr(counts, max_lexicon_size=args.cap, **opts)
             cap = " (cap %s)" % (args.cap,)
@@ -283,6 +281,7 @@ def _cmd_analyze(args) -> int:
     if args.what == "richness":
         if args.probe_model is None or args.scores is None:
             raise ConfigError("analyze richness needs --probe-model and --scores")
+        analysis.check_bins(args.bins)
         model = morf.load_model(args.probe_model)
         lines, score_lines = corpus.read_lines(args.input), corpus.read_lines(args.scores)
         corpus.check_line_counts(args.scores, score_lines, args.input, lines)

@@ -81,7 +81,7 @@ class CategoryModel:
 
     @cached_property
     def _lattice_tables(self):
-        """``(ids, emit, limit, steps)`` for the category lattice,
+        """``(ids, emit, limit, steps, final)`` for :func:`_lattice`,
         categories in CATEGORIES order: the tables of
         :func:`_category_arrays`, negated.
 
@@ -90,14 +90,15 @@ class CategoryModel:
         where a category gives it no mass; the last row, for any other
         morph, is all inf.  ``limit`` is the longest morph's length (at
         least 1).  ``steps[p, c]`` is the cost ``-logp`` of ``c`` after
-        ``p``, and ``steps[4, c]`` of ``c`` opening a word; inf where that
-        is forbidden.
+        ``p``, ``steps[4, c]`` of ``c`` opening a word and ``final[c]`` of
+        ``c`` ending one (0); inf where that is forbidden.
         """
         morphs = list(dict.fromkeys(m for table in self.emit.values() for m in table))
         emit, start, trans = _category_arrays(self, morphs)
         emit = np.vstack([-emit.T, np.full((1, 4), math.inf)])
         ids = {m: i for i, m in enumerate(morphs)}
-        return ids, emit, max(map(len, ids), default=1), -np.vstack([trans, start])
+        final = np.where(_FINAL_MASK < 0, math.inf, 0.0)
+        return ids, emit, max(map(len, ids), default=1), -np.vstack([trans, start]), final
 
 
 @dataclass
@@ -172,14 +173,14 @@ def mdl_cost(model: MorfModel) -> MdlCost:
     return MdlCost(corpus_cost=corpus, lexicon_cost=lex, total=corpus + model.alpha * lex)
 
 
-def check_alpha(alpha: float, variant: str = BASELINE) -> None:
-    """Reject an ``alpha`` no ``variant`` model can be trained with: one
-    that is not finite, or for flatcat one that ``load_model`` would refuse
-    (above ``_MAX_MAGNITUDE`` in magnitude)."""
+def check_alpha(alpha: float) -> None:
+    """Reject an ``alpha`` no model can be trained with: one that is not
+    finite, or above ``_MAX_MAGNITUDE`` in magnitude, which ``load_model``
+    would refuse."""
     if not math.isfinite(alpha):
         raise ConfigError("alpha must be finite, got %r" % (alpha,))
-    if variant == FLATCAT and abs(alpha) > _MAX_MAGNITUDE:
-        raise ConfigError("flatcat alpha %r is above %g in magnitude" % (alpha, _MAX_MAGNITUDE))
+    if abs(alpha) > _MAX_MAGNITUDE:
+        raise ConfigError("alpha %r is above %g in magnitude" % (alpha, _MAX_MAGNITUDE))
 
 
 class _Trainer:
@@ -550,84 +551,75 @@ def _span_ids(words: list[str], ids: dict[str, int], limit: int):
         yield table[:, end - 1, max(0, m - end) :]
 
 
-def _viterbi(words: list[str], tables, unseen) -> list[list[str]]:
-    """The cheapest morph sequence of each of ``words`` (one length), ties
-    keeping the first start.  A known morph ``m`` costs ``costs[ids[m]]``
-    for ``(ids, costs, limit) = tables``; an unseen one of length ``k``
-    costs ``unseen[k]``."""
-    ids, costs, limit = tables
+def _lattice(words: list[str], tables, unseen, strict: bool = True) -> list:
+    """The cheapest path of each of ``words`` (one length) through the
+    ``k`` categories of ``tables = (ids, emit, limit, steps, final)``:
+    ``(morphs, ends)`` with ``ends[m] = end * k + c`` for morph ``m`` of
+    category ``c``, None where every path costs inf.  A known morph ``m``
+    costs ``emit[ids[m], c]``, an unseen one of length ``j`` ``unseen[j]``;
+    ``steps[p, c]`` is the cost of ``c`` after ``p`` (row ``k``: opening
+    the word) and ``final[c]`` of ending in ``c``.  With ``strict`` a known
+    morph cannot take a category that gives it no mass, and words left
+    without a path are decoded again without.
+
+    Once a position's costs are final, each category takes its cheapest
+    step in (the lowest previous category on a tie); each end takes the
+    cheapest start of that step plus the morph's cost (the first on a
+    tie), and each word its cheapest final category (the lowest on a tie).
+    """
+    ids, emit, limit, steps, final = tables
+    k = emit.shape[1]
     count, n = len(words), len(words[0])
-    best = np.zeros((count, n + 1))
-    back = np.zeros((count, n + 1), dtype=np.intp)
+    rows, cols = np.arange(count)[:, None], np.arange(k)
+    # via[w, s, c]: the cheapest path to s followed by a step into c, taken
+    # from category link[w, s, c] - s * k; back[w, end, c] is the link at
+    # the start of the cheapest path to end whose last morph has c.  A
+    # link is a flat index s * k + p into back, 0 at the word start
+    via = np.empty((count, n, k))
+    via[:, 0] = steps[k]
+    link = np.zeros((count, n, k), dtype=np.intp)
+    back = np.zeros((count, n + 1, k), dtype=np.intp)
     for end, span in enumerate(_span_ids(words, ids, limit), 1):
         a = end - span.shape[1]
-        cand = best[:, :end] + unseen[end:0:-1]
-        cand[:, a:] = best[:, a:end] + np.where(span == len(ids), unseen[end - a : 0 : -1],
-                                                costs[span])
-        back[:, end] = np.argmin(cand, axis=1)
-        best[:, end] = cand.min(axis=1)
-    out = []
-    for word, starts in zip(words, back.tolist()):
-        morphs, end = [], n
-        while end:
-            morphs.append(word[starts[end] : end])
-            end = starts[end]
-        out.append(morphs[::-1])
-    return out
-
-
-def _lattice(words: list[str], tables, unseen, strict: bool = True) -> list:
-    """The cheapest ``(morphs, categories)`` of each of ``words`` (one
-    length) under ``CategoryModel._lattice_tables``, None without a legal
-    path.  With ``strict`` a known morph cannot take a category that gives
-    it no mass, and words left without a path are decoded again without.
-
-    Ties keep the first start, then the lowest previous category index
-    (CATEGORIES order, with the word start as index 4); the final category
-    is the cheaper of STM and SUF, STM on a tie.
-    """
-    ids, emit, limit, steps = tables
-    count, n = len(words), len(words[0])
-    # best[w, pos, c]: the cheapest path to pos whose last morph has
-    # category c; category 4 is the word start, reached only at pos 0
-    best = np.full((count, n + 1, 5), math.inf)
-    best[:, 0, 4] = 0.0
-    back = np.zeros((count, n + 1, 4), dtype=np.intp)  # start * 5 + previous category
-    for end, span in enumerate(_span_ids(words, ids, limit), 1):
-        e = np.broadcast_to(unseen[end:0:-1, None], (count, end, 4)).copy()
+        cand = via[:, :end] + unseen[end:0:-1, None]
         known = emit[span]
         keep = (span < len(ids))[..., None] if strict else known != math.inf
-        np.copyto(e[:, end - span.shape[1] :], known, where=keep)
-        cand = best[:, :end, :, None] + steps
-        cand += e[:, :, None, :]  # the emission is added last, as the oracle does
-        cand = cand.reshape(count, end * 5, 4)
-        back[:, end] = np.argmin(cand, axis=1)
-        best[:, end, :4] = np.take_along_axis(cand, back[:, end, None], axis=1)[:, 0]
-    final = best[:, n, 1:3]  # STM, SUF
+        np.add(via[:, a:end], known, out=cand[:, a:], where=keep)
+        start = np.argmin(cand, axis=1)
+        back[:, end] = link[rows, start, cols]
+        best = cand.min(axis=1)
+        if end < n:
+            step = best[:, :, None] + steps[:k]
+            link[:, end] = np.argmin(step, axis=1) + end * k
+            via[:, end] = step.min(axis=1)
+    best += final
     out = []
-    for word, cost, cat, ptrs in zip(words, final.min(axis=1).tolist(),
-                                     (1 + np.argmin(final, axis=1)).tolist(),
-                                     map(np.ndarray.tolist, back)):
-        morphs, cats, end = [], [], n
-        while end and cost < math.inf:
-            start, prev = divmod(ptrs[end][cat], 5)
+    for word, i, ptrs in zip(words, (n * k + np.argmin(best, axis=1)).tolist(),
+                             back.reshape(count, -1).tolist()):
+        morphs, ends, end = [], [], n
+        while end:
+            ends.append(i)
+            i = ptrs[i]
+            start = i // k
             morphs.append(word[start:end])
-            cats.append(CATEGORIES[cat])
-            end, cat = start, prev
-        out.append((morphs[::-1], cats[::-1]) if morphs else None)
-    retry = [k for k, result in enumerate(out) if result is None]
+            end = start
+        out.append((morphs[::-1], ends[::-1]))
+    retry = np.flatnonzero(~(best.min(axis=1) < math.inf)).tolist()
+    for j in retry:
+        out[j] = None
     if strict and retry:
-        # every category-legal path died on zeroed emissions: let any
-        # substring fall back to the add-to-lexicon cost instead
-        for k, result in zip(retry, _lattice([words[k] for k in retry], tables, unseen, False)):
-            out[k] = result
+        # every legal path died on zeroed emissions: let any substring
+        # fall back to the add-to-lexicon cost instead
+        for j, result in zip(retry, _lattice([words[j] for j in retry], tables, unseen, False)):
+            out[j] = result
     return out
 
 
 def _decode(model: MorfModel, words) -> list:
-    """Each of ``words`` decoded, in input order: its morphs, or under a
-    category model its ``(morphs, categories)``.  Words of one length are
-    decoded together, in the batches of :func:`polyseg.crf._batches`."""
+    """Each of ``words`` decoded by :func:`_lattice`, in input order: its
+    morphs, or under a category model its ``(morphs, categories)``; a
+    lexicon-only model is one category whose steps cost nothing.  Words of
+    one length are decoded together, in the batches of ``crf._batches``."""
     words = list(words)
     total = model.total_tokens
     # an unseen morph of each length pays its spelling, added to the
@@ -640,20 +632,21 @@ def _decode(model: MorfModel, words) -> list:
         log_total = math.log(total) if total > 0 else 0.0
         known = {m: c for m, c in model.lexicon.items() if c > 0}
         costs = np.array([log_total - math.log(c) for c in known.values()] + [math.inf])
-        decode, tables = _viterbi, (dict(zip(known, range(len(known)))), costs,
-                                    max(map(len, known), default=1))
+        tables = (dict(zip(known, range(len(known)))), costs[:, None],
+                  max(map(len, known), default=1), np.zeros((2, 1)), np.zeros(1))
     else:
-        decode, tables = _lattice, model.categories._lattice_tables
+        tables = model.categories._lattice_tables
     out: list = [None] * len(words)
     # inf and nan mark impossible steps; sums overflow to inf as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):
         for indices, group in _batches(words):
-            for k, result in zip(indices, decode(group, tables, unseen)):
+            for k, result in zip(indices, _lattice(group, tables, unseen)):
                 out[k] = result
-    for word, result in zip(words, out):
-        if result is None:
-            raise NumericError("no legal category path for %r" % (word,))
-    return out
+    if None in out:
+        raise NumericError("no legal category path for %r" % (words[out.index(None)],))
+    if model.categories is None:
+        return [morphs for morphs, _ in out]
+    return [(morphs, [CATEGORIES[i % len(CATEGORIES)] for i in ends]) for morphs, ends in out]
 
 
 def segment_words(model: MorfModel, words) -> list[list[str]]:
@@ -662,9 +655,9 @@ def segment_words(model: MorfModel, words) -> list[list[str]]:
     Known morphs cost their negative log probability; unknown substrings
     pay the add-to-lexicon price (uniform-character spelling, corpus-weight
     scaled) plus a one-token smoothed corpus cost, so out-of-vocabulary
-    words always segment.  Among equal-cost splits the one whose last morph
-    starts first wins.  A category model decodes through the joint
-    split-and-category lattice instead (see :func:`_lattice`).
+    words segment at any alpha ``check_alpha`` admits.  Among equal-cost
+    splits the one whose last morph starts first wins.  A category model
+    decodes through the joint split-and-category lattice (see :func:`_lattice`).
     """
     decoded = _decode(model, words)
     return decoded if model.categories is None else [morphs for morphs, _ in decoded]
@@ -779,7 +772,7 @@ def train_flatcat(
     returned model re-segments words through the joint split-and-category
     lattice.
     """
-    check_alpha(baseline_model.alpha, FLATCAT)
+    check_alpha(baseline_model.alpha)
     if not math.isfinite(epsilon):
         raise ConfigError("EM epsilon must be finite, got %r" % (epsilon,))
     for w in word_counts:
@@ -870,7 +863,7 @@ def _count(text: str) -> int:
     return value
 
 
-# The largest magnitude a flatcat alpha or log-probability may have.  A path
+# The largest magnitude an alpha or a flatcat log-probability may have.  A path
 # through an n-character word has at most n morphs, each adding a start or
 # transition term and an emission or unseen cost (alpha * (k + 1) *
 # log(alphabet + 1) + log(total + 1) for k characters), so its cost stays
@@ -919,11 +912,11 @@ def load_model(path) -> MorfModel:
     if variant != FLATCAT and stray:
         raise ParseError("%s:%d: a %s model has no category tables"
                          % (path, min(stray), variant))
+    if abs(alpha) > _MAX_MAGNITUDE:
+        raise ParseError("%s:1: alpha %r is above %g in magnitude"
+                         % (path, alpha, _MAX_MAGNITUDE))
     categories = None
     if variant == FLATCAT:
-        if abs(alpha) > _MAX_MAGNITUDE:
-            raise ParseError("%s:1: flatcat alpha %r is above %g in magnitude"
-                             % (path, alpha, _MAX_MAGNITUDE))
         modelfile.unique(path, transitions.lines, list(zip(*transitions.columns[:2])),
                          "transition")
         modelfile.unique(path, emissions.lines, list(zip(*emissions.columns[:2])),

@@ -192,7 +192,8 @@ def morf_oracle_viterbi(model, word):
     """The lexicon Viterbi over one word, one span at a time: every start
     before every end, a known morph costing ``log(total) - log(count)`` and
     an unseen one ``morf_unseen_cost``; a strictly cheaper start replaces
-    the one kept, so ties keep the first start."""
+    the one kept, so ties keep the first start.  None where every
+    segmentation costs inf."""
     total = model.total_tokens
     log_total = math.log(total) if total > 0 else 0.0
     n = len(word)
@@ -212,6 +213,8 @@ def morf_oracle_viterbi(model, word):
             if cand < best[end]:
                 best[end] = cand
                 back[end] = start
+    if best[n] == math.inf:
+        return None
     morphs = []
     pos = n
     while pos > 0:
@@ -678,6 +681,8 @@ def _flatcat_oracle_lattice(model, word, strict):
                     cand = -slog + emit_cost
                     prev_cat = None
                 else:
+                    # the previous category is chosen before the emission
+                    # is added, the lowest one on a tie
                     cand = math.inf
                     prev_cat = None
                     for pc in CATEGORIES:
@@ -685,12 +690,13 @@ def _flatcat_oracle_lattice(model, word, strict):
                         tlog = cm.trans_logp(pc, cat)
                         if tlog == _NEG_INF:
                             continue
-                        c = pcost - tlog + emit_cost
+                        c = pcost - tlog
                         if c < cand:
                             cand = c
                             prev_cat = pc
                     if prev_cat is None:
                         continue
+                    cand += emit_cost
                 if cand < best[end].get(cat, math.inf):
                     best[end][cat] = cand
                     back[end][cat] = (start, prev_cat)
@@ -722,7 +728,8 @@ def flatcat_oracle_segment(model, word):
 def flatcat_oracle_lattice_tables(cm):
     """``CategoryModel._lattice_tables`` by a walk over the dict tables:
     each emitted morph's costs written into an all-inf array one entry at
-    a time, and the step costs read pair by pair."""
+    a time, the step costs read pair by pair, and a final cost of 0 for
+    each word-final category."""
     morphs = dict.fromkeys(m for table in cm.emit.values() for m in table)
     ids = {m: i for i, m in enumerate(morphs)}
     emit = np.full((len(ids) + 1, 4), math.inf)
@@ -731,7 +738,8 @@ def flatcat_oracle_lattice_tables(cm):
             emit[ids[morph], c] = -logp
     steps = -np.array([[cm.trans_logp(a, b) for b in CATEGORIES] for a in CATEGORIES]
                       + [[cm.start_logp(b) for b in CATEGORIES]])
-    return ids, emit, max(map(len, ids), default=1), steps
+    final = np.array([0.0 if cat in FINAL_CATS else math.inf for cat in CATEGORIES])
+    return ids, emit, max(map(len, ids), default=1), steps, final
 
 
 # -- emma ------------------------------------------------------------------------
@@ -1076,14 +1084,14 @@ def morf_oracle_load_model(path):
     modelfile_oracle_unique(path, rows["lexicon"], 1, "lexicon morph")
     lexicon = Counter(dict(row for _, row in rows["lexicon"]))
     stray = rows["transitions"] + rows["emissions"]
-    if variant != "flatcat":
-        if stray:
-            raise ParseError("%s:%d: a %s model has no category tables"
-                             % (path, min(lineno for lineno, _ in stray), variant))
-        return variant, alpha, cap, lexicon, None
+    if variant != "flatcat" and stray:
+        raise ParseError("%s:%d: a %s model has no category tables"
+                         % (path, min(lineno for lineno, _ in stray), variant))
     if abs(alpha) > morf._MAX_MAGNITUDE:
-        raise ParseError("%s:1: flatcat alpha %r is above %g in magnitude"
+        raise ParseError("%s:1: alpha %r is above %g in magnitude"
                          % (path, alpha, morf._MAX_MAGNITUDE))
+    if variant != "flatcat":
+        return variant, alpha, cap, lexicon, None
     modelfile_oracle_unique(path, rows["transitions"], 2, "transition")
     modelfile_oracle_unique(path, rows["emissions"], 2, "emission")
     start, trans, emit = {}, {}, {}

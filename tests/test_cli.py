@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyseg import bpe, cli, crf, metrics, modelfile, morf
+from polyseg import analysis, bpe, cli, crf, metrics, modelfile, morf
 from polyseg.cli import desegment_line, main, render_segmented
 from polyseg.errors import FormatError
 from oracles import crf_oracle_decode, flatcat_oracle_segment, morf_oracle_viterbi
@@ -431,6 +431,21 @@ class TestAnalyze:
             "bin_lo,bin_hi,count,mean_score"
         )
 
+    @pytest.mark.parametrize("bins", [0, analysis.MAX_BINS + 1])
+    def test_bins_out_of_range_is_2_before_any_output(self, tmp_path, corpus_file, capsys,
+                                                      bins):
+        model = str(tmp_path / "m.morf")
+        assert run("train", "--method", "morfessor", "--input", corpus_file,
+                   "--model", model) == 0
+        scores = _write(tmp_path / "scores.txt", "10.0\n20.0\n30.0\n")
+        out, bins_out = tmp_path / "rich.csv", tmp_path / "bins.csv"
+        assert run("analyze", "richness", "--probe-model", model, "--input", corpus_file,
+                   "--scores", scores, "--bins", str(bins), "--out", str(out),
+                   "--bins-out", str(bins_out)) == 2
+        assert ("bins must be between 1 and %d, got %d" % (analysis.MAX_BINS, bins)
+                in capsys.readouterr().err)
+        assert not out.exists() and not bins_out.exists()
+
 
 class TestExitCodes:
     def test_missing_file_is_3(self, tmp_path):
@@ -456,14 +471,27 @@ class TestExitCodes:
         assert "alpha" in err and "Traceback" not in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("method", ["morfessor", "lmvr", "flatcat"])
     @pytest.mark.parametrize("alpha", ["1e200", "-1.5e100"])
-    def test_flatcat_alpha_above_the_file_bound_is_2(self, tmp_path, corpus_file, capsys,
-                                                    alpha):
+    def test_alpha_above_the_file_bound_is_2(self, tmp_path, corpus_file, capsys, alpha,
+                                             method):
         model = tmp_path / "m"
-        assert run("train", "--method", "flatcat", "--input", corpus_file,
+        assert run("train", "--method", method, "--input", corpus_file,
                    "--model", str(model), "--alpha=" + alpha) == 2
-        assert "flatcat alpha" in capsys.readouterr().err
+        assert "alpha %r is above 1e+100" % (float(alpha),) in capsys.readouterr().err
         assert not model.exists()
+
+    @pytest.mark.parametrize("method", ["morfessor", "lmvr"])  # flatcat: huge-alpha below
+    def test_model_file_alpha_above_the_bound_is_3_at_line_1(self, trained_models, tmp_path,
+                                                            capsys, method):
+        d, texts = trained_models
+        head, rest = texts[method].split("\n", 1)
+        fields = head.split(" ")
+        fields[3] = "1e200"
+        model = _write(tmp_path / "m", " ".join(fields) + "\n" + rest)
+        assert run("segment", "--model", model, "--input", str(d / "corpus.txt"),
+                   "--output", str(tmp_path / "out")) == 3
+        assert "%s:1: alpha 1e+200 is above 1e+100" % (model,) in capsys.readouterr().err
 
     def test_stray_marker_is_3(self, tmp_path):
         bad = _write(tmp_path / "bad.txt", "ka</w>wi\n")
@@ -932,6 +960,59 @@ def trained_models(tmp_path_factory):
     return d, texts
 
 
+@st.composite
+def hostile_text_bytes(draw):
+    """The bytes of a plain-text file: lines of tokens (a number and both
+    families' markers among them), text with TABs, NUL, U+2028 and U+0085,
+    blank lines, and raw bytes (invalid UTF-8 among them), ended by LF,
+    CRLF or CR."""
+    tokens = st.sampled_from(("kawi", "suta", "wi", "1.5", "ka@@", "su</w>"))
+    line = st.one_of(
+        st.lists(tokens, max_size=4).map(" ".join).map(str.encode),
+        st.text("kaw \t\x00\u2028\u0085", max_size=8).map(str.encode),
+        st.binary(max_size=4),
+    )
+    lines = draw(st.lists(st.tuples(line, st.sampled_from((b"\n", b"\r\n", b"\r"))),
+                          max_size=4))
+    return b"".join(a + b for a, b in lines)
+
+
+class TestHostileTextFiles:
+    """Every command that reads plain text exits 0, 2 or 3 on any bytes,
+    and a refused file is named with the line at fault."""
+
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--source", "{txt}", "--target", "{txt}", "--out", "{out}"),
+        ("train", "--method", "bpe", "--input", "{txt}", "--model", "{out}",
+         "--vocab-size", "30"),
+        ("train", "--method", "morfessor", "--input", "{txt}", "--model", "{out}"),
+        ("segment", "--model", "{morf}", "--input", "{txt}", "--output", "{out}"),
+        ("desegment", "--style", "cont", "--input", "{txt}", "--output", "{out}"),
+        ("eval-mt", "--metric", "bleu", "--hyp", "{txt}", "--ref", "{txt}", "--out", "{out}"),
+        ("signif", "--metric", "chrf", "--sys-a", "{txt}", "--sys-b", "{txt}",
+         "--ref", "{txt}", "--trials", "20", "--out", "{out}"),
+        ("analyze", "unk", "--vocab", "{txt}", "--input", "{txt}", "--out", "{out}"),
+        ("analyze", "richness", "--probe-model", "{morf}", "--input", "{txt}",
+         "--scores", "{txt}", "--out", "{out}"),
+    ], ids=("stats", "train-bpe", "train-morfessor", "segment", "desegment", "eval-mt",
+            "signif", "analyze-unk", "analyze-richness"))
+    @settings(max_examples=25, deadline=None)
+    @given(content=hostile_text_bytes())
+    def test_exits_0_2_or_3_naming_the_line(self, trained_models, tmp_path_factory, argv,
+                                            content):
+        d = tmp_path_factory.mktemp("hostile_text")
+        files = {"txt": str(d / "text.txt"), "out": str(d / "out"),
+                 "morf": str(trained_models[0] / "morfessor")}
+        Path(files["txt"]).write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run(*(arg.format(**files) for arg in argv))
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc == 3:
+            assert re.search(re.escape(files["txt"]) + r":\d+: ", err.getvalue())
+
+
 # runs CLI commands in one fresh process and prints, after the import and
 # after each command, whether scipy.optimize has been loaded
 _IMPORT_PROBE = """
@@ -997,7 +1078,7 @@ class TestDamagedModelFiles:
         output = d / "segmented.txt"
         rc = run("segment", "--model", model, "--input", str(d / "corpus.txt"),
                  "--output", str(output))
-        # the loader leaves every flatcat word a legal category path whose
+        # the loader leaves every word of every morf model a legal path whose
         # cost stays finite, so decoding never fails
         assert rc in (0, 3)
         if rc == 0 and modelfile.family(model) == "crf":

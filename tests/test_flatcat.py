@@ -332,6 +332,19 @@ class TestArraysMatchOracles:
         assert flatcat_oracle_segment(model, "bbab") == want
         assert viterbi_segment_with_categories(model, "bbab") == want
 
+    def test_previous_category_is_chosen_before_the_emission_is_added(self):
+        # "a|c" reaches position 2 as STM STM at cost 0 and as STM PRE at
+        # 0.5; at alpha 1e300 the unseen stem "b" costs ~3e300, and adding
+        # it rounds both prefixes to one cost, but STM STM is the cheaper
+        # one, although PRE comes first in CATEGORIES order
+        cm = CategoryModel(start={"STM": 0.0},
+                           trans={"PRE": {"STM": 0.0}, "STM": {"PRE": 0.0, "STM": 0.0}},
+                           emit={"PRE": {"c": -0.5}, "STM": {"a": 0.0, "c": 0.0}})
+        model = _flatcat_model(cm, alpha=1e300)
+        want = (["a", "c", "b"], ["STM", "STM", "STM"])
+        assert flatcat_oracle_segment(model, "acb") == want
+        assert viterbi_segment_with_categories(model, "acb") == want
+
 
 # every substring of "ab" is known as a prefix only, so no strict path of
 # "ab" ends in a stem or suffix; "ba" has one, as an unseen stem
@@ -365,11 +378,11 @@ class TestBatchLatticeMatchesOracle:
 
 
 def _assert_lattice_tables_match_oracle(cm):
-    ids, emit, limit, steps = cm._lattice_tables
-    want_ids, want_emit, want_limit, want_steps = flatcat_oracle_lattice_tables(cm)
+    ids, emit, limit, steps, final = cm._lattice_tables
+    want_ids, want_emit, want_limit, want_steps, want_final = flatcat_oracle_lattice_tables(cm)
     assert list(ids.items()) == list(want_ids.items())
     assert limit == want_limit
-    for got, want in ((emit, want_emit), (steps, want_steps)):
+    for got, want in ((emit, want_emit), (steps, want_steps), (final, want_final)):
         # the same bits, inf where a table gives no mass
         assert np.array_equal(got, want)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -171,12 +172,13 @@ class TestSearchMatchesOracle:
 class TestAlphaAndDrift:
     def test_flatcat_rejects_alpha_its_file_cannot_carry(self):
         base = MorfModel.from_segmentations({w: (w,) for w in FOUR_WORDS}, alpha=1e200)
-        with pytest.raises(ConfigError, match="flatcat alpha"):
+        with pytest.raises(ConfigError, match="alpha 1e\\+200 is above"):
             train_flatcat(FOUR_WORDS, base)
 
-    def test_overflowing_cost_fails_the_drift_check(self):
-        with pytest.raises(NumericError, match="drifted"):
-            train_baseline(FOUR_WORDS, alpha=1e308)
+    @pytest.mark.parametrize("train", [train_baseline, train_lmvr], ids=("baseline", "lmvr"))
+    def test_alpha_that_could_overflow_the_cost_is_refused(self, train):
+        with pytest.raises(ConfigError, match="alpha 1e\\+308 is above 1e\\+100"):
+            train(FOUR_WORDS, alpha=1e308)
 
     def test_drift_in_running_sum_is_caught(self, monkeypatch):
         self._nudged(monkeypatch, 1e-3)
@@ -241,8 +243,9 @@ class TestViterbi:
 @st.composite
 def lexicon_models(draw):
     """Lexicons over a few short morphs with counts 1 or 2, so equal-cost
-    splits are common.  At alpha 1e308 every unseen morph of two or more
-    characters costs inf, and at -1e308 -inf."""
+    splits are common.  At alpha 1e308 every unseen morph costs inf, so a
+    word that known morphs do not spell has no finite path, and at -1e308
+    every unseen morph costs -inf."""
     morphs = draw(st.sets(st.sampled_from(("a", "b", "ab", "ba", "abc", "cab"))))
     return MorfModel(lexicon=Counter({m: draw(st.sampled_from((1, 2))) for m in morphs}),
                      alphabet=frozenset("abcd"),
@@ -255,8 +258,21 @@ class TestSegmentWords:
     def test_matches_the_per_word_oracle(self, model, words, chunk):
         # a small _CHUNK_POSITIONS cuts each length group into several chunks
         with mock.patch.object(crf, "_CHUNK_POSITIONS", chunk):
-            got = segment_words(model, words)
-        assert got == [morf_oracle_viterbi(model, w) for w in words]
+            want = [morf_oracle_viterbi(model, w) for w in words]
+            if None in want:
+                message = "no legal category path for %r" % (words[want.index(None)],)
+                with pytest.raises(NumericError, match=re.escape(message) + "$"):
+                    segment_words(model, words)
+            else:
+                assert segment_words(model, words) == want
+
+    def test_word_without_a_finite_path_raises(self):
+        # an unseen "a" costs inf at alpha 1e308, and "a" has no other path
+        model = MorfModel(lexicon=Counter({"b": 1}), alphabet=frozenset("ab"), alpha=1e308)
+        assert morf_oracle_viterbi(model, "a") is None
+        assert segment_words(model, ["b"]) == [["b"]]
+        with pytest.raises(NumericError, match="'a'"):
+            segment_words(model, ["b", "a"])
 
     def test_empty_word(self):
         model = MorfModel.from_segmentations({"ab": ("a", "b")})
