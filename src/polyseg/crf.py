@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modelfile
+from .chain import batches, forward_backward, transition_counts
 from .corpus import SURFACE, SegmentationDataset, SegmentedWord
-from .errors import ConfigError, DataError, ParseError, UnsupportedModeError
+from .errors import ConfigError, ParseError, UnsupportedModeError
 
 LABELS = ("B", "E", "M", "S")  # index order doubles as the tie-break order
 _L = {lab: i for i, lab in enumerate(LABELS)}
@@ -112,29 +113,6 @@ class CrfModel:
             self.trans[_L[a], _L[b]] = vec[nfeat * 4 + k]
 
 
-# decoding and the training table take the words of one length in chunks
-# of at most this many character positions, so their arrays stay small
-# however many words share a length
-_CHUNK_POSITIONS = 1 << 14
-
-
-def _batches(words: list[str]):
-    """``words`` in chunks of one length: yields ``(indices, group)``, the
-    positions in ``words`` of one chunk and those words.  Lengths come in
-    first-seen order and words in input order; a chunk holds at most
-    ``_CHUNK_POSITIONS`` characters, or one longer word."""
-    by_length: dict[int, list[int]] = {}
-    for k, word in enumerate(words):
-        if not word:
-            raise DataError("cannot decode an empty word")
-        by_length.setdefault(len(word), []).append(k)
-    for n, members in by_length.items():
-        size = max(1, _CHUNK_POSITIONS // n)
-        for k in range(0, len(members), size):
-            indices = members[k : k + size]
-            yield indices, [words[i] for i in indices]
-
-
 def _substrings(words: list[str], max_length: int):
     """Integer codes of the substrings of ``words``, which all have one
     length ``n``.  Yields ``(codes, distinct)`` for each length
@@ -216,7 +194,7 @@ def _number_features(words: list[str], delta: int) -> dict[tuple[int, str], int]
         return [provisional.setdefault((r, s), len(provisional)) for s in texts]
 
     tables = [(indices, _window_slots(group, delta, ids, -1))
-              for indices, group in _batches(words)]
+              for indices, group in batches(words)]
     # the tables' rows back in word order, each word's positions in turn
     starts = np.cumsum([0] + [len(word) for word in words])
     width = max((t.shape[1] for _, t in tables), default=0)
@@ -249,42 +227,6 @@ _START_MASK = np.array([0.0 if l in START_LABELS else -np.inf for l in LABELS])
 _FINAL_MASK = np.array([0.0 if l in FINAL_LABELS else -np.inf for l in LABELS])
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """``log(sum(exp(x)))`` along ``axis``; a slice that is all -inf gives -inf."""
-    top = np.max(x, axis=axis, keepdims=True)
-    top[np.isneginf(top)] = 0.0
-    with np.errstate(divide="ignore"):
-        total = np.log(np.sum(np.exp(x - top), axis=axis))
-    return total + np.squeeze(top, axis=axis)
-
-
-def forward_backward(scores: np.ndarray, start: np.ndarray, trans: np.ndarray,
-                     final: np.ndarray):
-    """Log-space forward and backward values of a ``(chains, length, 4)``
-    batch of label scores, and each chain's log partition value; ``start``
-    and ``final`` score each label opening and closing a chain (-inf
-    forbids).  The crf's BMES chain and flatcat's category chain run here."""
-    n = scores.shape[1]
-    alpha = np.empty_like(scores)
-    beta = np.empty_like(scores)
-    alpha[:, 0] = scores[:, 0] + start
-    for i in range(1, n):
-        alpha[:, i] = scores[:, i] + _logsumexp(alpha[:, i - 1, :, None] + trans, axis=1)
-    beta[:, -1] = final
-    for i in range(n - 2, -1, -1):
-        beta[:, i] = _logsumexp(trans + (scores[:, i + 1] + beta[:, i + 1])[:, None, :], axis=2)
-    log_z = _logsumexp(alpha[:, -1] + final, axis=1)
-    return alpha, beta, log_z
-
-
-def transition_counts(scores, trans, alpha, beta, log_z) -> np.ndarray:
-    """The expected ``(4, 4)`` label-pair counts of a batch, summed over its
-    chains and adjacent positions, from :func:`forward_backward`'s values."""
-    # log marginals of each adjacent label pair, (chains, n - 1, 4, 4)
-    xi = alpha[:, :-1, :, None] + trans + (scores[:, 1:] + beta[:, 1:])[:, :, None, :]
-    return np.exp(xi - log_z[:, None, None, None]).sum(axis=(0, 1))
-
-
 def marginals(model: CrfModel, word: str):
     """Per-position label marginals and the sequence partition value."""
     scores = _emission_sums(_extended(model.weights), _feature_slots(model, [word]))
@@ -303,7 +245,7 @@ def _length_groups(model: CrfModel, dataset: SegmentationDataset):
     """
     entries = sorted(dataset.entries, key=lambda entry: len(entry.surface))
     words = [entry.surface for entry in entries]
-    tables = [_feature_slots(model, group) for _, group in _batches(words)]
+    tables = [_feature_slots(model, group) for _, group in batches(words)]
     gold = np.array([_L[l] for entry in entries for l in morphs_to_labels(entry.morphs)],
                     dtype=np.intp)
     groups = []
@@ -498,7 +440,7 @@ def segment_words(model: CrfModel, words) -> list[tuple[str, ...]]:
     words = list(words)
     extended = _extended(model.weights)
     out: list = [None] * len(words)
-    for indices, group in _batches(words):
+    for indices, group in batches(words):
         scores = _emission_sums(extended, _feature_slots(model, group))
         labels = _viterbi(scores.reshape(len(group), -1, 4), model.trans)
         for k, word, row in zip(indices, group, labels.tolist()):

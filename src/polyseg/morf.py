@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import modelfile
-from .crf import _batches, _substrings, forward_backward, transition_counts
+from .chain import SpanIndex, batches, forward_backward, transition_counts
 from .errors import ConfigError, DataError, NumericError, ParseError
 
 BASELINE = "baseline"
@@ -81,24 +81,24 @@ class CategoryModel:
 
     @cached_property
     def _lattice_tables(self):
-        """``(ids, emit, limit, steps, final)`` for :func:`_lattice`,
+        """``(spans, emit, steps, final)`` for :func:`_lattice`,
         categories in CATEGORIES order: the tables of
         :func:`_category_arrays`, negated.
 
-        ``ids`` numbers every emitted morph, and row ``ids[m]`` of the
+        ``spans`` is the :class:`~polyseg.chain.SpanIndex` of ``ids``,
+        which numbers every emitted morph, and row ``ids[m]`` of the
         ``(len(ids) + 1, 4)`` array ``emit`` holds its costs ``-logp``, inf
         where a category gives it no mass; the last row, for any other
-        morph, is all inf.  ``limit`` is the longest morph's length (at
-        least 1).  ``steps[p, c]`` is the cost ``-logp`` of ``c`` after
-        ``p``, ``steps[4, c]`` of ``c`` opening a word and ``final[c]`` of
-        ``c`` ending one (0); inf where that is forbidden.
+        morph, is all inf.  ``steps[p, c]`` is the cost ``-logp`` of ``c``
+        after ``p``, ``steps[4, c]`` of ``c`` opening a word and
+        ``final[c]`` of ``c`` ending one (0); inf where that is forbidden.
         """
         morphs = list(dict.fromkeys(m for table in self.emit.values() for m in table))
         emit, start, trans = _category_arrays(self, morphs)
         emit = np.vstack([-emit.T, np.full((1, 4), math.inf)])
-        ids = {m: i for i, m in enumerate(morphs)}
+        spans = SpanIndex({m: i for i, m in enumerate(morphs)})
         final = np.where(_FINAL_MASK < 0, math.inf, 0.0)
-        return ids, emit, max(map(len, ids), default=1), -np.vstack([trans, start]), final
+        return spans, emit, -np.vstack([trans, start]), final
 
 
 @dataclass
@@ -534,31 +534,15 @@ def train_lmvr(
 # -- inference ---------------------------------------------------------------
 
 
-def _span_ids(words: list[str], ids: dict[str, int], limit: int):
-    """For each end ``1..n`` of ``words`` (all of length ``n``), the ids of
-    the spans ending there that are at most ``limit`` long: a
-    ``(len(words), width)`` array whose column ``j`` is the span from
-    ``end - width + j``, ``len(ids)`` where ``ids`` lacks it.  The spans
-    are numbered by :func:`polyseg.crf._substrings`, one length at a time."""
-    count, n = len(words), len(words[0])
-    m, unknown = min(limit, n), len(ids)
-    # table[:, end - 1, m - k] is the span of length k ending at end
-    table = np.full((count, n, m), unknown, dtype=np.intp)
-    for k, (codes, distinct) in enumerate(_substrings(words, m), 1):
-        found = np.array([ids.get(s, unknown) for s in distinct], dtype=np.intp)
-        table[:, k - 1 :, m - k] = found[codes]
-    for end in range(1, n + 1):
-        yield table[:, end - 1, max(0, m - end) :]
-
-
-def _lattice(words: list[str], tables, unseen, strict: bool = True) -> list:
+def _lattice(words: list[str], tables, unseen, strict: bool = True, ends: bool = False) -> list:
     """The cheapest path of each of ``words`` (one length) through the
-    ``k`` categories of ``tables = (ids, emit, limit, steps, final)``:
-    ``(morphs, ends)`` with ``ends[m] = end * k + c`` for morph ``m`` of
-    category ``c``, None where every path costs inf.  A known morph ``m``
-    costs ``emit[ids[m], c]``, an unseen one of length ``j`` ``unseen[j]``;
-    ``steps[p, c]`` is the cost of ``c`` after ``p`` (row ``k``: opening
-    the word) and ``final[c]`` of ending in ``c``.  With ``strict`` a known
+    ``k`` categories of ``tables = (spans, emit, steps, final)``: its
+    morphs, or with ``ends`` its ``(morphs, ends)`` with ``ends[m] = end *
+    k + c`` for morph ``m`` of category ``c``; None where every path costs
+    inf.  A morph ``spans`` knows costs ``emit[id, c]``, an unseen one of
+    length ``j`` ``unseen[j]``; ``steps[p, c]`` is the cost of ``c`` after
+    ``p`` (row ``k``: opening the word) and ``final[c]`` of ending in
+    ``c``, and with ``k = 1`` they must all be 0.  With ``strict`` a known
     morph cannot take a category that gives it no mass, and words left
     without a path are decoded again without.
 
@@ -567,59 +551,85 @@ def _lattice(words: list[str], tables, unseen, strict: bool = True) -> list:
     cheapest start of that step plus the morph's cost (the first on a
     tie), and each word its cheapest final category (the lowest on a tie).
     """
-    ids, emit, limit, steps, final = tables
+    spans, emit, steps, final = tables
     k = emit.shape[1]
     count, n = len(words), len(words[0])
-    rows, cols = np.arange(count)[:, None], np.arange(k)
+    table = spans.spans(words)
+    lengths = np.array(spans.lengths[: table.shape[2]], dtype=np.intp)
     # via[w, s, c]: the cheapest path to s followed by a step into c, taken
     # from category link[w, s, c] - s * k; back[w, end, c] is the link at
     # the start of the cheapest path to end whose last morph has c.  A
-    # link is a flat index s * k + p into back, 0 at the word start
+    # link is a flat index s * k + p into back, 0 at the word start.  With
+    # one category that costs nothing the step is the path and the link
+    # its end
     via = np.empty((count, n, k))
     via[:, 0] = steps[k]
-    link = np.zeros((count, n, k), dtype=np.intp)
     back = np.zeros((count, n + 1, k), dtype=np.intp)
-    for end, span in enumerate(_span_ids(words, ids, limit), 1):
-        a = end - span.shape[1]
+    if k > 1:
+        rows, cols = np.arange(count)[:, None], np.arange(k)
+        link = np.zeros((count, n, k), dtype=np.intp)
+    for end in range(1, n + 1):
+        known_lengths = np.searchsorted(lengths, end, side="right")
+        # the starts of the known spans ending here, latest first
+        starts = end - lengths[:known_lengths]
+        span = table[:, end - 1, :known_lengths]
         cand = via[:, :end] + unseen[end:0:-1, None]
         known = emit[span]
-        keep = (span < len(ids))[..., None] if strict else known != math.inf
-        np.add(via[:, a:end], known, out=cand[:, a:], where=keep)
+        keep = (span < spans.unknown)[..., None] if strict else known != math.inf
+        at = cand[:, starts]
+        np.add(via[:, starts], known, out=at, where=keep)
+        cand[:, starts] = at
         start = np.argmin(cand, axis=1)
-        back[:, end] = link[rows, start, cols]
         best = cand.min(axis=1)
-        if end < n:
-            step = best[:, :, None] + steps[:k]
-            link[:, end] = np.argmin(step, axis=1) + end * k
-            via[:, end] = step.min(axis=1)
+        if k == 1:
+            back[:, end] = start
+            if end < n:
+                via[:, end] = best
+        else:
+            back[:, end] = link[rows, start, cols]
+            if end < n:
+                step = best[:, :, None] + steps[:k]
+                link[:, end] = np.argmin(step, axis=1) + end * k
+                via[:, end] = step.min(axis=1)
     best += final
     out = []
     for word, i, ptrs in zip(words, (n * k + np.argmin(best, axis=1)).tolist(),
                              back.reshape(count, -1).tolist()):
-        morphs, ends, end = [], [], n
-        while end:
-            ends.append(i)
-            i = ptrs[i]
-            start = i // k
-            morphs.append(word[start:end])
-            end = start
-        out.append((morphs[::-1], ends[::-1]))
+        morphs, end = [], n
+        if ends:
+            path = []
+            while end:
+                path.append(i)
+                i = ptrs[i]
+                start = i // k
+                morphs.append(word[start:end])
+                end = start
+            out.append((morphs[::-1], path[::-1]))
+        else:
+            while end:
+                i = ptrs[i]
+                start = i // k
+                morphs.append(word[start:end])
+                end = start
+            out.append(morphs[::-1])
     retry = np.flatnonzero(~(best.min(axis=1) < math.inf)).tolist()
     for j in retry:
         out[j] = None
     if strict and retry:
         # every legal path died on zeroed emissions: let any substring
         # fall back to the add-to-lexicon cost instead
-        for j, result in zip(retry, _lattice([words[j] for j in retry], tables, unseen, False)):
+        again = _lattice([words[j] for j in retry], tables, unseen, False, ends)
+        for j, result in zip(retry, again):
             out[j] = result
     return out
 
 
-def _decode(model: MorfModel, words) -> list:
+def _decode(model: MorfModel, words, categories: bool = False) -> list:
     """Each of ``words`` decoded by :func:`_lattice`, in input order: its
-    morphs, or under a category model its ``(morphs, categories)``; a
-    lexicon-only model is one category whose steps cost nothing.  Words of
-    one length are decoded together, in the batches of ``crf._batches``."""
+    morphs, or with ``categories`` (a category model only) its ``(morphs,
+    categories)``; a lexicon-only model is one category whose steps cost
+    nothing.  Words of one length are decoded together, in the batches of
+    :func:`polyseg.chain.batches`."""
     words = list(words)
     total = model.total_tokens
     # an unseen morph of each length pays its spelling, added to the
@@ -632,21 +642,22 @@ def _decode(model: MorfModel, words) -> list:
         log_total = math.log(total) if total > 0 else 0.0
         known = {m: c for m, c in model.lexicon.items() if c > 0}
         costs = np.array([log_total - math.log(c) for c in known.values()] + [math.inf])
-        tables = (dict(zip(known, range(len(known)))), costs[:, None],
-                  max(map(len, known), default=1), np.zeros((2, 1)), np.zeros(1))
+        tables = (SpanIndex(dict(zip(known, range(len(known))))), costs[:, None],
+                  np.zeros((2, 1)), np.zeros(1))
     else:
         tables = model.categories._lattice_tables
     out: list = [None] * len(words)
     # inf and nan mark impossible steps; sums overflow to inf as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):
-        for indices, group in _batches(words):
-            for k, result in zip(indices, _lattice(group, tables, unseen)):
-                out[k] = result
+        for indices, group in batches(words):
+            for j, result in zip(indices, _lattice(group, tables, unseen, ends=categories)):
+                out[j] = result
     if None in out:
         raise NumericError("no legal category path for %r" % (words[out.index(None)],))
-    if model.categories is None:
-        return [morphs for morphs, _ in out]
-    return [(morphs, [CATEGORIES[i % len(CATEGORIES)] for i in ends]) for morphs, ends in out]
+    if categories:
+        return [(morphs, [CATEGORIES[i % len(CATEGORIES)] for i in ends])
+                for morphs, ends in out]
+    return out
 
 
 def segment_words(model: MorfModel, words) -> list[list[str]]:
@@ -659,8 +670,7 @@ def segment_words(model: MorfModel, words) -> list[list[str]]:
     splits the one whose last morph starts first wins.  A category model
     decodes through the joint split-and-category lattice (see :func:`_lattice`).
     """
-    decoded = _decode(model, words)
-    return decoded if model.categories is None else [morphs for morphs, _ in decoded]
+    return _decode(model, words)
 
 
 def viterbi_segment(model: MorfModel, word: str) -> list[str]:
@@ -673,7 +683,7 @@ def viterbi_segment_with_categories(model: MorfModel, word: str) -> tuple[list[s
     variants: its ``(morphs, categories)`` (see :func:`_lattice`)."""
     if model.categories is None:
         raise ConfigError("model has no category parameters")
-    return _decode(model, [word])[0]
+    return _decode(model, [word], categories=True)[0]
 
 
 # -- category-model training -------------------------------------------------

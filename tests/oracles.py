@@ -223,11 +223,74 @@ def morf_oracle_viterbi(model, word):
     return morphs[::-1]
 
 
+def morf_oracle_span_ids(words, ids, limit):
+    """For each end ``1..n`` of ``words`` (all of length ``n``), the ids of
+    the spans ending there that are at most ``limit`` long: a
+    ``(len(words), width)`` array whose column ``j`` is the span from
+    ``end - width + j``, ``len(ids)`` where ``ids`` lacks it.  Every span
+    length up to ``limit`` is numbered by ``crf._substrings`` and each
+    distinct text looked up in ``ids``."""
+    count, n = len(words), len(words[0])
+    m, unknown = min(limit, n), len(ids)
+    # table[:, end - 1, m - k] is the span of length k ending at end
+    table = np.full((count, n, m), unknown, dtype=np.intp)
+    for k, (codes, distinct) in enumerate(crf._substrings(words, m), 1):
+        found = np.array([ids.get(s, unknown) for s in distinct], dtype=np.intp)
+        table[:, k - 1 :, m - k] = found[codes]
+    for end in range(1, n + 1):
+        yield table[:, end - 1, max(0, m - end) :]
+
+
+def morf_oracle_span_table(words, ids):
+    """``SpanIndex(ids).spans(words)`` read off :func:`morf_oracle_span_ids`:
+    for each end and each length of ``ids``' morphs up to ``n``, shortest
+    first, the id of that span."""
+    count, n = len(words), len(words[0])
+    lengths = sorted({len(m) for m in ids if 0 < len(m) <= n})
+    table = np.full((count, n, len(lengths)), len(ids), dtype=np.intp)
+    dense = morf_oracle_span_ids(words, ids, max(map(len, ids), default=1))
+    for end, spans in enumerate(dense, 1):
+        width = spans.shape[1]
+        for j, length in enumerate(lengths):
+            if length <= width:
+                table[:, end - 1, j] = spans[:, width - length]
+    return table
+
+
 def morf_word_lists(max_length):
     """Lists of words of one to ``max_length`` characters over "abcd",
     then the same words again in another order."""
     words = st.lists(st.text("abcd", min_size=1, max_size=max_length), min_size=1, max_size=8)
     return words.flatmap(lambda first: st.permutations(first).map(lambda again: first + again))
+
+
+# 100 filler characters: with "a" and "b" they make 102, over which a
+# span's key is exact up to 9 characters, so longer morphs are found by
+# their 9-character prefix key and then by text
+WIDE_FILLER = "".join(chr(0x100 + i) for i in range(100))
+_WIDE_PREFIXES = ("aaaaaaaaa", "abababab", "ab" + WIDE_FILLER[0] + "babab")
+
+
+def wide_pieces():
+    """Texts of up to 4 characters over "a", "b" and two filler characters,
+    and texts of 8 to 14 that open with one of a few shared prefixes, so
+    that morphs past the exact key length share prefix keys."""
+    short = st.text("ab" + WIDE_FILLER[:2], min_size=1, max_size=4)
+    long = st.tuples(st.sampled_from(_WIDE_PREFIXES), st.text("ab", max_size=5)).map("".join)
+    return st.one_of(short, long)
+
+
+def wide_morphs():
+    """Sorted morph lists: a few :func:`wide_pieces` and every filler
+    character."""
+    return st.sets(wide_pieces(), max_size=10).map(lambda ms: sorted(ms | set(WIDE_FILLER)))
+
+
+def wide_words():
+    """Lists of words glued from one to three :func:`wide_pieces` or "z",
+    a character no morph holds."""
+    word = st.lists(st.one_of(wide_pieces(), st.just("z")), min_size=1, max_size=3)
+    return st.lists(word.map("".join), min_size=1, max_size=6)
 
 
 class MorfOracleTrainer(_Trainer):
@@ -727,9 +790,10 @@ def flatcat_oracle_segment(model, word):
 
 def flatcat_oracle_lattice_tables(cm):
     """``CategoryModel._lattice_tables`` by a walk over the dict tables:
-    each emitted morph's costs written into an all-inf array one entry at
-    a time, the step costs read pair by pair, and a final cost of 0 for
-    each word-final category."""
+    the emitted morphs' ids and their sorted lengths, each emitted morph's
+    costs written into an all-inf array one entry at a time, the step
+    costs read pair by pair, and a final cost of 0 for each word-final
+    category."""
     morphs = dict.fromkeys(m for table in cm.emit.values() for m in table)
     ids = {m: i for i, m in enumerate(morphs)}
     emit = np.full((len(ids) + 1, 4), math.inf)
@@ -739,7 +803,7 @@ def flatcat_oracle_lattice_tables(cm):
     steps = -np.array([[cm.trans_logp(a, b) for b in CATEGORIES] for a in CATEGORIES]
                       + [[cm.start_logp(b) for b in CATEGORIES]])
     final = np.array([0.0 if cat in FINAL_CATS else math.inf for cat in CATEGORIES])
-    return ids, emit, max(map(len, ids), default=1), steps, final
+    return ids, sorted({len(m) for m in ids if m}), emit, steps, final
 
 
 # -- emma ------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from polyseg import crf
+from polyseg import chain, crf
+from polyseg.chain import _logsumexp
 from polyseg.cli import main, render_segmented
 from polyseg.corpus import (
     CANONICAL,
@@ -31,7 +32,6 @@ from polyseg.crf import (
     _emission_sums,
     _extended,
     _feature_slots,
-    _logsumexp,
     decode,
     labels_to_morphs,
     load_model,
@@ -445,7 +445,7 @@ class TestFastPathMatchesOracle:
     def test_chunks_of_a_length_group(self, monkeypatch):
         # chunks of at most 8 positions: one to eight words each, and a
         # word longer than that alone
-        monkeypatch.setattr(crf, "_CHUNK_POSITIONS", 8)
+        monkeypatch.setattr(chain, "CHUNK_POSITIONS", 8)
         model = random_crf_model(TOY, delta=2, seed=11)
         rng = random.Random(12)
         words = ["".join(rng.choice("kawisu") for _ in range(rng.randint(1, 10)))
@@ -465,11 +465,11 @@ class TestFastPathMatchesOracle:
            chunk=st.integers(1, 12), empty_at=st.integers(0, 30))
     @settings(max_examples=200, deadline=None)
     def test_batches(self, words, chunk, empty_at):
-        with mock.patch.object(crf, "_CHUNK_POSITIONS", chunk):
-            batches = list(crf._batches(words))
+        with mock.patch.object(chain, "CHUNK_POSITIONS", chunk):
+            batches = list(chain.batches(words))
             # an empty word anywhere fails before any chunk is yielded
             with pytest.raises(DataError, match="empty word"):
-                next(crf._batches(words[:empty_at] + [""] + words[empty_at:]))
+                next(chain.batches(words[:empty_at] + [""] + words[empty_at:]))
         indices = [k for chunk_indices, _ in batches for k in chunk_indices]
         # each word once; lengths in first-seen order, input order within a length
         lengths = list(dict.fromkeys(map(len, words)))

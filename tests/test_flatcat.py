@@ -9,16 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    WIDE_FILLER,
     _flatcat_oracle_lattice,
     flatcat_oracle_em,
     flatcat_oracle_forward_backward,
     flatcat_oracle_lattice_tables,
     flatcat_oracle_segment,
+    morf_oracle_span_table,
     morf_word_lists,
+    wide_pieces,
+    wide_words,
 )
 
-from polyseg import crf
-from polyseg.crf import forward_backward
+from polyseg import chain
+from polyseg.chain import batches, forward_backward
 from polyseg.errors import ConfigError, DataError, NumericError
 from polyseg.morf import (
     ALLOWED_NEXT,
@@ -201,8 +205,8 @@ MORPHS = ("a", "b", "c", "ab", "ba", "abc", "bca")
 
 
 @st.composite
-def category_models(draw):
-    """Category tables over MORPHS whose values come from a few constants,
+def category_models(draw, morphs=MORPHS):
+    """Category tables over ``morphs`` whose values come from a few constants,
     so equal path costs are common; ``uniform`` models give every entry of
     a table the same value.  Entries left out have zero mass."""
     uniform = draw(st.booleans())
@@ -217,8 +221,19 @@ def category_models(draw):
     return CategoryModel(
         start=start,
         trans={c: table(ALLOWED_NEXT[c]) for c in CATEGORIES},
-        emit={c: table(MORPHS) for c in CATEGORIES},
+        emit={c: table(morphs) for c in CATEGORIES},
     )
+
+
+@st.composite
+def wide_category_models(draw):
+    """:func:`category_models` over a few :func:`oracles.wide_pieces`, with
+    every filler character emitted as a stem at one cost, so that the
+    emitted morphs have 102 characters."""
+    morphs = sorted(draw(st.sets(wide_pieces(), max_size=8)))
+    cm = draw(category_models(morphs))
+    cm.emit.setdefault("STM", {}).update(dict.fromkeys(WIDE_FILLER, -3.0))
+    return cm
 
 
 def _flatcat_model(cm, alpha=1.0):
@@ -360,16 +375,16 @@ class TestBatchLatticeMatchesOracle:
     @example(cm=PREFIXES_ONLY, alpha=1.0, words=["ab", "ba", "ab", "c"], chunk=24)
     def test_segment_words(self, cm, alpha, words, chunk):
         # at alpha 1e308 every unseen morph of two or more characters costs
-        # inf; a small _CHUNK_POSITIONS cuts length groups into chunks
+        # inf; a small CHUNK_POSITIONS cuts length groups into chunks
         model = _flatcat_model(cm, alpha)
         want = [flatcat_oracle_segment(model, w) for w in words]
-        with mock.patch.object(crf, "_CHUNK_POSITIONS", chunk):
+        with mock.patch.object(chain, "CHUNK_POSITIONS", chunk):
             if None in want:
                 message = "no legal category path for %r" % (words[want.index(None)],)
                 with pytest.raises(NumericError, match=re.escape(message) + "$"):
-                    _decode_batch(model, words)
+                    _decode_batch(model, words, categories=True)
             else:
-                assert _decode_batch(model, words) == want
+                assert _decode_batch(model, words, categories=True) == want
                 assert segment_words(model, words) == [morphs for morphs, _ in want]
 
     def test_empty_word(self):
@@ -377,11 +392,50 @@ class TestBatchLatticeMatchesOracle:
             segment_words(_flatcat_model(PREFIXES_ONLY), ["ba", ""])
 
 
+class TestSpanIndexMatchesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(cm=wide_category_models(), alpha=st.sampled_from((0.25, 1.0)), words=wide_words())
+    def test_wide_alphabet(self, cm, alpha, words):
+        # morphs of 10 or more characters pass the exact key limit; "z"
+        # is outside the alphabet
+        model = _flatcat_model(cm, alpha)
+        spans = cm._lattice_tables[0]
+        for _, group in batches(words):
+            assert np.array_equal(spans.spans(group), morf_oracle_span_table(group, spans.ids))
+        want = [flatcat_oracle_segment(model, w) for w in words]
+        if None in want:
+            with pytest.raises(NumericError):
+                _decode_batch(model, words, categories=True)
+        else:
+            assert _decode_batch(model, words, categories=True) == want
+
+    def test_model_file_emitting_a_character_its_lexicon_lacks(self, tmp_path):
+        # "x" is in emitted morphs only: the alphabet that prices unseen
+        # morphs lacks it, and the span index numbers it
+        path = tmp_path / "m.flatcat"
+        path.write_text(
+            "morf v1 flatcat 1.0\na\t2\nb\t1\ntransitions:\n"
+            "<s>\tPRE\t-1.0\n<s>\tSTM\t-0.5\nPRE\tSTM\t-0.1\nSTM\tSTM\t-1.0\n"
+            "STM\tSUF\t-0.5\nSUF\tSUF\t-1.0\nemissions:\nPRE\tx\t-1.0\n"
+            "STM\ta\t-1.0\nSTM\tab\t-0.5\nSTM\txa\t-0.5\nSUF\tb\t-1.0\nSUF\txb\t-2.0\n",
+            encoding="utf-8")
+        model = load_model(path)
+        assert "x" not in model.alphabet
+        words = ["".join(p) for n in range(1, 5) for p in itertools.product("abxz", repeat=n)]
+        spans = model.categories._lattice_tables[0]
+        for _, group in batches(words):
+            assert np.array_equal(spans.spans(group), morf_oracle_span_table(group, spans.ids))
+        want = [flatcat_oracle_segment(model, w) for w in words]
+        assert want[words.index("xa")] == (["xa"], ["STM"])
+        assert _decode_batch(model, words, categories=True) == want
+        assert segment_words(model, words) == [morphs for morphs, _ in want]
+
+
 def _assert_lattice_tables_match_oracle(cm):
-    ids, emit, limit, steps, final = cm._lattice_tables
-    want_ids, want_emit, want_limit, want_steps, want_final = flatcat_oracle_lattice_tables(cm)
-    assert list(ids.items()) == list(want_ids.items())
-    assert limit == want_limit
+    spans, emit, steps, final = cm._lattice_tables
+    want_ids, want_lengths, want_emit, want_steps, want_final = flatcat_oracle_lattice_tables(cm)
+    assert list(spans.ids.items()) == list(want_ids.items())
+    assert spans.lengths == want_lengths
     for got, want in ((emit, want_emit), (steps, want_steps), (final, want_final)):
         # the same bits, inf where a table gives no mass
         assert np.array_equal(got, want)

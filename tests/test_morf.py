@@ -2,24 +2,32 @@ import hashlib
 import math
 import random
 import re
+import string
+import time
 import tracemalloc
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyseg import crf
+from polyseg import chain
+from polyseg.chain import SpanIndex, batches
 from polyseg.errors import ConfigError, DataError, NumericError
 from oracles import (
+    WIDE_FILLER,
     MorfOracleTrainer,
     morf_best_cost,
     morf_joint_minimum,
     morf_morph_cost,
+    morf_oracle_span_table,
     morf_oracle_viterbi,
     morf_total_cost,
     morf_word_lists,
+    wide_morphs,
+    wide_words,
 )
 from polyseg.morf import (
     MorfModel,
@@ -256,8 +264,8 @@ class TestSegmentWords:
     @settings(max_examples=300, deadline=None)
     @given(model=lexicon_models(), words=morf_word_lists(9), chunk=st.integers(1, 24))
     def test_matches_the_per_word_oracle(self, model, words, chunk):
-        # a small _CHUNK_POSITIONS cuts each length group into several chunks
-        with mock.patch.object(crf, "_CHUNK_POSITIONS", chunk):
+        # a small CHUNK_POSITIONS cuts each length group into several chunks
+        with mock.patch.object(chain, "CHUNK_POSITIONS", chunk):
             want = [morf_oracle_viterbi(model, w) for w in words]
             if None in want:
                 message = "no legal category path for %r" % (words[want.index(None)],)
@@ -299,6 +307,61 @@ class TestSegmentWords:
             tracemalloc.stop()
         assert "".join(morphs) == word
         assert peak < 3_000_000
+
+
+class TestSpanIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(morphs=wide_morphs(), words=wide_words(),
+           weights=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           alpha=st.sampled_from((0.25, 1.0)))
+    # prefix-key hits that the text refutes, and one it confirms
+    @example(morphs=["aaaaaaaaa", "aaaaaaaaab", "aaaaaaaaaba", "ab"] + list(WIDE_FILLER),
+             words=["aaaaaaaaaba", "aaaaaaaaabb", "zaaaaaaaaab", "aaaaaaaaaab", "aaaaaaaaaz"],
+             weights=[1, 2], alpha=1.0)
+    def test_matches_the_oracles(self, morphs, words, weights, alpha):
+        # over the 102 characters of the morphs a key is exact up to 9
+        # characters; "z" is outside the alphabet
+        counts = {m: weights[i % len(weights)] for i, m in enumerate(morphs)}
+        model = MorfModel(lexicon=Counter(counts), alphabet=frozenset("".join(morphs)),
+                          alpha=alpha)
+        ids = {m: i for i, m in enumerate(morphs)}
+        index = SpanIndex(ids)
+        for _, group in batches(words):
+            assert np.array_equal(index.spans(group), morf_oracle_span_table(group, ids))
+        assert segment_words(model, words) == [morf_oracle_viterbi(model, w) for w in words]
+
+    def test_keys_never_wrap(self):
+        # over 127 characters the base is 2 ** 7: a 10-character key taken
+        # modulo 2 ** 64 would keep only the parity of its first code, so
+        # texts whose first codes differ by 2 would share it
+        chars = [chr(0x100 + i) for i in range(127)]
+        morph = "".join(chars[:10])
+        ids = {m: i for i, m in enumerate(chars + [morph])}
+        words = [morph, chars[2] + morph[1:]]
+        table = SpanIndex(ids).spans(words)
+        assert np.array_equal(table, morf_oracle_span_table(words, ids))
+        assert table[:, 9, -1].tolist() == [ids[morph], len(ids)]
+
+    def test_long_morph_in_small_memory(self):
+        # a lexicon of one 20000-character morph and its characters: the
+        # spans of every length up to 20000 would take ~3.2 GB as int64,
+        # the index reads two lengths
+        rng = random.Random(7)
+        morph = "".join(rng.choice(string.ascii_lowercase) for _ in range(20000))
+        model = MorfModel(lexicon=Counter({morph: 1, **dict.fromkeys(morph, 1)}),
+                          alphabet=frozenset(morph))
+        # the same prefix keys as the morph, but not its text
+        near = morph[:-1] + ("b" if morph.endswith("a") else "a")
+        started = time.perf_counter()
+        assert segment_words(model, [morph, near]) == [[morph], list(near)]
+        assert time.perf_counter() - started < 20
+        tracemalloc.start()
+        try:
+            assert segment_words(model, [morph]) == [[morph]]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
 
 
 class TestLmvr:
