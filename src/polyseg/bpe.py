@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import modelfile
+from .corpus import check_word_counts
 from .errors import ConfigError, DataError, FormatError
 
 MARKER = "</w>"
@@ -81,22 +82,15 @@ def train_bpe(word_counts: dict[str, int], target_vocab_size: int) -> BpeModel:
     rewrites only the words that hold its pair, and moves only the counts
     of the pairs beside each merged occurrence.
     """
-    if not word_counts:
-        raise DataError("empty word counts")
-    agg: dict[tuple[str, ...], int] = {}
-    for word, freq in word_counts.items():
-        if not word:
-            raise DataError("empty word in counts")
-        syms = _word_symbols(word)
-        agg[syms] = agg.get(syms, 0) + freq
+    check_word_counts(word_counts)
     # words are tuples of symbols and the sets of word indexes below are
     # dicts of ints: the cyclic garbage collector does not track either, so
     # the tables training keeps for its whole run add nothing to the full
     # collections the process runs later
-    words = list(agg)
-    freqs = list(agg.values())
+    words = list(map(_word_symbols, word_counts))
+    freqs = list(word_counts.values())
 
-    vocab = {s for syms in agg for s in syms}
+    vocab = {s for syms in words for s in syms}
     if target_vocab_size < len(vocab):
         raise ConfigError(
             "target vocab size %d below initial alphabet size %d"
@@ -232,10 +226,8 @@ def decode(pieces: list[str]) -> str:
 
 def save_model(model: BpeModel, path) -> None:
     """Write the model as text: a header line, then merge pairs in order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("bpe v1 %d %s\n" % (model.target_vocab_size, MARKER))
-        for a, b in model.merges:
-            f.write("%s\t%s\n" % (a, b))
+    modelfile.write(path, "bpe", ("%d" % model.target_vocab_size, MARKER),
+                    {"merges": model.merges})
 
 
 def load_model(path) -> BpeModel:

@@ -38,7 +38,7 @@ def batches(words: list[str]):
             yield indices, [words[i] for i in indices]
 
 
-def _code_points(texts: list[str], length: int) -> np.ndarray:
+def code_points(texts: list[str], length: int) -> np.ndarray:
     """The code points of ``texts``, which all have ``length`` characters,
     as a ``(len(texts), length)`` array."""
     flat = "".join(texts).encode("utf-32-le", "surrogatepass")
@@ -71,7 +71,7 @@ class SpanIndex:
             if m:
                 by_length.setdefault(len(m), []).append(m)
         self.lengths = sorted(by_length)
-        points = [_code_points(ms, n).ravel() for n, ms in by_length.items()]
+        points = [code_points(ms, n).ravel() for n, ms in by_length.items()]
         self._chars = np.unique(np.concatenate(points)) if points else np.zeros(0, np.uint32)
         self._base = len(self._chars) + 1
         # the longest exact key length, capped at the longest morph
@@ -81,7 +81,7 @@ class SpanIndex:
             self._exact += 1
         self._keys = {}
         for n, ms in by_length.items():
-            codes = self._codes(_code_points(ms, n))
+            codes = self._codes(code_points(ms, n))
             key = codes[:, 0]
             for j in range(1, min(n, self._exact)):
                 key = key * self._base + codes[:, j]
@@ -105,7 +105,7 @@ class SpanIndex:
         table = np.full((count, n, len(fit)), self.unknown, dtype=np.intp)
         if not fit:
             return table
-        codes = self._codes(_code_points(words, n))
+        codes = self._codes(code_points(words, n))
         # key[w, a]: the key of the span of klen characters from a
         key, klen = codes, 1
         for j, length in enumerate(fit):

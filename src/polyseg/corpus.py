@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -40,6 +41,21 @@ class Sentence:
 
     def __len__(self):
         return len(self.tokens)
+
+
+def check_word_counts(word_counts) -> None:
+    """Raise DataError unless ``word_counts`` maps at least one word without
+    whitespace to a positive Python or numpy integer."""
+    if not word_counts:
+        raise DataError("empty word counts")
+    for word, count in word_counts.items():
+        if not isinstance(word, str) or word.split() != [word]:
+            raise DataError("bad word in counts: %r" % (word,))
+        # the type test spares a plain int the slower abstract-class check
+        if not (type(count) is int or isinstance(count, numbers.Integral)):
+            raise DataError("non-integer count for %r: %r" % (word, count))
+        if count < 1:
+            raise DataError("non-positive count for %r" % (word,))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modelfile
-from .chain import batches, forward_backward, transition_counts
+from .chain import batches, code_points, forward_backward, transition_counts
 from .corpus import SURFACE, SegmentationDataset, SegmentedWord
 from .errors import ConfigError, ParseError, UnsupportedModeError
 
@@ -120,9 +120,7 @@ def _substrings(words: list[str], max_length: int):
     that length starting at ``a`` in ``words[w]``, and ``distinct[code]``
     is its text."""
     count, n = len(words), len(words[0])
-    key = np.frombuffer(
-        "".join(words).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
-    ).reshape(count, n)
+    key = code_points(words, n)
     for length in range(1, max_length + 1):
         if length > 1:
             # a substring is the one a character shorter plus its last character
@@ -457,17 +455,13 @@ def decode(model: CrfModel, word: str) -> SegmentedWord:
 
 
 def save_model(model: CrfModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("crf v1 %d %s\n" % (model.delta, repr(model.l2)))
-        inv = sorted(model.feat_index.items(), key=lambda kv: kv[1])
-        for (offset, content), idx in inv:
-            for j, lab in enumerate(LABELS):
-                w = model.weights[idx, j]
-                if w != 0.0:
-                    f.write("%d:%s\t%s\t%s\n" % (offset, content, lab, repr(float(w))))
-        f.write("transitions:\n")
-        for a, b in ALLOWED_PAIRS:
-            f.write("%s\t%s\t%s\n" % (a, b, repr(float(model.trans[_L[a], _L[b]]))))
+    weights, trans = model.weights.tolist(), model.trans.tolist()
+    features = (("%d:%s" % key, label, repr(w))
+                for key, idx in sorted(model.feat_index.items(), key=lambda kv: kv[1])
+                for label, w in zip(LABELS, weights[idx]) if w != 0.0)
+    transitions = [(a, b, repr(trans[_L[a]][_L[b]])) for a, b in ALLOWED_PAIRS]
+    modelfile.write(path, "crf", ("%d" % model.delta, repr(model.l2)),
+                    {"features": features, "transitions": transitions})
 
 
 def _feature_key(text: str) -> tuple[int, str]:

@@ -195,3 +195,21 @@ def _first_error(path, lines: list, sections: dict) -> None:
                 conv([part])
             except (ValueError, KeyError):
                 raise _bad_field(path, lineno, part) from None
+
+
+def write(path, family: str, header, sections: dict) -> None:
+    """Write the model file at ``path`` that :func:`read` parses.  ``header``
+    holds the header field texts after the version; ``sections`` maps each
+    section name, in file order, to an iterable of its rows of field texts,
+    or to None to leave the section out.  Every later section opens with
+    ``<name>:``.  Rows are written as they come, so a caller that passes
+    generators holds no more than one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(" ".join((family, VERSION, *header)) + "\n")
+        for k, (name, rows) in enumerate(sections.items()):
+            if rows is None:
+                continue
+            if k:
+                f.write(name + ":\n")
+            for row in rows:
+                f.write("\t".join(row) + "\n")

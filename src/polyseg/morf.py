@@ -32,6 +32,7 @@ import numpy as np
 
 from . import modelfile
 from .chain import SpanIndex, batches, forward_backward, transition_counts
+from .corpus import check_word_counts
 from .errors import ConfigError, DataError, NumericError, ParseError
 
 BASELINE = "baseline"
@@ -190,13 +191,7 @@ class _Trainer:
     its count (``"tokens"``, lmvr)."""
 
     def __init__(self, word_counts, alpha, dampening, cap, seed, epsilon, init, max_epochs):
-        if not word_counts:
-            raise DataError("empty word counts")
-        for w, c in word_counts.items():
-            if not w or any(ch.isspace() for ch in w):
-                raise DataError("bad word in counts: %r" % (w,))
-            if c < 1:
-                raise DataError("non-positive count for %r" % (w,))
+        check_word_counts(word_counts)
         check_alpha(alpha)
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ConfigError("epsilon must be finite and at least 0, got %r" % (epsilon,))
@@ -844,26 +839,18 @@ def train_flatcat(
 
 
 def save_model(model: MorfModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        head = "morf v1 %s %s" % (model.variant, repr(model.alpha))
-        if model.max_lexicon_size is not None:
-            head += " %d" % model.max_lexicon_size
-        f.write(head + "\n")
-        for morph in sorted(model.lexicon):
-            f.write("%s\t%d\n" % (morph, model.lexicon[morph]))
-        if model.categories is not None:
-            cm = model.categories
-            f.write("transitions:\n")
-            for cat in START_CATS:
-                if cat in cm.start:
-                    f.write("<s>\t%s\t%s\n" % (cat, repr(cm.start[cat])))
-            for prev in CATEGORIES:
-                for nxt in sorted(cm.trans.get(prev, {})):
-                    f.write("%s\t%s\t%s\n" % (prev, nxt, repr(cm.trans[prev][nxt])))
-            f.write("emissions:\n")
-            for cat in CATEGORIES:
-                for morph in sorted(cm.emit.get(cat, {})):
-                    f.write("%s\t%s\t%s\n" % (cat, morph, repr(cm.emit[cat][morph])))
+    cap, cm = model.max_lexicon_size, model.categories
+    header = [model.variant, repr(model.alpha)] + ([] if cap is None else ["%d" % cap])
+    lexicon = ((morph, "%d" % count) for morph, count in sorted(model.lexicon.items()))
+    transitions = emissions = None
+    if cm is not None:
+        transitions = [("<s>", cat, repr(cm.start[cat])) for cat in START_CATS if cat in cm.start]
+        transitions += [(prev, nxt, repr(logp)) for prev in CATEGORIES
+                        for nxt, logp in sorted(cm.trans.get(prev, {}).items())]
+        emissions = ((cat, morph, repr(logp)) for cat in CATEGORIES
+                     for morph, logp in sorted(cm.emit.get(cat, {}).items()))
+    modelfile.write(path, "morf", header,
+                    {"lexicon": lexicon, "transitions": transitions, "emissions": emissions})
 
 
 def _count(text: str) -> int:
@@ -889,20 +876,10 @@ def _bounded(text: str) -> float:
     return value
 
 
-def _category(text: str) -> str:
-    if text not in CATEGORIES:
-        raise ValueError("unknown category")
-    return text
-
-
-def _source(text: str) -> str:
-    return text if text == "<s>" else _category(text)
-
-
-def _variant(text: str) -> str:
-    if text not in (BASELINE, LMVR, FLATCAT):
-        raise ValueError("unknown variant")
-    return text
+# field converters that accept only the texts they map, as bpe's marker field
+_category = {cat: cat for cat in CATEGORIES}.__getitem__
+_source = {src: src for src in ("<s>",) + CATEGORIES}.__getitem__
+_variant = {v: v for v in (BASELINE, LMVR, FLATCAT)}.__getitem__
 
 
 def load_model(path) -> MorfModel:

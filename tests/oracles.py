@@ -1087,6 +1087,54 @@ def modelfile_oracle_read(path, family, header, sections, optional=0):
     return values, rows, opened
 
 
+def bpe_oracle_save_model(model, path):
+    """Write a bpe model file one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("bpe v1 %d %s\n" % (model.target_vocab_size, bpe.MARKER))
+        for a, b in model.merges:
+            f.write("%s\t%s\n" % (a, b))
+
+
+def morf_oracle_save_model(model, path):
+    """Write a morf model file one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        head = "morf v1 %s %s" % (model.variant, repr(model.alpha))
+        if model.max_lexicon_size is not None:
+            head += " %d" % model.max_lexicon_size
+        f.write(head + "\n")
+        for morph in sorted(model.lexicon):
+            f.write("%s\t%d\n" % (morph, model.lexicon[morph]))
+        if model.categories is not None:
+            cm = model.categories
+            f.write("transitions:\n")
+            for cat in START_CATS:
+                if cat in cm.start:
+                    f.write("<s>\t%s\t%s\n" % (cat, repr(cm.start[cat])))
+            for prev in CATEGORIES:
+                for nxt in sorted(cm.trans.get(prev, {})):
+                    f.write("%s\t%s\t%s\n" % (prev, nxt, repr(cm.trans[prev][nxt])))
+            f.write("emissions:\n")
+            for cat in CATEGORIES:
+                for morph in sorted(cm.emit.get(cat, {})):
+                    f.write("%s\t%s\t%s\n" % (cat, morph, repr(cm.emit[cat][morph])))
+
+
+def crf_oracle_save_model(model, path):
+    """Write a crf model file one row at a time, reading one numpy scalar
+    per weight."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("crf v1 %d %s\n" % (model.delta, repr(model.l2)))
+        inv = sorted(model.feat_index.items(), key=lambda kv: kv[1])
+        for (offset, content), idx in inv:
+            for j, lab in enumerate(LABELS):
+                w = model.weights[idx, j]
+                if w != 0.0:
+                    f.write("%d:%s\t%s\t%s\n" % (offset, content, lab, repr(float(w))))
+        f.write("transitions:\n")
+        for a, b in ALLOWED_PAIRS:
+            f.write("%s\t%s\t%s\n" % (a, b, repr(float(model.trans[_L[a], _L[b]]))))
+
+
 def modelfile_oracle_unique(path, rows, width, what):
     """Raise a ParseError naming the first of ``rows`` (``(line number,
     row)`` pairs) whose first ``width`` fields repeat an earlier row's."""

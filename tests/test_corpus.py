@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from polyseg.corpus import (
     SegmentationDataset,
     SegmentedWord,
     Sentence,
+    check_word_counts,
     corpus_stats,
     load_parallel,
     load_segmentation,
@@ -146,6 +148,49 @@ class TestWhitespace:
             SegmentedWord("kawi", ("ka", "w" + ch + "i"), mode=CANONICAL)
         with pytest.raises(DataError, match="^token is empty or contains whitespace"):
             Sentence(("ka" + ch,))
+        with pytest.raises(DataError, match="^bad word in counts"):
+            check_word_counts({"kawi": 1, "ka" + ch + "wi": 2})
+
+
+TRAINERS = {
+    "bpe": lambda counts: bpe.train_bpe(counts, 50),
+    "baseline": morf.train_baseline,
+    "lmvr": morf.train_lmvr,
+}
+
+
+class TestWordCounts:
+    """Every trainer that learns from word counts checks them alike."""
+
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    @pytest.mark.parametrize("counts,message", [
+        ({}, "empty word counts"),
+        ({"ka": 1, "": 2}, "bad word in counts: ''"),
+        # a TAB would split a bpe merge row into three fields
+        ({"a\tb": 3, "ab": 2}, "bad word in counts: 'a\\tb'"),
+        ({"a b": 1}, "bad word in counts: 'a b'"),
+        ({7: 1}, "bad word in counts: 7"),
+        ({"ab": -5, "abc": 3, "cd": 2}, "non-positive count for 'ab'"),
+        ({"ab": 0}, "non-positive count for 'ab'"),
+        ({"kawi": 2.5, "suta": 1.5}, "non-integer count for 'kawi': 2.5"),
+        ({"kawi": 2.0}, "non-integer count for 'kawi': 2.0"),
+        ({"kawi": "2"}, "non-integer count for 'kawi': '2'"),
+    ])
+    def test_bad_counts_are_rejected(self, trainer, counts, message):
+        with pytest.raises(DataError) as exc:
+            TRAINERS[trainer](counts)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    def test_numpy_integers_count_as_integers(self, trainer):
+        counts = {"kawi": 3, "suta": 2, "wisu": 1, "kasu": 2}
+        numpy_counts = {w: np.int64(c) for w, c in counts.items()}
+        expected = TRAINERS[trainer](counts)
+        model = TRAINERS[trainer](numpy_counts)
+        if trainer == "bpe":
+            assert (model.merges, model.vocab) == (expected.merges, expected.vocab)
+        else:
+            assert (model.analyses, model.lexicon) == (expected.analyses, expected.lexicon)
 
 
 class TestReadLines:

@@ -15,7 +15,14 @@ from polyseg import bpe, crf, modelfile, morf
 from polyseg.corpus import SURFACE, SegmentationDataset, SegmentedWord
 from polyseg.crf import ALLOWED_PAIRS, LABELS
 from polyseg.errors import ParseError
-from oracles import bpe_oracle_load_model, crf_oracle_load_model, morf_oracle_load_model
+from oracles import (
+    bpe_oracle_load_model,
+    bpe_oracle_save_model,
+    crf_oracle_load_model,
+    crf_oracle_save_model,
+    morf_oracle_load_model,
+    morf_oracle_save_model,
+)
 
 COUNTS = {"kawi": 3, "suta": 2, "wisu": 1, "kasu": 2, "tawi": 1}
 GOLD = SegmentationDataset(tuple(SegmentedWord("".join(m), m) for m in (
@@ -126,6 +133,102 @@ def test_damaged_files_load_or_fail_as_the_oracle_does(trained, data):
     path = d / "damaged"
     path.write_text(text, encoding="utf-8")
     assert_loaders_agree(path, FAMILY[name])
+
+
+# -- writing -------------------------------------------------------------------
+
+
+ORACLE_SAVERS = {bpe: bpe_oracle_save_model, morf: morf_oracle_save_model,
+                 crf: crf_oracle_save_model}
+# words and morphs over a small alphabet, with characters of two and three
+# UTF-8 bytes
+TRAIN_WORDS = st.text(alphabet="kawi\u00e9\u27e8", min_size=1, max_size=7)
+TRAIN_COUNTS = st.dictionaries(TRAIN_WORDS, st.integers(1, 9), min_size=1, max_size=10)
+GOLD_WORDS = st.lists(st.lists(st.text(alphabet="kawi\u00e9\u27e8", min_size=1, max_size=3),
+                               min_size=1, max_size=3), min_size=1, max_size=6)
+
+
+def _random_model(name, data):
+    """The family module of ``name`` and a small model of it trained on
+    drawn data."""
+    if name == "crf":
+        gold = SegmentationDataset(tuple(SegmentedWord("".join(ms), tuple(ms))
+                                         for ms in data.draw(GOLD_WORDS)), mode=SURFACE)
+        return crf, crf.train_crf(gold, delta=data.draw(st.integers(1, 4)),
+                                  l2=data.draw(st.sampled_from((0.0, 0.01, 0.5))),
+                                  max_iters=data.draw(st.integers(1, 6)))
+    counts = data.draw(TRAIN_COUNTS)
+    alphabet = {ch for word in counts for ch in word}
+    if name == "bpe":
+        start = len(alphabet) + len({word[-1] for word in counts})
+        return bpe, bpe.train_bpe(counts, start + data.draw(st.integers(0, 12)))
+    opts = dict(alpha=data.draw(st.sampled_from((1.0, 0.35, 2.5))),
+                seed=data.draw(st.integers(0, 99)))
+    if name == "lmvr":
+        cap = len(alphabet) + data.draw(st.integers(0, 4))
+        return morf, morf.train_lmvr(counts, max_lexicon_size=cap, **opts)
+    model = morf.train_baseline(counts, **opts)
+    if name == "flatcat":
+        model = morf.train_flatcat(counts, model, max_iters=data.draw(st.integers(1, 5)))
+    return morf, model
+
+
+def _assert_saved_as_the_oracle_saves(module, model, base):
+    new, oracle, again = (base / name for name in ("new", "oracle", "again"))
+    module.save_model(model, new)
+    ORACLE_SAVERS[module](model, oracle)
+    assert new.read_bytes() == oracle.read_bytes()
+    module.save_model(module.load_model(new), again)
+    assert again.read_bytes() == new.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["bpe", "baseline", "lmvr", "flatcat", "crf"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_saved_files_equal_the_row_writers(tmp_path_factory, name, data):
+    # byte-identical to the oracle writer, and save -> load -> save is a
+    # fixed point
+    module, model = _random_model(name, data)
+    _assert_saved_as_the_oracle_saves(module, model, tmp_path_factory.getbasetemp())
+
+
+def test_counts_and_weights_of_other_types_save_as_the_row_writers(tmp_path):
+    # "%d" truncates a float count; numpy scalars and float32 weights
+    # print as the Python floats they hold
+    model = morf.MorfModel.from_segmentations(
+        {"kawi": ("ka", "wi"), "suta": ("suta",)}, word_counts={"kawi": 2.5, "suta": np.int64(3)})
+    model.max_lexicon_size = np.int32(9)
+    (tmp_path / "morf").mkdir()
+    _assert_saved_as_the_oracle_saves(morf, model, tmp_path / "morf")
+    assert (tmp_path / "morf" / "new").read_text(encoding="utf-8").splitlines()[1:] == \
+        ["ka\t2", "suta\t3", "wi\t2"]
+    model = crf.train_crf(GOLD, delta=2, max_iters=3)
+    model.weights = model.weights.astype(np.float32)
+    model.l2 = 0.1
+    (tmp_path / "crf").mkdir()
+    _assert_saved_as_the_oracle_saves(crf, model, tmp_path / "crf")
+
+
+def test_write_then_read(tmp_path):
+    # an empty first section writes nothing, an absent later section no
+    # opening line; fields keep spaces and may be empty, and rows may come
+    # from a generator
+    path = tmp_path / "m"
+    modelfile.write(path, "fam", ("7", "x"), {
+        "first": [], "second": [("a", "b c"), ("\u00e9", "")], "third": None,
+        "fourth": (row for row in [("x", "y", "z")])})
+    assert path.read_bytes() == "fam v1 7 x\nsecond:\na\tb c\n\u00e9\t\nfourth:\nx\ty\tz\n".encode()
+    text = modelfile.text
+    values, sections = modelfile.read(path, "fam", (int, str), {
+        "first": (text, text), "second": (text, text), "third": (text,),
+        "fourth": (text, text, text)})
+    assert values == [7, "x"]
+    assert {name: (s.lines, s.columns, s.opened) for name, s in sections.items()} == {
+        "first": ([], [[], []], False),
+        "second": ([3, 4], [["a", "\u00e9"], ["b c", ""]], True),
+        "third": ([], [[]], False),
+        "fourth": ([6], [["x"], ["y"], ["z"]], True),
+    }
 
 
 # feature-key offsets, with aliases of one key (2, +2, 02)
