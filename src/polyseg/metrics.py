@@ -177,17 +177,26 @@ _13A_REPLACEMENTS = (
     ("&lt;", "<"),
     ("&gt;", ">"),
 )
-_13A_RULES = tuple(
-    (re.compile(pattern), replacement)
-    for pattern, replacement in (
-        (r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", " \\1 "),
-        (r"([^0-9])([\.,])", "\\1 \\2 "),
-        (r"([\.,])([^0-9])", " \\1 \\2"),
-        (r"([0-9])(-)", "\\1 \\2 "),
-        (r"\s+", " "),
-        (r"^\s+", ""),
-        (r"\s+$", ""),
-    )
+# Rule 1 pads each character of the class [\{-\~\[-\` -\&\(-\+\:-\@\/]
+# with a space on either side; the table spells out the class's ranges.
+# It leaves out the space itself: padding a space only lengthens a
+# whitespace run, which rules 2-4 treat the same at any length and rule 5
+# collapses to one space, and without it a line of plain words takes
+# str.translate's fast ASCII path.
+_13A_SPACED = str.maketrans({
+    chr(c): " %c " % c
+    for lo, hi in ("{~", "[`", "!&", "(+", ":@", "//")
+    for c in range(ord(lo), ord(hi) + 1)
+})
+_13A_PERIOD_COMMA = (  # rules 2 and 3
+    (re.compile(r"([^0-9])([\.,])"), "\\1 \\2 "),
+    (re.compile(r"([\.,])([^0-9])"), " \\1 \\2"),
+)
+_13A_DASH = re.compile(r"([0-9])(-)")  # rule 4
+_13A_SPACES = (  # rules 5-7
+    (re.compile(r"\s+"), " "),
+    (re.compile(r"^\s+"), ""),
+    (re.compile(r"\s+$"), ""),
 )
 _WHITESPACE = re.compile(r"\s+")
 
@@ -197,8 +206,15 @@ def tokenize_13a(line: str) -> str:
     norm = line
     for old, new in _13A_REPLACEMENTS:
         norm = norm.replace(old, new)
-    norm = " {} ".format(norm)
-    for pattern, replacement in _13A_RULES:
+    norm = " {} ".format(norm).translate(_13A_SPACED)
+    # rule 1 only adds spaces, so rules 2-4 can match only where the line
+    # already holds the '.', ',' or '-' they need
+    if "." in norm or "," in norm:
+        for pattern, replacement in _13A_PERIOD_COMMA:
+            norm = pattern.sub(replacement, norm)
+    if "-" in norm:
+        norm = _13A_DASH.sub("\\1 \\2 ", norm)
+    for pattern, replacement in _13A_SPACES:
         norm = pattern.sub(replacement, norm)
     return norm
 
@@ -211,41 +227,62 @@ def tokenize_13a(line: str) -> str:
 # reference shared by several systems is tokenized and counted once.
 
 
+def _codes(seqs: list) -> tuple[np.ndarray, int]:
+    """The symbols of ``seqs``, one after another, as dense integer codes,
+    and the number of codes.  Strings are coded by their code points (lone
+    surrogates included), token lists token by token."""
+    if all(isinstance(seq, str) for seq in seqs):
+        points = np.frombuffer("".join(seqs).encode("utf-32-le", "surrogatepass"),
+                               dtype=np.uint32)
+        alphabet = np.unique(points)
+        return np.searchsorted(alphabet, points), len(alphabet)
+    vocab: dict = {}
+    codes = np.array([vocab.setdefault(sym, len(vocab)) for seq in seqs for sym in seq],
+                     dtype=np.int64)
+    return codes, len(vocab)
+
+
 def _clipped_matches(refs: list, systems: list[list], max_order: int) -> list[np.ndarray]:
     """For each system, a (sentences, max_order) array whose entry (i, n-1)
     counts the system's n-grams in sentence i that reference i also has,
     each at most as often as the reference has it.  ``refs`` and every
-    system are lists of symbol sequences, one per sentence."""
-    n_sent = len(refs)
+    system are lists of symbol sequences, one per sentence.
+
+    Every order takes one sort, which numbers the (sentence, n-gram)
+    pairs of all inputs: a 1-gram's key is its sentence followed by its
+    symbol's code, an (n+1)-gram's key its n-gram's number followed by
+    the next symbol's code.  One bincount counts each number on each
+    input; the smaller of the reference's and a system's count, summed
+    per sentence, is the system's clipped count."""
+    n_sent, n_inputs = len(refs), 1 + len(systems)
     seqs = refs + [seq for hyps in systems for seq in hyps]
-    vocab: dict = {}
-    codes = np.array([vocab.setdefault(sym, len(vocab)) for seq in seqs for sym in seq],
-                     dtype=np.int64)
+    codes, n_codes = _codes(seqs)
+    bits = max(n_codes - 1, 0).bit_length()  # a key is (number << bits) | code
+    dtype = np.int32 if max(len(codes), n_sent) << bits < 2**31 else np.int64
+    codes = codes.astype(dtype, copy=False)
     lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
     # input k's sentence i is line k * n_sent + i (the references are input 0)
-    line = np.repeat(np.arange(len(seqs)), lengths)
+    source, sent = np.divmod(np.repeat(np.arange(len(seqs)), lengths), max(n_sent, 1))
+    key = (sent << bits).astype(dtype) | codes
+    del sent
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))  # symbols to line end
-    at, gram = np.arange(len(codes)), codes  # where each n-gram starts, and its id
+    at = np.arange(len(codes))  # where each n-gram starts
+    sentence = None  # the sentence of each n-gram number
     matches = [np.zeros((n_sent, max_order)) for _ in systems]
     for n in range(max_order):
         if n:
-            # extend every n-gram with room by its next symbol; equal
-            # (n+1)-grams get equal ids, on every input
             keep = room[at] > n
             at = at[keep]
-            gram = np.unique(gram[keep] * len(vocab) + codes[at + n], return_inverse=True)[1]
-        width = len(at) + 1
-        keys, counts = np.unique(line[at] * width + gram, return_counts=True)
-        bounds = np.searchsorted(keys, np.arange(len(systems) + 2) * n_sent * width)
-        ref_keys = np.append(keys[: bounds[1]], -1)  # -1 matches no key past the last one
-        ref_counts = counts[: bounds[1]]
+            key = gram[keep] << bits | codes[at + n]
+        keys, gram = np.unique(key, return_inverse=True)
+        gram = gram.astype(dtype, copy=False)
+        sentence = keys >> bits if sentence is None else sentence[keys >> bits]
+        counts = np.bincount(source[at] * len(keys) + gram,
+                             minlength=n_inputs * len(keys)).reshape(n_inputs, len(keys))
         for k, out in enumerate(matches, 1):
-            sys_keys = keys[bounds[k] : bounds[k + 1]] - k * n_sent * width
-            sys_counts = counts[bounds[k] : bounds[k + 1]]
-            idx = np.searchsorted(ref_keys[:-1], sys_keys)
-            found = ref_keys[idx] == sys_keys
-            clipped = np.minimum(sys_counts[found], ref_counts[idx[found]])
-            out[:, n] = np.bincount(sys_keys[found] // width, weights=clipped, minlength=n_sent)
+            out[:, n] = np.bincount(sentence, weights=np.minimum(counts[0], counts[k]),
+                                    minlength=n_sent)
+        del counts  # freed before the next order's sort
     return matches
 
 

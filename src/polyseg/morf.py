@@ -133,7 +133,11 @@ class MorfModel:
         alpha: float = 1.0,
         variant: str = BASELINE,
     ) -> "MorfModel":
-        """Build a model directly from fixed segmentations (tests, refinement)."""
+        """Build a model directly from fixed segmentations (tests, refinement).
+        ``word_counts``, or a count of 1 for every analysed word, must pass
+        :func:`~polyseg.corpus.check_word_counts`, so the model saves and
+        loads back unchanged."""
+        check_word_counts(dict.fromkeys(analyses, 1) if word_counts is None else word_counts)
         lexicon = Counter()
         for word, morphs in analyses.items():
             if "".join(morphs) != word:
@@ -187,18 +191,20 @@ def check_alpha(alpha: float) -> None:
 class _Trainer:
     """Greedy recursive-split trainer with incremental cost bookkeeping.
 
-    ``dampening`` weighs each word by 1 (``"types"``, the baseline) or by
-    its count (``"tokens"``, lmvr)."""
+    ``word_counts`` have passed :func:`~polyseg.corpus.check_word_counts`
+    and are not changed; ``alphabet`` holds their characters.  ``dampening``
+    weighs each word by 1 (``"types"``, the baseline) or by its count
+    (``"tokens"``, lmvr)."""
 
-    def __init__(self, word_counts, alpha, dampening, cap, seed, epsilon, init, max_epochs):
-        check_word_counts(word_counts)
+    def __init__(self, word_counts, alphabet, alpha, dampening, cap, seed, epsilon, init,
+                 max_epochs):
         check_alpha(alpha)
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ConfigError("epsilon must be finite and at least 0, got %r" % (epsilon,))
-        self.word_counts = dict(word_counts)
+        self.word_counts = word_counts
         self.alpha = alpha
         self.dampening = dampening
-        self.alphabet = frozenset(ch for w in word_counts for ch in w)
+        self.alphabet = alphabet
         if cap is not None and cap < len(self.alphabet):
             raise ConfigError(
                 "lexicon cap %d cannot cover the alphabet (%d characters)"
@@ -457,21 +463,26 @@ class _Trainer:
         return model
 
 
-def _train_restarts(factory, seed: int, restarts: int) -> MorfModel:
-    """Run seeded restarts (seed, seed+1, ...) and keep the cheapest model;
-    greedy accept-only-improving search depends on its start point, so a
-    few restarts reliably find compositional optima single runs can miss."""
+def _train_restarts(trainer, word_counts, seed: int, restarts: int, **options) -> _Trainer:
+    """Run seeded restarts (seed, seed+1, ...) of ``trainer`` on
+    ``word_counts`` and keep the cheapest; greedy accept-only-improving
+    search depends on its start point, so a few restarts reliably find
+    compositional optima single runs can miss.  The counts are checked and
+    copied, and their alphabet built, once for all restarts."""
     if restarts < 1:
         raise ConfigError("restarts must be positive")
+    check_word_counts(word_counts)
+    word_counts = dict(word_counts)
+    alphabet = frozenset(ch for w in word_counts for ch in w)
     best = None
     best_cost = math.inf
     for k in range(restarts):
-        trainer = factory(seed + k)
-        trainer.train()
-        cost = trainer._tracked_total()
+        candidate = trainer(word_counts, alphabet, seed=seed + k, **options)
+        candidate.train()
+        cost = candidate._tracked_total()
         if cost < best_cost - 1e-12:
             best_cost = cost
-            best = trainer
+            best = candidate
     return best
 
 
@@ -491,11 +502,9 @@ def train_baseline(
     a local optimum a strictly-improving search cannot leave), ``words``
     and ``chars`` start from whole words / single characters.
     """
-    best = _train_restarts(
-        lambda s: _Trainer(word_counts, alpha, "types", None, s, epsilon, init, max_epochs),
-        seed,
-        restarts,
-    )
+    best = _train_restarts(_Trainer, word_counts, seed, restarts, alpha=alpha,
+                           dampening="types", cap=None, epsilon=epsilon, init=init,
+                           max_epochs=max_epochs)
     return best.finish(BASELINE)
 
 
@@ -516,13 +525,9 @@ def train_lmvr(
     multi-character morphs) after every accepted move, so a cap equal to
     the alphabet size forces single-character segmentation.
     """
-    best = _train_restarts(
-        lambda s: _Trainer(
-            word_counts, alpha, "tokens", max_lexicon_size, s, epsilon, init, max_epochs
-        ),
-        seed,
-        restarts,
-    )
+    best = _train_restarts(_Trainer, word_counts, seed, restarts, alpha=alpha,
+                           dampening="tokens", cap=max_lexicon_size, epsilon=epsilon,
+                           init=init, max_epochs=max_epochs)
     return best.finish(LMVR)
 
 

@@ -980,6 +980,43 @@ def chrf_oracle_sentence_stats(hyp, ref):
     return stats
 
 
+def mt_oracle_clipped_matches(refs, systems, max_order):
+    """For each system, the (sentences, max_order) clipped n-gram matches
+    against ``refs``, with symbols coded by a dict and two sorts per order:
+    one numbering the n-grams, one counting them per line."""
+    n_sent = len(refs)
+    seqs = refs + [seq for hyps in systems for seq in hyps]
+    vocab = {}
+    codes = np.array([vocab.setdefault(sym, len(vocab)) for seq in seqs for sym in seq],
+                     dtype=np.int64)
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    # input k's sentence i is line k * n_sent + i (the references are input 0)
+    line = np.repeat(np.arange(len(seqs)), lengths)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))  # symbols to line end
+    at, gram = np.arange(len(codes)), codes  # where each n-gram starts, and its id
+    matches = [np.zeros((n_sent, max_order)) for _ in systems]
+    for n in range(max_order):
+        if n:
+            # extend every n-gram with room by its next symbol; equal
+            # (n+1)-grams get equal ids, on every input
+            keep = room[at] > n
+            at = at[keep]
+            gram = np.unique(gram[keep] * len(vocab) + codes[at + n], return_inverse=True)[1]
+        width = len(at) + 1
+        keys, counts = np.unique(line[at] * width + gram, return_counts=True)
+        bounds = np.searchsorted(keys, np.arange(len(systems) + 2) * n_sent * width)
+        ref_keys = np.append(keys[: bounds[1]], -1)  # -1 matches no key past the last one
+        ref_counts = counts[: bounds[1]]
+        for k, out in enumerate(matches, 1):
+            sys_keys = keys[bounds[k] : bounds[k + 1]] - k * n_sent * width
+            sys_counts = counts[bounds[k] : bounds[k + 1]]
+            idx = np.searchsorted(ref_keys[:-1], sys_keys)
+            found = ref_keys[idx] == sys_keys
+            clipped = np.minimum(sys_counts[found], ref_counts[idx[found]])
+            out[:, n] = np.bincount(sys_keys[found] // width, weights=clipped, minlength=n_sent)
+    return matches
+
+
 # pieces of hostile MT lines: 13a entities, number punctuation, unicode,
 # words shorter than chrF's order; MT_SEPARATORS go between them
 MT_FRAGMENTS = (

@@ -1,13 +1,16 @@
+import importlib.util
 import math
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWord
+from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWord, read_lines
 from polyseg.errors import AlignmentError, DataError, UnsupportedModeError
 from oracles import (
     emma_datasets,
@@ -15,6 +18,7 @@ from oracles import (
     emma_oracle_matching,
     mt_corpus,
     mt_lines,
+    mt_oracle_clipped_matches,
     mt_oracle_scores,
     mt_oracle_stats,
     mt_oracle_tokenize_13a,
@@ -23,7 +27,9 @@ from oracles import (
 from polyseg.metrics import (
     BLEU_SIGNATURE,
     CHRF_SIGNATURE,
+    _METRICS,
     SegScore,
+    _clipped_matches,
     bleu,
     boundary_f1,
     chrf,
@@ -182,6 +188,14 @@ class Test13aTokenizer:
         for raw, expected in self.GOLDENS.items():
             assert tokenize_13a(raw) == expected
 
+    def test_every_latin1_code_point_as_the_rules_treat_it(self):
+        # rule 1's character class lies within U+0000-U+00FF; the four
+        # wider code points are whitespace or outside every rule
+        for point in [*range(0x100), 0xA0, 0x2028, 0x3000, 0x1F642]:
+            c = chr(point)
+            for line in (c, "a%sb" % c, "1%s2" % c):
+                assert tokenize_13a(line) == mt_oracle_tokenize_13a(line), hex(point)
+
 
 class TestBleu:
     def test_identity_is_exactly_100(self):
@@ -285,3 +299,70 @@ class TestStatisticsMatchOracle:
     @given(line=mt_lines())
     def test_13a_tokenizer(self, line):
         assert tokenize_13a(line) == mt_oracle_tokenize_13a(line)
+
+
+class TestClippedMatchesMatchOracle:
+    """``_clipped_matches`` against the dict-coded, two-sorts-per-order
+    counter it replaced."""
+
+    @staticmethod
+    def _assert_same(metric, refs, systems):
+        m = _METRICS[metric]
+        ref_symbols = [m.symbols(line) for line in refs]
+        hyp_symbols = [[m.symbols(line) for line in hyps] for hyps in systems]
+        got = _clipped_matches(ref_symbols, hyp_symbols, m.order)
+        want = mt_oracle_clipped_matches(ref_symbols, hyp_symbols, m.order)
+        assert len(got) == len(want) == len(systems)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("metric", ("bleu", "chrf"))
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=st.integers(1, 3).flatmap(lambda systems: mt_corpus(systems)))
+    def test_hostile_corpora(self, metric, corpus):
+        *systems, refs = corpus
+        self._assert_same(metric, refs, systems)
+
+    @pytest.mark.parametrize("metric", ("bleu", "chrf"))
+    @pytest.mark.parametrize("refs,systems", [
+        # lone surrogates: no UTF-8 file holds them, a library caller may
+        (["a\ud800b\udfff", "\udc00"], [["a\ud800b", "x\udc00"], ["\udfff", ""]]),
+        # blank lines only
+        (["", " ", "\t\u3000"], [["", "  ", ""], [" ", "\u2028", ""], ["", "", "\n"]]),
+        # code points beyond the BMP, in the reference and the systems
+        (["\U0001f642\U0001f600 \U0001f642x\U00010348", "\U000e0001"],
+         [["\U0001f642\U0001f600\U0001f642", "\U000e0001\U000e0001"]]),
+    ])
+    def test_examples(self, metric, refs, systems):
+        self._assert_same(metric, refs, systems)
+        for hyps, report in zip(systems, metric_reports(metric, systems, refs)):
+            assert np.array_equal(report.stats, mt_oracle_stats(metric, hyps, refs))
+
+    def test_wide_alphabet_takes_64_bit_keys(self):
+        # some 16k distinct characters take 15 bits of code, and the ids of
+        # 150k positions shifted by 15 bits pass int32
+        rng = random.Random(7)
+        alphabet = [chr(0x4E00 + i) for i in range(20000)]
+        refs = ["".join(rng.choices(alphabet[: rng.choice((50, 20000))], k=80))
+                for _ in range(625)]
+        systems = [["".join(c if rng.random() < 0.9 else rng.choice(alphabet) for c in line)
+                    for line in refs] for _ in range(2)]
+        text = "".join(refs) + "".join(line for hyps in systems for line in hyps)
+        assert len(text) << (len(set(text)) - 1).bit_length() >= 2**31
+        self._assert_same("chrf", refs, systems)
+
+
+def test_statistics_of_the_benchmark_text(tmp_path):
+    # the bpe-mt benchmark's references and systems: Zipfian lines of plain
+    # words, with no '.', ',' or '-' for the 13a number rules
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.gen_bpe_mt(str(tmp_path), 1001)
+    refs, sys_a, sys_b = (read_lines(tmp_path / name)
+                          for name in ("test.tgt", "hyp_a.tgt", "hyp_b.tgt"))
+    for metric in ("bleu", "chrf"):
+        for hyps, report in zip((sys_a, sys_b), metric_reports(metric, [sys_a, sys_b], refs)):
+            assert np.array_equal(report.stats, mt_oracle_stats(metric, hyps, refs))

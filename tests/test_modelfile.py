@@ -5,6 +5,7 @@ or reject, the same exception and message, and the same loaded model."""
 import gc
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -195,8 +196,8 @@ def test_saved_files_equal_the_row_writers(tmp_path_factory, name, data):
 def test_counts_and_weights_of_other_types_save_as_the_row_writers(tmp_path):
     # "%d" truncates a float count; numpy scalars and float32 weights
     # print as the Python floats they hold
-    model = morf.MorfModel.from_segmentations(
-        {"kawi": ("ka", "wi"), "suta": ("suta",)}, word_counts={"kawi": 2.5, "suta": np.int64(3)})
+    model = morf.MorfModel(lexicon=Counter({"ka": 2.5, "wi": 2.5, "suta": np.int64(3)}),
+                           alphabet=frozenset("kawisuta"))
     model.max_lexicon_size = np.int32(9)
     (tmp_path / "morf").mkdir()
     _assert_saved_as_the_oracle_saves(morf, model, tmp_path / "morf")

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyseg import chain
+from polyseg import chain, morf
 from polyseg.chain import SpanIndex, batches
+from polyseg.corpus import check_word_counts
 from polyseg.errors import ConfigError, DataError, NumericError
 from oracles import (
     WIDE_FILLER,
@@ -126,7 +127,7 @@ class TestSearchMatchesOracle:
         kw.setdefault("alpha", 1.0)
         kw.setdefault("epsilon", 0.1)
         kw.setdefault("max_epochs", 30)
-        return _train_restarts(lambda s: cls(word_counts, seed=s, **kw), seed, restarts)
+        return _train_restarts(cls, word_counts, seed, restarts, **kw)
 
     def _assert_same(self, word_counts, restarts=1, seed=0, **kw):
         fast = self._trained(_Trainer, word_counts, restarts, seed, **kw)
@@ -399,6 +400,20 @@ class TestLmvr:
         recomputed = morf_total_cost(tok.lexicon, tok.alphabet)
         assert cost.total == pytest.approx(recomputed, abs=1e-6)
 
+    def test_restarts_check_the_counts_once(self, monkeypatch):
+        calls = []
+
+        def counting_check(word_counts):
+            calls.append(word_counts)
+            check_word_counts(word_counts)
+
+        monkeypatch.setattr(morf, "check_word_counts", counting_check)
+        model = train_lmvr(FOUR_WORDS, max_lexicon_size=9, seed=3, restarts=4)
+        assert calls == [FOUR_WORDS]
+        # still the cheapest of the four seeded runs
+        singles = [train_lmvr(FOUR_WORDS, max_lexicon_size=9, seed=s) for s in range(3, 7)]
+        assert mdl_cost(model).total == min(mdl_cost(m).total for m in singles)
+
 
 class TestSegmentCorpus:
     def test_concatenation_invariant(self):
@@ -437,6 +452,18 @@ class TestModelFile:
         again = tmp_path / "again.lmvr"
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("analyses,word_counts,message", [
+        # "%d" would save the count as 2
+        ({"ab": ("a", "b")}, {"ab": 2.5}, "non-integer count for 'ab': 2.5"),
+        # the TAB would split the lexicon row into three fields on load
+        ({"a\tb": ("a\tb",)}, None, "bad word in counts: 'a\\tb'"),
+    ])
+    def test_fixed_segmentations_that_would_not_load_back_are_rejected(
+            self, analyses, word_counts, message):
+        with pytest.raises(DataError) as exc:
+            MorfModel.from_segmentations(analyses, word_counts=word_counts)
+        assert str(exc.value) == message
 
     # 50 word types of prefix + stem + suffix, counts 1..13
     PINNED_CORPUS = {
