@@ -4,9 +4,10 @@
   decoder runs through one numpy dynamic program.
 * :class:`SpanIndex` finds the morphs of a lexicon among the spans of such a
   chunk by sorted integer keys.
-* :func:`forward_backward` and :func:`transition_counts` run a log-space
-  chain: the crf's BMES labels over characters and flatcat's categories
-  over morphs.
+* :func:`forward_backward` runs a log-space chain over a :class:`Packing`
+  of chains of every length at once, and :func:`transition_counts` sums
+  its label pairs: the crf's BMES labels over characters and flatcat's
+  categories over morphs.
 """
 
 from __future__ import annotations
@@ -130,37 +131,104 @@ class SpanIndex:
         return table
 
 
+_LOWEST = -np.finfo(np.float64).max
+
+
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     """``log(sum(exp(x)))`` along ``axis``; a slice that is all -inf gives -inf."""
-    top = np.max(x, axis=axis, keepdims=True)
-    top[np.isneginf(top)] = 0.0
+    # the lowest finite float stands in for the top of an all -inf slice,
+    # so that ``x - top`` stays -inf there instead of NaN
+    top = x.max(axis=axis, keepdims=True, initial=_LOWEST)
+    shifted = x - top
+    np.exp(shifted, out=shifted)
     with np.errstate(divide="ignore"):
-        total = np.log(np.sum(np.exp(x - top), axis=axis))
-    return total + np.squeeze(top, axis=axis)
+        total = np.log(shifted.sum(axis=axis))
+    return total + top.squeeze(axis=axis)
 
 
-def forward_backward(scores: np.ndarray, start: np.ndarray, trans: np.ndarray,
-                     final: np.ndarray):
-    """Log-space forward and backward values of a ``(chains, length, 4)``
-    batch of label scores, and each chain's log partition value; ``start``
-    and ``final`` score each label opening and closing a chain (-inf
-    forbids).  The crf's BMES chain and flatcat's category chain run here."""
-    n = scores.shape[1]
-    alpha = np.empty_like(scores)
-    beta = np.empty_like(scores)
-    alpha[:, 0] = scores[:, 0] + start
-    for i in range(1, n):
-        alpha[:, i] = scores[:, i] + _logsumexp(alpha[:, i - 1, :, None] + trans, axis=1)
-    beta[:, -1] = final
-    for i in range(n - 2, -1, -1):
-        beta[:, i] = _logsumexp(trans + (scores[:, i + 1] + beta[:, i + 1])[:, None, :], axis=2)
-    log_z = _logsumexp(alpha[:, -1] + final, axis=1)
-    return alpha, beta, log_z
+class Packing:
+    """A batch of chains of the given ``lengths`` (each at least 1), laid
+    out for :func:`forward_backward`.
+
+    Callers keep a batch's rows chain by chain: chain ``c``'s position
+    ``i`` is row ``starts[c] + i``.  The packed layout sorts the chains by
+    length, longest first (equal lengths in caller order), and stores them
+    position by position: block ``i``, rows ``offsets[i]:offsets[i + 1]``,
+    holds position ``i`` of every chain longer than ``i``, and those chains
+    are the first rows of block ``i - 1`` too.  So one step of the
+    recursion is one slice, and no row is padding.
+
+    ``order`` maps packed rows to caller rows and ``index`` caller rows to
+    packed ones; ``last`` is the packed row of each chain's last position
+    and ``chain`` the chain of each caller row, both in caller order.
+    """
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        count = len(lengths)
+        ranked = np.argsort(-lengths, kind="stable")
+        rank = np.empty(count, dtype=np.intp)
+        rank[ranked] = np.arange(count)
+        # chains longer than i, for each position i of the longest chain
+        shorter = np.cumsum(np.bincount(lengths, minlength=1))[:-1]
+        offsets = np.concatenate([[0], np.cumsum(count - shorter)])
+        self.offsets = offsets.tolist()
+        self.chain = np.repeat(np.arange(count), lengths)
+        starts = np.cumsum(lengths) - lengths
+        position = np.arange(len(self.chain)) - starts[self.chain]
+        self.index = offsets[position] + rank[self.chain]
+        self.order = np.empty_like(self.index)
+        self.order[self.index] = np.arange(len(self.index))
+        self.last = offsets[lengths - 1] + rank
+
+
+def forward_backward(scores: np.ndarray, packing: Packing, start: np.ndarray,
+                     trans: np.ndarray, final: np.ndarray):
+    """Log-space forward and backward values of a batch of chains, and each
+    chain's log partition value.
+
+    ``scores`` holds the ``(rows, 4)`` label scores of the chains of
+    ``packing``, chain by chain; ``start`` and ``final`` score each label
+    opening and closing a chain (-inf forbids).  ``alpha`` and ``beta``
+    come back in the rows of ``scores`` and ``log_z`` in chain order.  All
+    chains step together in :class:`Packing`'s layout, and each chain's
+    values are those of the same recursion run on its own.  The crf's BMES
+    chain and flatcat's category chain run here.
+    """
+    # held label by packed row: each step reduces over a leading axis of
+    # four labels, so numpy's inner loops run over whole blocks, and it
+    # still adds the four labels one after another, as a sum over one
+    # row's labels does
+    packed = scores.T[:, packing.order]
+    alpha = np.empty_like(packed)
+    o = packing.offsets
+    if len(o) > 1:
+        alpha[:, : o[1]] = packed[:, : o[1]] + start[:, None]
+    forward = trans[:, :, None]
+    for i in range(1, len(o) - 1):
+        # the chains still running at i are the first o[i + 1] - o[i] of i - 1
+        here, k = slice(o[i], o[i + 1]), o[i + 1] - o[i]
+        alpha[:, here] = packed[:, here] + _logsumexp(
+            alpha[:, None, o[i - 1] : o[i - 1] + k] + forward, axis=0)
+    log_z = _logsumexp(alpha[:, packing.last] + final[:, None], axis=0)
+    # each packed array is dropped once it is back in caller rows, so no
+    # more than three batch-sized arrays are held at a time
+    alpha = alpha.T[packing.index]
+    beta = np.empty_like(packed)
+    beta[:, packing.last] = final[:, None]
+    backward = trans.T[:, :, None]
+    for i in range(len(o) - 3, -1, -1):
+        after = slice(o[i + 1], o[i + 2])
+        beta[:, o[i] : o[i] + o[i + 2] - o[i + 1]] = _logsumexp(
+            (packed[:, after] + beta[:, after])[:, None, :] + backward, axis=0)
+    del packed
+    return alpha, beta.T[packing.index], log_z
 
 
 def transition_counts(scores, trans, alpha, beta, log_z) -> np.ndarray:
-    """The expected ``(4, 4)`` label-pair counts of a batch, summed over its
-    chains and adjacent positions, from :func:`forward_backward`'s values."""
+    """The expected ``(4, 4)`` label-pair counts of a ``(chains, length,
+    4)`` batch of chains of one length, summed over its chains and adjacent
+    positions, from their :func:`forward_backward` values."""
     # log marginals of each adjacent label pair, (chains, n - 1, 4, 4)
     xi = alpha[:, :-1, :, None] + trans + (scores[:, 1:] + beta[:, 1:])[:, :, None, :]
     return np.exp(xi - log_z[:, None, None, None]).sum(axis=(0, 1))

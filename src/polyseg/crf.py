@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modelfile
-from .chain import batches, code_points, forward_backward, transition_counts
+from .chain import Packing, batches, code_points, forward_backward, transition_counts
 from .corpus import SURFACE, SegmentationDataset, SegmentedWord
 from .errors import ConfigError, ParseError, UnsupportedModeError
 
@@ -228,18 +228,21 @@ _FINAL_MASK = np.array([0.0 if l in FINAL_LABELS else -np.inf for l in LABELS])
 def marginals(model: CrfModel, word: str):
     """Per-position label marginals and the sequence partition value."""
     scores = _emission_sums(_extended(model.weights), _feature_slots(model, [word]))
-    alpha, beta, log_z = forward_backward(scores[None], _START_MASK, model.trans, _FINAL_MASK)
-    return np.exp(alpha[0] + beta[0] - log_z[0]), log_z[0]
+    alpha, beta, log_z = forward_backward(scores, Packing([len(word)]), _START_MASK,
+                                          model.trans, _FINAL_MASK)
+    return np.exp(alpha + beta - log_z[0]), log_z[0]
 
 
 def _length_groups(model: CrfModel, dataset: SegmentationDataset):
     """The dataset's words grouped by exact length, behind one slot table.
 
-    Returns ``(slots, groups)``.  ``slots`` holds the :func:`_feature_slots`
-    row of every character position, laid out group by group (lengths
-    ascending), word by word, each padded on the right with the unknown id
-    up to the widest row.  Each group is ``(start, gold)``: its first row
-    in ``slots`` and its ``(words, length)`` array of gold label ids.
+    Returns ``(slots, groups, packing)``.  ``slots`` holds the
+    :func:`_feature_slots` row of every character position, laid out group
+    by group (lengths ascending), word by word, each padded on the right
+    with the unknown id up to the widest row.  Each group is ``(start,
+    gold)``: its first row in ``slots`` and its ``(words, length)`` array of
+    gold label ids.  ``packing`` is the :class:`~polyseg.chain.Packing` of
+    the words in that order.
     """
     entries = sorted(dataset.entries, key=lambda entry: len(entry.surface))
     words = [entry.surface for entry in entries]
@@ -257,7 +260,7 @@ def _length_groups(model: CrfModel, dataset: SegmentationDataset):
     for t in tables:
         slots[row : row + len(t), : t.shape[1]] = t
         row += len(t)
-    return slots, groups
+    return slots, groups, Packing(list(map(len, words)))
 
 
 def log_likelihood_and_gradient(model: CrfModel, dataset: SegmentationDataset, table=None):
@@ -265,32 +268,34 @@ def log_likelihood_and_gradient(model: CrfModel, dataset: SegmentationDataset, t
 
     Returns ``(ll, grad)`` with ``grad`` packed like ``model.packed()``:
     empirical minus expected feature counts, minus the l2 term.  Words of
-    one length run through the forward-backward together.  ``table`` is
-    the :func:`_length_groups` table of ``model`` and ``dataset``, built
-    here when not given; it depends on the model only through its
-    features, so training builds it once per fit.
+    every length run through one forward-backward; the sums then run
+    length group by length group.  ``table`` is the :func:`_length_groups`
+    table of ``model`` and ``dataset``, built here when not given; it
+    depends on the model only through its features, so training builds it
+    once per fit.
     """
-    slots, groups = _length_groups(model, dataset) if table is None else table
+    slots, groups, packing = _length_groups(model, dataset) if table is None else table
     scores = _emission_sums(_extended(model.weights), slots)  # (positions, 4)
-    residual = np.empty_like(scores)  # gold one-hot minus label marginals
+    alpha, beta, log_z = forward_backward(scores, packing, _START_MASK, model.trans, _FINAL_MASK)
+    # gold one-hot minus label marginals
+    residual = -np.exp(alpha + beta - log_z[packing.chain][:, None])
     grad_t = np.zeros((4, 4))
     ll = 0.0
+    first = 0  # the group's first word
     for start, gold in groups:
         words, n = gold.shape
-        stop = start + gold.size
-        group_scores = scores[start:stop].reshape(words, n, 4)
-        alpha, beta, log_z = forward_backward(group_scores, _START_MASK, model.trans,
-                                              _FINAL_MASK)
+        rows = slice(start, start + gold.size)
+        group_z = log_z[first : first + words]
+        first += words
+        group_scores = scores[rows].reshape(words, n, 4)
         prev, nxt = gold[:, :-1], gold[:, 1:]
         ll += np.take_along_axis(group_scores, gold[..., None], axis=2).sum()
-        ll += model.trans[prev, nxt].sum() - log_z.sum()
-
-        gamma = np.exp(alpha + beta - log_z[:, None, None])
-        residual[start:stop] = -gamma.reshape(-1, 4)
-        residual[np.arange(start, stop), gold.ravel()] += 1.0
+        ll += model.trans[prev, nxt].sum() - group_z.sum()
+        residual[np.arange(rows.start, rows.stop), gold.ravel()] += 1.0
 
         grad_t += np.bincount((prev * 4 + nxt).ravel(), minlength=16).reshape(4, 4)
-        grad_t -= transition_counts(group_scores, model.trans, alpha, beta, log_z)
+        grad_t -= transition_counts(group_scores, model.trans, alpha[rows].reshape(words, n, 4),
+                                    beta[rows].reshape(words, n, 4), group_z)
     # one bincount per label over every slot in row order, less the unknown id's bin
     ids, width, bins = slots.ravel(), slots.shape[1], len(model.feat_index) + 1
     grad_w = np.stack([np.bincount(ids, np.repeat(r, width), bins)[:-1] for r in residual.T],

@@ -193,11 +193,6 @@ _13A_PERIOD_COMMA = (  # rules 2 and 3
     (re.compile(r"([\.,])([^0-9])"), " \\1 \\2"),
 )
 _13A_DASH = re.compile(r"([0-9])(-)")  # rule 4
-_13A_SPACES = (  # rules 5-7
-    (re.compile(r"\s+"), " "),
-    (re.compile(r"^\s+"), ""),
-    (re.compile(r"\s+$"), ""),
-)
 _WHITESPACE = re.compile(r"\s+")
 
 
@@ -214,9 +209,9 @@ def tokenize_13a(line: str) -> str:
             norm = pattern.sub(replacement, norm)
     if "-" in norm:
         norm = _13A_DASH.sub("\\1 \\2 ", norm)
-    for pattern, replacement in _13A_SPACES:
-        norm = pattern.sub(replacement, norm)
-    return norm
+    # rules 5-7 squeeze each run of \s into one space and strip the ends;
+    # str.split's whitespace is exactly re's \s
+    return " ".join(norm.split())
 
 
 # -- per-sentence sufficient statistics ---------------------------------------

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import modelfile
-from .chain import SpanIndex, batches, forward_backward, transition_counts
+from .chain import Packing, SpanIndex, batches, forward_backward, transition_counts
 from .corpus import check_word_counts
 from .errors import ConfigError, DataError, NumericError, ParseError
 
@@ -761,6 +761,57 @@ def _normalize(counts, previous):
     return np.where(z > 0, logp, previous)
 
 
+def _em(groups, emit, start, trans, epsilon, max_iters):
+    """EM over the baseline analyses, ``groups`` holding the ``(words,
+    count)`` morph ids of the analyses of each morph count, from the
+    ``(4, morphs)`` emission, start and transition log-probabilities of
+    :func:`_category_arrays`.  Returns those fitted and the log-likelihood
+    of each iteration.  Its batch-sized arrays are freed on return, before
+    the refined model re-segments the words."""
+    morphs = emit.shape[1]
+    # the analyses group by group, each group's morph ids row by row
+    ids = np.concatenate([g.ravel() for g in groups]) if groups else np.zeros(0, np.intp)
+    packing = Packing([g.shape[1] for g in groups for _ in range(len(g))])
+    # each group's rows and chains in that order, and the flat (category,
+    # morph) index of each of its emissions
+    spans = []
+    row = first = 0
+    for g in groups:
+        spans.append((slice(row, row + g.size), slice(first, first + len(g)), g.shape,
+                      (g[:, :, None] + np.arange(4) * morphs).ravel()))
+        row, first = row + g.size, first + len(g)
+
+    ll_history = []
+    for _ in range(max_iters):
+        emit_counts = np.zeros(4 * morphs)
+        start_counts = np.zeros(4)
+        trans_counts = np.zeros((4, 4))
+        total_ll = 0.0
+        e = emit.T[ids]  # each morph's emission log-probabilities
+        alpha, beta, ll = forward_backward(e, packing, start, trans, _FINAL_MASK)
+        if np.isneginf(ll).any():
+            raise NumericError("zero-probability segmentation in EM")
+        gamma = alpha + beta
+        gamma -= ll[packing.chain][:, None]
+        np.exp(gamma, out=gamma)
+        # the sums run group by group, as one forward-backward per group would
+        for rows, chains, shape, slot in spans:
+            total_ll += float(ll[chains].sum())
+            emit_counts += np.bincount(slot, gamma[rows].ravel(), len(emit_counts))
+            start_counts += gamma[rows].reshape(*shape, 4)[:, 0].sum(axis=0)
+            trans_counts += transition_counts(e[rows].reshape(*shape, 4), trans,
+                                              alpha[rows].reshape(*shape, 4),
+                                              beta[rows].reshape(*shape, 4), ll[chains])
+        ll_history.append(total_ll)
+
+        start = _normalize(start_counts, start)
+        trans = _normalize(trans_counts, trans)
+        emit = _normalize(emit_counts.reshape(4, -1), emit)
+        if len(ll_history) >= 2 and ll_history[-1] - ll_history[-2] < epsilon:
+            break
+    return emit, start, trans, ll_history
+
+
 def train_flatcat(
     word_counts: dict[str, int],
     baseline_model: MorfModel,
@@ -776,7 +827,7 @@ def train_flatcat(
     prefix-like, long morphs look stem-like), EM then fits the constrained
     HMM to the baseline segmentation; the data log-likelihood is
     non-decreasing per iteration.  Each EM iteration runs one
-    forward-backward per morph count over all analyses of that count.  EM
+    forward-backward over all analyses, of every morph count at once.  EM
     stops once an iteration raises the log-likelihood by less than the
     finite ``epsilon``; a negative one runs all ``max_iters``.  The
     returned model re-segments words through the joint split-and-category
@@ -795,35 +846,10 @@ def train_flatcat(
     for ms in analyses.values():
         by_count.setdefault(len(ms), []).append([index[m] for m in ms])
     groups = [np.array(rows, dtype=np.intp) for _, rows in sorted(by_count.items())]
-    # flat (category, morph) index of every emission in a group
-    slots = [ids[:, :, None] + np.arange(4) * len(vocab) for ids in groups]
     emit, start, trans = _category_arrays(
         _initial_category_model(analyses, diversity_threshold), vocab
     )
-
-    ll_history = []
-    for _ in range(max_iters):
-        emit_counts = np.zeros(4 * len(vocab))
-        start_counts = np.zeros(4)
-        trans_counts = np.zeros((4, 4))
-        total_ll = 0.0
-        for ids, slot in zip(groups, slots):
-            e = emit.T[ids]  # each morph's emission log-probabilities
-            alpha, beta, ll = forward_backward(e, start, trans, _FINAL_MASK)
-            if np.isneginf(ll).any():
-                raise NumericError("zero-probability segmentation in EM")
-            total_ll += float(ll.sum())
-            gamma = np.exp(alpha + beta - ll[:, None, None])
-            emit_counts += np.bincount(slot.ravel(), gamma.ravel(), len(emit_counts))
-            start_counts += gamma[:, 0].sum(axis=0)
-            trans_counts += transition_counts(e, trans, alpha, beta, ll)
-        ll_history.append(total_ll)
-
-        start = _normalize(start_counts, start)
-        trans = _normalize(trans_counts, trans)
-        emit = _normalize(emit_counts.reshape(4, -1), emit)
-        if len(ll_history) >= 2 and ll_history[-1] - ll_history[-2] < epsilon:
-            break
+    emit, start, trans, ll_history = _em(groups, emit, start, trans, epsilon, max_iters)
 
     # the baseline lexicon scales the unseen-morph cost while re-segmenting
     refined = MorfModel(

@@ -17,6 +17,7 @@ from scipy.optimize import linear_sum_assignment, minimize
 from scipy.special import logsumexp
 
 from polyseg import bpe, crf, modelfile, morf
+from polyseg.chain import Packing, _logsumexp
 from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWord, read_lines
 from polyseg.crf import (
     ALLOWED_NEXT,
@@ -568,7 +569,8 @@ def crf_oracle_length_groups(model, dataset):
     unknown = len(model.feat_index)
     width = max([1, *map(len, rows)])
     slots = np.array([ids + [unknown] * (width - len(ids)) for ids in rows], dtype=np.intp)
-    return slots.reshape(start, width), groups
+    lengths = [n for _, gold in groups for n in [gold.shape[1]] * len(gold)]
+    return slots.reshape(start, width), groups, Packing(lengths)
 
 
 def crf_oracle_train_scipy(dataset, delta=3, l2=0.01, max_iters=200, tol=1e-5):
@@ -601,6 +603,26 @@ def random_crf_model(data, delta=2, l2=0.0, seed=0):
     rng = np.random.default_rng(seed)
     model.set_packed(rng.normal(scale=0.5, size=model.packed().shape))
     return model
+
+
+# -- chains ----------------------------------------------------------------------
+
+
+def chain_oracle_forward_backward(scores, start, trans, final):
+    """``chain.forward_backward`` on a ``(chains, length, 4)`` batch of
+    chains of one length: the recursion steps every chain of that length
+    at once, one position after another."""
+    n = scores.shape[1]
+    alpha = np.empty_like(scores)
+    beta = np.empty_like(scores)
+    alpha[:, 0] = scores[:, 0] + start
+    for i in range(1, n):
+        alpha[:, i] = scores[:, i] + _logsumexp(alpha[:, i - 1, :, None] + trans, axis=1)
+    beta[:, -1] = final
+    for i in range(n - 2, -1, -1):
+        beta[:, i] = _logsumexp(trans + (scores[:, i + 1] + beta[:, i + 1])[:, None, :], axis=2)
+    log_z = _logsumexp(alpha[:, -1] + final, axis=1)
+    return alpha, beta, log_z
 
 
 # -- flatcat ---------------------------------------------------------------------

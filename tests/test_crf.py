@@ -453,13 +453,14 @@ class TestFastPathMatchesOracle:
         assert segment_words(model, words) == [crf_oracle_decode(model, w).morphs
                                                for w in words]
         data = dataset(*[(w,) for w in words])
-        slots, groups = crf._length_groups(model, data)
-        want_slots, want_groups = crf_oracle_length_groups(model, data)
+        slots, groups, packing = crf._length_groups(model, data)
+        want_slots, want_groups, want_packing = crf_oracle_length_groups(model, data)
         unknown = len(model.feat_index)
         assert [[i for i in row if i != unknown] for row in slots.tolist()] == \
             [[i for i in row if i != unknown] for row in want_slots.tolist()]
         assert [(s, g.tolist()) for s, g in groups] == \
             [(s, g.tolist()) for s, g in want_groups]
+        assert packing.order.tolist() == want_packing.order.tolist()
 
     @given(words=st.lists(st.text(alphabet="ab", min_size=1, max_size=6), max_size=30),
            chunk=st.integers(1, 12), empty_at=st.integers(0, 30))
@@ -520,6 +521,34 @@ def bench_gold(tmp_path_factory):
     spec.loader.exec_module(gen)
     gen.gen_crf_sup(str(root), 1001)
     return root / "train.tsv"
+
+
+def test_one_long_word_among_the_bench_words_trains_in_time(bench_gold, tmp_path):
+    # one 5000-character word among the 150 crf-sup words: the chain runs
+    # 5000 positions for it alone.  8 iterations took ~2.0 s when each word
+    # length ran its own forward-backward and take ~1.3 s in one packed pass
+    rng = random.Random(5)
+    morphs, size = [], 0
+    while size < 5000:
+        morphs.append("".join(rng.choice("abcdefgh") for _ in range(min(rng.randint(1, 6),
+                                                                        5000 - size))))
+        size += len(morphs[-1])
+    data = tmp_path / "train.tsv"
+    data.write_text(bench_gold.read_text(encoding="utf-8")
+                    + "%s\t%s\n" % ("".join(morphs), " ".join(morphs)), encoding="utf-8")
+    model = tmp_path / "model.crf"
+    began = time.perf_counter()
+    assert main(["train", "--method", "crf", "--max-iters", "8", "--input", str(data),
+                 "--model", str(model)]) == 0
+    assert time.perf_counter() - began < 20.0
+    word = "".join(morphs)
+    assert "".join(segment_words(load_model(model), [word])[0]) == word
+
+
+def test_no_words_train_to_zero_features_at_once():
+    model = train_crf(SegmentationDataset((), mode=SURFACE), delta=3)
+    assert (len(model.feat_index), model.nit, model.stop_message) == (0, 0, crf.CONVERGED)
+    assert model.weights.shape == (0, 4)
 
 
 class TestLbfgsAgainstScipy:

@@ -22,7 +22,7 @@ from oracles import (
 )
 
 from polyseg import chain
-from polyseg.chain import batches, forward_backward
+from polyseg.chain import Packing, batches, forward_backward
 from polyseg.errors import ConfigError, DataError, NumericError
 from polyseg.morf import (
     ALLOWED_NEXT,
@@ -54,7 +54,10 @@ AFFIX_TOY = {
 def _category_chain(ids, emit, start, trans):
     """The shared chain's forward and backward values and log-likelihoods
     of a ``(words, n)`` batch of morph ids, as flatcat's EM runs it."""
-    return forward_backward(emit.T[ids], start, trans, _FINAL_MASK)
+    words, n = ids.shape
+    alpha, beta, ll = forward_backward(emit.T[ids.ravel()], Packing([n] * words), start, trans,
+                                       _FINAL_MASK)
+    return alpha.reshape(words, n, 4), beta.reshape(words, n, 4), ll
 
 
 TOY_CORPORA = (

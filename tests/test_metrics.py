@@ -1,6 +1,8 @@
 import importlib.util
 import math
 import random
+import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyseg import metrics
+from polyseg.cli import main
 from polyseg.corpus import CANONICAL, SURFACE, SegmentationDataset, SegmentedWord, read_lines
 from polyseg.errors import AlignmentError, DataError, UnsupportedModeError
 from oracles import (
@@ -196,6 +200,14 @@ class Test13aTokenizer:
             for line in (c, "a%sb" % c, "1%s2" % c):
                 assert tokenize_13a(line) == mt_oracle_tokenize_13a(line), hex(point)
 
+    def test_split_whitespace_is_exactly_the_rules_whitespace(self):
+        # rules 5-7 run as str.split, which holds only if re's \s and
+        # str.isspace agree on every code point, lone surrogates included
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", text) == [c for c in text if c.isspace()]
+        rules = re.sub(r"\s+$", "", re.sub(r"^\s+", "", re.sub(r"\s+", " ", text)))
+        assert " ".join(text.split()) == rules
+
 
 class TestBleu:
     def test_identity_is_exactly_100(self):
@@ -366,3 +378,26 @@ def test_statistics_of_the_benchmark_text(tmp_path):
     for metric in ("bleu", "chrf"):
         for hyps, report in zip((sys_a, sys_b), metric_reports(metric, [sys_a, sys_b], refs)):
             assert np.array_equal(report.stats, mt_oracle_stats(metric, hyps, refs))
+
+
+def test_benchmark_reports_as_the_rule_by_rule_tokenizer(tmp_path, monkeypatch):
+    # the bpe-mt benchmark's BLEU report and significance test, byte for
+    # byte as with every 13a rule applied as its own substitution
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.gen_bpe_mt(str(tmp_path), 1001)
+    d = lambda name: str(tmp_path / name)  # noqa: E731
+    outputs = []
+    for tokenize in (metrics.tokenize_13a, mt_oracle_tokenize_13a):
+        monkeypatch.setattr(metrics, "tokenize_13a", tokenize)
+        out = tmp_path / tokenize.__name__
+        out.mkdir()
+        assert main(["eval-mt", "--hyp", d("hyp_a.tgt"), "--ref", d("test.tgt"),
+                     "--metric", "bleu", "--out", str(out / "bleu.tsv")]) == 0
+        assert main(["signif", "--sys-a", d("hyp_a.tgt"), "--sys-b", d("hyp_b.tgt"),
+                     "--ref", d("test.tgt"), "--metric", "bleu", "--trials", "1000",
+                     "--out", str(out / "signif.tsv")]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("bleu.tsv", "signif.tsv")])
+    assert outputs[0] == outputs[1]

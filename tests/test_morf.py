@@ -494,3 +494,12 @@ class TestModelFile:
             path = tmp_path / name
             save_model(model, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+    def test_flatcat_em_log_likelihoods_are_pinned(self):
+        # each EM iteration sums its log-likelihood morph count by morph
+        # count; summing in another order moves these bits, though not the
+        # model file's
+        wc = self.PINNED_CORPUS
+        model = train_flatcat(wc, train_baseline(wc, seed=5), seed=5)
+        assert hashlib.sha256(repr(model.ll_history).encode()).hexdigest() == \
+            "9f506e692959eb04cc20aa601f921aa29bc4c233f84d5f215074955730be3c9e"
