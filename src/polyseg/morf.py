@@ -188,13 +188,32 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError("alpha %r is above %g in magnitude" % (alpha, _MAX_MAGNITUDE))
 
 
+_XLOGX_KEPT = 1 << 14
+
+
+class _XLogX(dict):
+    """``j -> j * log(j)`` for counts ``j``, built with 0 at 0 so that
+    adding or removing a zero count is an exact no-op.  Values below
+    ``_XLOGX_KEPT`` are kept once computed and larger ones computed at each
+    lookup, so the table's size does not grow with the word counts."""
+
+    def __missing__(self, j):
+        value = j * math.log(j)
+        if j < _XLOGX_KEPT:
+            self[j] = value
+        return value
+
+
 class _Trainer:
-    """Greedy recursive-split trainer with incremental cost bookkeeping.
+    """Greedy binary-split trainer with incremental cost bookkeeping.
 
     ``word_counts`` have passed :func:`~polyseg.corpus.check_word_counts`
     and are not changed; ``alphabet`` holds their characters.  ``dampening``
     weighs each word by 1 (``"types"``, the baseline) or by its count
-    (``"tokens"``, lmvr)."""
+    (``"tokens"``, lmvr).  Each visit of a word runs in one frame on an
+    explicit stack (see :meth:`_visit`), so a word of any length trains
+    without recursion, and the memory the trainer holds depends on its
+    morphs, not on how large their counts are."""
 
     def __init__(self, word_counts, alphabet, alpha, dampening, cap, seed, epsilon, init,
                  max_epochs):
@@ -215,12 +234,12 @@ class _Trainer:
         self.max_epochs = max_epochs
         self.rng = random.Random(seed)
 
-        self._counts = Counter()
+        self._counts: dict[str, int] = {}
         self._total = 0
         self._sum_clogc = 0.0  # sum of count*log(count) over the lexicon
         self._lex_symbols = 0  # sum of (len(m)+1) over active morphs
         self._active_multichar = 0
-        self._xlogx = [0.0]  # see _xlogx_upto
+        self._xlogx = _XLogX({0: 0.0})
         self._per_symbol = math.log(len(self.alphabet) + 1)
         self._analyses: dict[str, tuple[str, ...]] = {}
         self._init_analyses(init)
@@ -232,7 +251,7 @@ class _Trainer:
         return 1 if self.dampening == "types" else self.word_counts[word]
 
     def _add(self, morph: str, count: int) -> None:
-        old = self._counts[morph]
+        old = self._counts.get(morph, 0)
         new = old + count
         self._counts[morph] = new
         if old > 0:
@@ -245,7 +264,7 @@ class _Trainer:
         self._total += count
 
     def _remove(self, morph: str, count: int) -> None:
-        old = self._counts[morph]
+        old = self._counts.get(morph, 0)
         new = old - count
         if new < 0:
             raise NumericError("count of %r would go negative" % (morph,))
@@ -325,112 +344,150 @@ class _Trainer:
 
     # -- search ------------------------------------------------------------
 
-    def _xlogx_upto(self, k: int) -> list[float]:
-        """The table ``[0.0, 1*log(1), 2*log(2), ...]``, grown to cover ``k``;
-        entry 0 makes adding or removing a zero count an exact no-op."""
-        table = self._xlogx
-        if k >= len(table):
-            table.extend(j * math.log(j) for j in range(len(table), k + 1))
-        return table
+    def _visit(self, word: str) -> None:
+        """Search ``word``'s analysis again: take its morphs out of the
+        model, choose new ones, and keep them unless the total cost rose by
+        over 1e-9 or the cap is broken, in which case the old ones go back.
 
-    def _resegment(self, construction: str, weight: int) -> tuple[str, ...]:
-        """Place ``construction`` (currently uncounted) back into the model,
-        recursively choosing between keeping it whole and the best binary
-        split; returns the committed morphs.
+        A construction (at first the word) is either kept whole or cut in
+        two at its best binary split, and each half is searched the same
+        way.  Scoring a candidate changes no state: the running sum
+        ``_sum_clogc`` its morphs would give is computed from the current
+        one in the order the adds would make it (for a split into ``x + x``
+        the second add starts from the raised count), and the candidate
+        costs what ``_tracked_total`` would read after those adds.  A chosen
+        split is committed as add right, search left, remove right, search
+        right, so the left half is searched with the right one counted.
+        When the cap forbids the whole construction and every admissible
+        split, the cheapest split is taken anyway and deeper levels fall
+        back toward single characters.
 
-        Scoring a candidate leaves the running sum ``_sum_clogc`` untouched:
-        the sum its morphs would give is computed from the current one in
-        ``_add``'s order (for a split into ``x + x`` the second add starts
-        from the raised count), and the candidate costs what
-        ``_tracked_total`` would read after those adds.  A chosen split is
-        committed as add right, recurse into left, remove right, recurse
-        into right, so the left half is searched with the right one counted.
+        The visit runs in this one frame.  The model's running state is
+        held in locals and written back at the end, and the search runs on
+        an explicit stack, so a word of any length is searched without
+        recursion.  The stack holds pairs of entries: a construction to
+        search over 0, a morph over a signed weight to add to its count,
+        and at the bottom ``None`` over 0, where the visit keeps the new
+        analysis or queues the changes that put the old one back.
         """
-        n = len(construction)
-        if n == 1:
-            self._add(construction, weight)
-            return (construction,)
-
-        w = weight
-        get = self._counts.get
-        cuts = range(1, n)
-        lefts = [get(construction[:i], 0) for i in cuts]
-        rights = [get(construction[i:], 0) for i in cuts]
-        whole = get(construction, 0)
-        xlogx = self._xlogx_upto(max(whole, max(lefts), max(rights)) + 2 * w)
-        s = self._sum_clogc
-        lex = self._lex_symbols
-        multichar = self._active_multichar
+        counts = self._counts
+        get = counts.get
+        xlogx = self._xlogx
+        log = math.log
+        inf = math.inf
         alpha = self.alpha
         per_symbol = self._per_symbol
         # the most multi-character morphs the cap admits
         room = None if self.cap is None else self.cap - len(self.alphabet)
+        total = self._total
+        s = self._sum_clogc
+        lex = self._lex_symbols
+        multi = self._active_multichar
 
-        best_cost = math.inf
-        best_i = None
-        whole_ok = room is None or whole > 0 or multichar + 1 <= room
-        if whole_ok:
-            t = self._total + w
-            added = s - xlogx[whole] + xlogx[whole + w]
-            grown = lex if whole > 0 else lex + n + 1
-            best_cost = t * math.log(t) - added + alpha * grown * per_symbol
-
-        t = self._total + 2 * w
-        corpus_total = t * math.log(t)
-        h = n // 2
-        twin = h if construction[:h] * 2 == construction else 0  # split into x + x
-        fallback_cost = math.inf
-        fallback_i = None
-        for i, cl, cr in zip(cuts, lefts, rights):
-            grown, grown_multi = lex, multichar
-            if cl == 0:
-                grown += i + 1
-                grown_multi += i > 1
-            if i == twin:
-                # right is left again: its add starts from the raised count
-                cr = cl + w
-            elif cr == 0:
-                grown += n - i + 1
-                grown_multi += n - i > 1
-            added = s - xlogx[cl] + xlogx[cl + w] - xlogx[cr] + xlogx[cr + w]
-            cost = corpus_total - added + alpha * grown * per_symbol
-            if fallback_i is None or cost < fallback_cost:
-                fallback_cost, fallback_i = cost, i
-            if (room is None or grown_multi <= room) and cost < best_cost - 1e-12:
-                best_cost = cost
-                best_i = i
-
-        if best_i is None:
-            if whole_ok:
-                self._add(construction, weight)
-                return (construction,)
-            # cap forbids both the whole construction and every admissible
-            # split at this level: descend through the cheapest split and
-            # let deeper levels fall back toward single characters.
-            best_i = fallback_i
-
-        left, right = construction[:best_i], construction[best_i:]
-        self._add(right, weight)
-        lparts = self._resegment(left, weight)
-        self._remove(right, weight)
-        rparts = self._resegment(right, weight)
-        return lparts + rparts
-
-    def _visit(self, word: str) -> None:
-        weight = self._weight(word)
+        w = self._weight(word)
         prev = self._analyses[word]
         prev_cost = self._tracked_total()
-        for m in prev:
-            self._remove(m, weight)
-        result = self._resegment(word, weight)
-        if self._tracked_total() > prev_cost + 1e-9 or not self._within_cap():
-            for m in result:
-                self._remove(m, weight)
-            for m in prev:
-                self._add(m, weight)
-        else:
-            self._analyses[word] = result
-        if not self._within_cap():
+        result = []
+        stack = [None, 0, word, 0]
+        for m in reversed(prev):
+            stack += (m, -w)
+        pop = stack.pop
+        while stack:
+            d = pop()
+            c = pop()
+            if d:
+                # the count change of _add (d > 0) or _remove (d < 0)
+                old = get(c, 0)
+                new = old + d
+                if new < 0:
+                    raise NumericError("count of %r would go negative" % (c,))
+                if old > 0:
+                    s -= xlogx[old]
+                else:
+                    lex += len(c) + 1
+                    multi += len(c) > 1
+                if new > 0:
+                    counts[c] = new
+                    s += xlogx[new]
+                else:
+                    del counts[c]
+                    lex -= len(c) + 1
+                    multi -= len(c) > 1
+                total += d
+                continue
+
+            if c is None:
+                # what _tracked_total would read
+                cost = (total * log(total) - s if total > 0 else 0.0) + alpha * lex * per_symbol
+                if cost > prev_cost + 1e-9 or (room is not None and multi > room):
+                    # remove the new morphs in order, then add the old ones
+                    for m in reversed(prev):
+                        stack += (m, w)
+                    for m in reversed(result):
+                        stack += (m, -w)
+                else:
+                    self._analyses[word] = tuple(result)
+                continue
+
+            n = len(c)
+            if n == 1:
+                result.append(c)
+                stack += (c, w)
+                continue
+            whole = get(c, 0)
+            best_cost = inf
+            best_i = None
+            whole_ok = room is None or whole > 0 or multi + 1 <= room
+            if whole_ok:
+                t = total + w
+                added = s - xlogx[whole] + xlogx[whole + w]
+                grown = lex if whole > 0 else lex + n + 1
+                best_cost = t * log(t) - added + alpha * grown * per_symbol
+
+            t = total + 2 * w
+            corpus_total = t * log(t)
+            h = n // 2
+            twin = h if c[:h] * 2 == c else 0  # split into x + x
+            fallback_cost = inf
+            fallback_i = None
+            for i in range(1, n):
+                cl = get(c[:i], 0)
+                grown, grown_multi = lex, multi
+                if cl == 0:
+                    grown += i + 1
+                    grown_multi += i > 1
+                if i == twin:
+                    # right is left again: its add starts from the raised count
+                    cr = cl + w
+                else:
+                    cr = get(c[i:], 0)
+                    if cr == 0:
+                        grown += n - i + 1
+                        grown_multi += n - i > 1
+                added = s - xlogx[cl] + xlogx[cl + w] - xlogx[cr] + xlogx[cr + w]
+                cost = corpus_total - added + alpha * grown * per_symbol
+                if fallback_i is None or cost < fallback_cost:
+                    fallback_cost, fallback_i = cost, i
+                if (room is None or grown_multi <= room) and cost < best_cost - 1e-12:
+                    best_cost = cost
+                    best_i = i
+
+            if best_i is None:
+                if whole_ok:
+                    result.append(c)
+                    stack += (c, w)
+                    continue
+                best_i = fallback_i
+            # popped last to first: add right, search left, remove right,
+            # search right
+            right = c[best_i:]
+            stack += (right, 0, right, -w, c[:best_i], 0, right, w)
+
+        self._total = total
+        self._sum_clogc = s
+        self._lex_symbols = lex
+        self._active_multichar = multi
+        if room is not None and multi > room:
             raise NumericError("lexicon cap violated after accepting a move")
 
     def train(self) -> None:

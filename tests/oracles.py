@@ -295,22 +295,72 @@ def wide_words():
 
 
 class MorfOracleTrainer(_Trainer):
-    """The mutate-and-measure search: every candidate is scored by adding
-    its morphs to the lexicon with ``_add``, reading ``_tracked_total`` and
-    removing them again, after which the running sum ``_sum_clogc`` is put
-    back to the value it had before the adds.  A chosen split is committed
-    as add right, recurse into left, remove right, recurse into right.
-    ``fallbacks`` counts the levels where the cap forbade every candidate
-    and the cheapest split was taken anyway."""
+    """The recursive mutate-and-measure search, with its own string-keyed
+    ``_visit``, ``_add`` and ``_remove``: every candidate is scored by
+    adding its morphs to the lexicon with ``_add``, reading
+    ``_tracked_total`` and removing them again, after which the running sum
+    ``_sum_clogc`` is put back to the value it had before the adds.  A
+    chosen split is committed as add right, recurse into left, remove
+    right, recurse into right.  ``fallbacks`` counts the levels where the
+    cap forbade every candidate and the cheapest split was taken anyway,
+    ``searches`` the calls of ``_resegment``."""
 
     fallbacks = 0
+    searches = 0
+
+    def _add(self, morph, count):
+        old = self._counts.get(morph, 0)
+        new = old + count
+        self._counts[morph] = new
+        if old > 0:
+            self._sum_clogc -= old * math.log(old)
+        else:
+            self._lex_symbols += len(morph) + 1
+            if len(morph) > 1:
+                self._active_multichar += 1
+        self._sum_clogc += new * math.log(new)
+        self._total += count
+
+    def _remove(self, morph, count):
+        old = self._counts.get(morph, 0)
+        new = old - count
+        if new < 0:
+            raise NumericError("count of %r would go negative" % (morph,))
+        self._sum_clogc -= old * math.log(old)
+        if new > 0:
+            self._counts[morph] = new
+            self._sum_clogc += new * math.log(new)
+        else:
+            del self._counts[morph]
+            self._lex_symbols -= len(morph) + 1
+            if len(morph) > 1:
+                self._active_multichar -= 1
+        self._total -= count
+
+    def _visit(self, word):
+        weight = self._weight(word)
+        prev = self._analyses[word]
+        prev_cost = self._tracked_total()
+        for m in prev:
+            self._remove(m, weight)
+        result = self._resegment(word, weight)
+        if self._tracked_total() > prev_cost + 1e-9 or not self._within_cap():
+            for m in result:
+                self._remove(m, weight)
+            for m in prev:
+                self._add(m, weight)
+        else:
+            self._analyses[word] = result
+        if not self._within_cap():
+            raise NumericError("lexicon cap violated after accepting a move")
 
     def _fits_if_added(self, morph):
-        if self.cap is None or len(morph) == 1 or self._counts[morph] > 0:
+        if self.cap is None or len(morph) == 1 or self._counts.get(morph, 0) > 0:
             return True
         return self._effective_size() + 1 <= self.cap
 
     def _resegment(self, construction, weight):
+        self.searches += 1
         if len(construction) == 1:
             self._add(construction, weight)
             return (construction,)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import string
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -132,6 +133,8 @@ class TestSearchMatchesOracle:
     def _assert_same(self, word_counts, restarts=1, seed=0, **kw):
         fast = self._trained(_Trainer, word_counts, restarts, seed, **kw)
         slow = self._trained(MorfOracleTrainer, word_counts, restarts, seed, **kw)
+        # the oracle searched through its own recursion, not the fast visit
+        assert slow.searches >= len(word_counts) * (len(slow.cost_history) - 1)
         assert fast._analyses == slow._analyses
         assert list(fast._counts.items()) == list(slow._counts.items())
         assert fast.cost_history == slow.cost_history
@@ -169,6 +172,27 @@ class TestSearchMatchesOracle:
         # "abab" and "aaaa" split at 2 add the same morph twice
         for init in ("words", "chars", "random"):
             self._assert_same(word_counts, 2, 7, dampening=dampening, cap=None, init=init)
+
+    def test_candidates_are_scored_in_the_commit_order(self):
+        # a candidate here scores within rounding of another, so a sum taken
+        # in any other order than its adds would make it picks another split
+        wc = {"mtkabmabs": 11, "aamam": 41, "k": 9, "mkaakktkm": 6, "b": 20, "bmmm": 11,
+              "mab": 50}
+        self._assert_same(wc, 1, 366, alpha=3.0, dampening="tokens",
+                          cap=len(set("".join(wc))) + 2, init="words")
+
+    def test_frequent_word_in_small_memory(self):
+        # the table of count * log(count) stops growing long before the
+        # counts do; tabulating it up to 3e6 + 2 * 3e6 took ~190 MB
+        word_counts = {"kawi": 3_000_000, "kawiru": 5, "ruka": 7}
+        tracemalloc.start()
+        try:
+            train_lmvr(word_counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        self._assert_same(word_counts, 1, 1917, dampening="tokens", cap=None, init="random")
 
     def test_tight_cap_descends_through_cheapest_split(self):
         wc = {"kakamisu": 9, "misukaka": 4, "sukami": 6, "kamika": 3}
@@ -400,6 +424,17 @@ class TestLmvr:
         recomputed = morf_total_cost(tok.lexicon, tok.alphabet)
         assert cost.total == pytest.approx(recomputed, abs=1e-6)
 
+    def test_token_longer_than_the_recursion_limit_under_a_tight_cap(self):
+        # a cap of the alphabet forbids every multi-character morph, so the
+        # search descends one character per level: 1200 levels deep
+        rng = random.Random(3)
+        word = "".join(rng.choice("abcdefghij") for _ in range(1200))
+        assert len(word) > sys.getrecursionlimit()
+        started = time.perf_counter()
+        model = train_lmvr({word: 2, "ab": 1}, max_lexicon_size=10)
+        assert time.perf_counter() - started < 10
+        assert model.analyses == {word: tuple(word), "ab": ("a", "b")}
+
     def test_restarts_check_the_counts_once(self, monkeypatch):
         calls = []
 
@@ -494,6 +529,21 @@ class TestModelFile:
             path = tmp_path / name
             save_model(model, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+    def test_search_cost_histories_are_pinned(self):
+        # the epoch costs are the search's running sums, read once an epoch;
+        # adding its terms in another order moves these bits, though not the
+        # model files'
+        wc = self.PINNED_CORPUS
+        cap = len(set("".join(wc))) + 6
+        histories = {
+            "morfessor": (train_baseline(wc, seed=5).cost_history,
+                          "bc66023dad6115ef92adb6a4216cdf4b75921b0b2215afa6915513e5f29b83d4"),
+            "lmvr": (train_lmvr(wc, max_lexicon_size=cap, seed=5).cost_history,
+                     "094e30094faa690a39a3a5fc8d0a861978248e0fa58495d20d311b4ded2d8567"),
+        }
+        for name, (history, digest) in histories.items():
+            assert hashlib.sha256(repr(history).encode()).hexdigest() == digest, name
 
     def test_flatcat_em_log_likelihoods_are_pinned(self):
         # each EM iteration sums its log-likelihood morph count by morph
